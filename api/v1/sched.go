@@ -22,8 +22,10 @@ type SchedulerStats struct {
 	ExecutedBatch uint64 `json:"executed_batch"`
 	LateRuns      uint64 `json:"late_runs"`
 	SkippedTicks  uint64 `json:"skipped_ticks"`
-	// Steals counts run batches idle workers took from sibling shards;
-	// non-zero means work stealing is actively levelling load imbalance.
+	// Deprecated: always 0. Work stealing was removed — execution is
+	// shard-affine; the field stays on the wire only until the
+	// cmd/e2ebench `sched.steals` per-layer metric that reads it is
+	// retired, and goes with it.
 	Steals uint64 `json:"steals"`
 	// Batches / BatchJobs count executed run batches and the jobs they
 	// carried; MeanBatch = batch_jobs / batches is how much shard-lock
@@ -55,13 +57,9 @@ type SchedulerShard struct {
 	// the bounded catch-up policy.
 	LateRuns     uint64 `json:"late_runs"`
 	SkippedTicks uint64 `json:"skipped_ticks"`
-	// Steals counts batches this shard's workers took from siblings;
-	// Stolen counts batches siblings took from this shard's queues.
-	Steals uint64 `json:"steals"`
-	Stolen uint64 `json:"stolen"`
 	// Batches / BatchJobs / MaxBatch describe the run batches this shard's
-	// workers executed (executions land where the work ran, so under
-	// stealing these can differ from where the jobs were queued).
+	// workers executed. Work never migrates between shards, so these are
+	// exactly the jobs that were queued here.
 	Batches   uint64 `json:"batches"`
 	BatchJobs uint64 `json:"batch_jobs"`
 	MaxBatch  int    `json:"max_batch"`

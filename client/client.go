@@ -526,9 +526,10 @@ func (c *Client) Pace(ctx context.Context, id string) (apiv1.PaceState, error) {
 
 // SchedulerStats fetches the control plane's execution-plane view: the
 // sharded scheduler's shape (shards, workers, capacity), queue depths,
-// late/skipped tick counters, batched-execution and work-stealing
-// counters (batches, jobs per batch, steals per shard) and per-shard
-// run-latency histograms.
+// late/skipped tick counters, batched-execution counters (batches, jobs
+// per batch) and per-shard run-latency histograms. Execution is
+// shard-affine, so every per-shard counter is exact for the jobs hashing
+// to that shard.
 func (c *Client) SchedulerStats(ctx context.Context) (apiv1.SchedulerStats, error) {
 	var out apiv1.SchedulerStats
 	err := c.do(ctx, http.MethodGet, "/v1/scheduler", nil, &out)

@@ -487,15 +487,15 @@ func cmdSched(args []string) {
 	fmt.Printf("  process goroutines: %d (O(shards), not O(flows))\n", st.Goroutines)
 	fmt.Printf("  totals: %d timers armed, queue depth %d, executed %d flow / %d batch, %d late runs, %d skipped ticks\n",
 		st.Timers, st.QueueDepth, st.ExecutedFlow, st.ExecutedBatch, st.LateRuns, st.SkippedTicks)
-	fmt.Printf("  batching: %d batches, %d jobs, mean %.1f jobs/batch (max %d); %d batches stolen by idle workers\n",
-		st.Batches, st.BatchJobs, st.MeanBatch, st.MaxBatch, st.Steals)
-	fmt.Printf("  %-6s %7s %6s %6s %10s %10s %6s %8s %7s %7s %8s %9s %10s %10s\n",
-		"SHARD", "TIMERS", "FLOWQ", "BATCHQ", "EXEC.FLOW", "EXEC.BATCH", "LATE", "SKIPPED", "STEALS", "STOLEN", "BATCHES", "MAXBATCH", "MEAN(us)", "MAX(us)")
+	fmt.Printf("  batching: %d batches, %d jobs, mean %.1f jobs/batch (max %d)\n",
+		st.Batches, st.BatchJobs, st.MeanBatch, st.MaxBatch)
+	fmt.Printf("  %-6s %7s %6s %6s %10s %10s %6s %8s %8s %9s %10s %10s\n",
+		"SHARD", "TIMERS", "FLOWQ", "BATCHQ", "EXEC.FLOW", "EXEC.BATCH", "LATE", "SKIPPED", "BATCHES", "MAXBATCH", "MEAN(us)", "MAX(us)")
 	for _, row := range st.PerShard {
-		fmt.Printf("  %-6d %7d %6d %6d %10d %10d %6d %8d %7d %7d %8d %9d %10.1f %10.1f\n",
+		fmt.Printf("  %-6d %7d %6d %6d %10d %10d %6d %8d %8d %9d %10.1f %10.1f\n",
 			row.Shard, row.Timers, row.FlowQueue, row.BatchQueue,
 			row.ExecutedFlow, row.ExecutedBatch, row.LateRuns, row.SkippedTicks,
-			row.Steals, row.Stolen, row.Batches, row.MaxBatch,
+			row.Batches, row.MaxBatch,
 			row.Latency.MeanUS, row.Latency.MaxUS)
 	}
 }

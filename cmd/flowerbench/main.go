@@ -19,7 +19,7 @@
 //	                                     sharded scheduler vs the goroutine-per-flow baseline,
 //	                                     plus the scale lab grids — a -sched-flows (default
 //	                                     100k) thundering-herd/sustain run and a skewed-duration
-//	                                     steal A/B — each asserted against recorded pass/fail
+//	                                     run — each asserted against recorded pass/fail
 //	                                     thresholds (a miss exits non-zero)
 //	flowerbench -sched-flows 50000       scale-grid size (CI smoke uses 50k)
 //	flowerbench -sched-min-factor 1.2    scaled-down threshold overrides for noisy runners
@@ -198,9 +198,8 @@ type schedReport struct {
 	// the scale and herd grids drive.
 	ScaleFlows int `json:"scale_flows"`
 	// Scale holds the lab grids: scale_<N> (sustained pacing at ScaleFlows
-	// jobs, registered in one thundering-herd burst) and the
-	// skew_steal/skew_nosteal pair (2% of jobs burn CPU every fire, with
-	// work stealing on and off).
+	// jobs, registered in one thundering-herd burst) and skew (2% of jobs
+	// burn CPU every fire, making hot shards).
 	Scale []perfbench.ScaleBenchResult `json:"scale"`
 	// Thresholds are the pass/fail bars; ThresholdsMet reports whether
 	// every measurement cleared them (false also makes flowerbench exit
@@ -210,8 +209,8 @@ type schedReport struct {
 }
 
 // runSchedSuite measures the 1000-flow pacing pair, the -sched-flows
-// scale/herd grid and the skewed-duration steal pair, asserting each
-// against the recorded thresholds.
+// scale/herd grid and the skewed-duration grid, asserting each against
+// the recorded thresholds.
 func runSchedSuite(scaleFlows int, th schedThresholds) *schedReport {
 	start := time.Now()
 	fmt.Println("=== suite sched: execution-plane pacing throughput (1000 flows) ===")
@@ -264,23 +263,17 @@ func runSchedSuite(scaleFlows int, th schedThresholds) *schedReport {
 	if err != nil {
 		log.Fatalf("sched suite: %v", err)
 	}
-	// Skewed durations: 2% of jobs burn 300µs of CPU every fire, with
-	// stealing on and off. The steal counter is the mechanism check; the
-	// fidelity pair prices the imbalance.
-	skewCfg := perfbench.ScaleBenchConfig{
+	// Skewed durations: 2% of jobs burn 300µs of CPU every fire, so some
+	// shards run hot; shard-affine execution must still hold the fidelity
+	// bar.
+	skew, err := perfbench.RunSchedScaleBench("skew", perfbench.ScaleBenchConfig{
 		Jobs: 2000, Interval: 100 * time.Millisecond, Wall: 2 * time.Second,
 		Shards: 4, HeavyFrac: 0.02, HeavyWork: 300 * time.Microsecond,
-	}
-	skewSteal, err := perfbench.RunSchedScaleBench("skew_steal", skewCfg)
+	})
 	if err != nil {
 		log.Fatalf("sched suite: %v", err)
 	}
-	skewCfg.NoSteal = true
-	skewNoSteal, err := perfbench.RunSchedScaleBench("skew_nosteal", skewCfg)
-	if err != nil {
-		log.Fatalf("sched suite: %v", err)
-	}
-	rep.Scale = []perfbench.ScaleBenchResult{scale, skewSteal, skewNoSteal}
+	rep.Scale = []perfbench.ScaleBenchResult{scale, skew}
 	for _, r := range rep.Scale {
 		ok := r.Fidelity >= th.MinFidelity
 		if r.Name == scale.Name {
@@ -293,8 +286,8 @@ func runSchedSuite(scaleFlows int, th schedThresholds) *schedReport {
 		if !ok {
 			verdict = "BELOW THRESHOLD"
 		}
-		fmt.Printf("  %-16s %7d jobs %10.0f ticks/s  fidelity %.3f (>=%.2f: %s)  herd setup %.2fs  steals %d  mean batch %.1f  %d goroutines\n",
-			r.Name, r.Jobs, r.TicksPerSec, r.Fidelity, th.MinFidelity, verdict, r.SetupSeconds, r.Steals, r.MeanBatch, r.Goroutines)
+		fmt.Printf("  %-16s %7d jobs %10.0f ticks/s  fidelity %.3f (>=%.2f: %s)  herd setup %.2fs  mean batch %.1f  %d goroutines\n",
+			r.Name, r.Jobs, r.TicksPerSec, r.Fidelity, th.MinFidelity, verdict, r.SetupSeconds, r.MeanBatch, r.Goroutines)
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
 	fmt.Printf("  sched suite completed in %.1fs\n\n", rep.WallSeconds)

@@ -92,7 +92,6 @@ func main() {
 	replicas := flag.Int("flows", 1, "with -http and no -spec: serve this many independently-seeded replicas of the built-in flow")
 	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler (0: GOMAXPROCS, max 64)")
 	schedWorkers := flag.Int("sched-workers", 0, "with -http: workers per scheduler shard (0: 1); shards x workers is the whole server's execution capacity")
-	labWorkers := flag.Int("lab-workers", 0, "deprecated: experiments now share the execution plane; use -sched-shards/-sched-workers")
 	journalPath := flag.String("journal", "", "append the default flow's metric datapoints to this journal file (replayable with flowmon -replay)")
 	pprofOn := flag.Bool("pprof", false, "with -http: expose net/http/pprof under /debug/pprof/ on the same listener")
 	selfScrape := flag.Duration("selfscrape", 0, "with -http: ingest flowerd's own telemetry into the reserved "+httpapi.SelfScrapeFlow+" flow every interval (0 = off)")
@@ -113,9 +112,6 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		if *labWorkers != 0 {
-			log.Printf("-lab-workers is deprecated and ignored: experiments run on the shared execution plane (size it with -sched-shards/-sched-workers)")
-		}
 		os.Exit(serveHTTP(*httpAddr, serveConfig{
 			specPaths: specPaths, loadSpec: loadSpec,
 			peak: *peak, step: *step, seed: *seed, pace: *pace,

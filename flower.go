@@ -79,25 +79,26 @@
 // so the shard lock is taken per advance rather than per fired job, and
 // a batch's stats flush back in one acquisition — the drain loop is
 // allocation-free at steady state. Batches are capped (256 jobs by
-// default) so thundering herds split into chunks that idle workers
-// steal from the hottest sibling shard before sleeping; stolen periodic
-// batches still re-arm on their home shard, so timer ownership never
-// migrates. First fires are hash-spread across each job's interval,
+// default) so a thundering herd splits into units a shard's workers can
+// run in parallel. Execution is shard-affine: a paced flow is armed,
+// queued, executed and re-armed on the one shard its id hashes to, so
+// no worker ever touches another shard's state and per-shard counters
+// are exact. First fires are hash-spread across each job's interval,
 // which keeps 100k co-created paced flows from colliding in one wheel
 // slot. Flow pacing and experiment grids are co-scheduled under a
 // weighted fairness policy (a big grid cannot starve live flows),
 // pacers that fall behind wall time degrade via a bounded catch-up
 // policy (dropped ticks are counted, backlogs never grow), and the
 // whole plane is observable — queue depths, late and skipped ticks,
-// steal and batch-shape counters, run-latency histograms — at
+// batch-shape counters, run-latency histograms — at
 // GET /v1/scheduler, `flowctl sched`, and Scheduler.Stats. Size it with
 // flowerd's -sched-shards/-sched-workers; shards × workers is the one
 // capacity knob of the whole server. The `flowerbench -suite sched`
 // benchmark pair records advances/sec and goroutine count against the
 // retired goroutine-per-flow pacing design in BENCH_REPORT.json, and
 // its scale grid registers 100k paced jobs (the -sched-flows axis) with
-// recorded setup-time, delivered-tick-fidelity and steal thresholds
-// that fail the run when missed.
+// recorded setup-time and delivered-tick-fidelity thresholds that fail
+// the run when missed.
 //
 // # Metric pipeline
 //

@@ -213,39 +213,3 @@ func TestGzipShrinksMetricPayloads(t *testing.T) {
 		t.Fatalf("gzip payload %dB is not at least 2x smaller than identity %dB", compressedLen, plainLen)
 	}
 }
-
-func TestLegacyAliasesCarryDeprecationAndMatchV1(t *testing.T) {
-	s, _ := newTestServer(t)
-
-	aliases := map[string]string{
-		"/api/status":  "/v1/flows/clicks/status",
-		"/api/layers":  "/v1/flows/clicks/layers",
-		"/api/metrics": "/v1/flows/clicks/metrics",
-		"/api/metrics/query?ns=Ingestion/Stream&name=IncomingRecords&dim.StreamName=clicks": "/v1/flows/clicks/metrics/query?ns=Ingestion/Stream&name=IncomingRecords&dim.StreamName=clicks",
-		"/api/snapshot":     "/v1/flows/clicks/snapshot",
-		"/api/dependencies": "/v1/flows/clicks/dependencies",
-	}
-	for alias, v1 := range aliases {
-		aliasRec := get(t, s, alias, nil)
-		if aliasRec.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d (%s)", alias, aliasRec.Code, aliasRec.Body.String())
-		}
-		if dep := aliasRec.Header().Get("Deprecation"); dep != "true" {
-			t.Errorf("GET %s: Deprecation header = %q, want \"true\"", alias, dep)
-		}
-		if link := aliasRec.Header().Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s: Link header = %q, want successor-version relation", alias, link)
-		}
-		v1Rec := get(t, s, v1, nil)
-		if v1Rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d", v1, v1Rec.Code)
-		}
-		if dep := v1Rec.Header().Get("Deprecation"); dep != "" {
-			t.Errorf("GET %s: unexpected Deprecation header %q on a v1 route", v1, dep)
-		}
-		if aliasRec.Body.String() != v1Rec.Body.String() {
-			t.Errorf("alias %s and %s disagree:\nalias: %.200s\nv1:    %.200s",
-				alias, v1, aliasRec.Body.String(), v1Rec.Body.String())
-		}
-	}
-}

@@ -182,7 +182,7 @@ func sparkSVG(vals []float64, w, h int) template.HTML {
 // handleRoot serves the default flow's dashboard, falling back to the flow
 // index when no single default flow exists.
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
-	if f, err := s.defaultFlow(); err == nil {
+	if f, ok := s.defaultFlow(); ok {
 		s.handleDashboard(w, r, f)
 		return
 	}

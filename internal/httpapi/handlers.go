@@ -132,14 +132,6 @@ func (s *Server) handleGetFlow(w http.ResponseWriter, r *http.Request, f *regist
 	writeJSON(w, http.StatusOK, detail)
 }
 
-// handleLegacySpec serves the old single-flow server's GET /api/flow
-// response: the bare flow definition, not the v1 detail wrapper.
-func (s *Server) handleLegacySpec(w http.ResponseWriter, r *http.Request, f *registry.Flow) {
-	var spec flow.Spec
-	f.View(func(m *core.Manager) { spec = m.Spec() })
-	writeJSON(w, http.StatusOK, spec)
-}
-
 func (s *Server) handleDeleteFlow(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.reg.Delete(id); err != nil {

@@ -33,7 +33,6 @@ func schedulerStatsJSON(st sched.Stats) apiv1.SchedulerStats {
 		ExecutedBatch:   st.ExecutedBatch,
 		LateRuns:        st.LateRuns,
 		SkippedTicks:    st.SkippedTicks,
-		Steals:          st.Steals,
 		Batches:         st.Batches,
 		BatchJobs:       st.BatchJobs,
 		MeanBatch:       st.MeanBatch(),
@@ -51,8 +50,6 @@ func schedulerStatsJSON(st sched.Stats) apiv1.SchedulerStats {
 			ExecutedBatch: row.ExecutedBatch,
 			LateRuns:      row.LateRuns,
 			SkippedTicks:  row.SkippedTicks,
-			Steals:        row.Steals,
-			Stolen:        row.Stolen,
 			Batches:       row.Batches,
 			BatchJobs:     row.BatchJobs,
 			MaxBatch:      row.MaxBatch,

@@ -53,14 +53,12 @@ func TestSchedulerStatsEndpoint(t *testing.T) {
 
 	var perShard uint64
 	var histo uint64
-	var batches, batchJobs, steals, stolen uint64
+	var batches, batchJobs uint64
 	for _, row := range st.PerShard {
 		perShard += row.ExecutedFlow + row.ExecutedBatch
 		histo += row.Latency.Count
 		batches += row.Batches
 		batchJobs += row.BatchJobs
-		steals += row.Steals
-		stolen += row.Stolen
 		if len(row.Latency.BoundsUS)+1 != len(row.Latency.Counts) {
 			t.Fatalf("shard %d: %d bounds vs %d counts (want bounds+overflow)",
 				row.Shard, len(row.Latency.BoundsUS), len(row.Latency.Counts))
@@ -74,18 +72,12 @@ func TestSchedulerStatsEndpoint(t *testing.T) {
 	}
 
 	// Batched-execution accounting: the executions above rode in batches,
-	// and the per-shard batch/steal counters sum to the totals.
+	// and the per-shard batch counters sum to the totals.
 	if st.Batches == 0 || st.BatchJobs < st.Batches {
 		t.Fatalf("implausible batch accounting: %d batches, %d jobs", st.Batches, st.BatchJobs)
 	}
 	if batches != st.Batches || batchJobs != st.BatchJobs {
 		t.Fatalf("per-shard batches %d/%d != totals %d/%d", batches, batchJobs, st.Batches, st.BatchJobs)
-	}
-	if steals != st.Steals {
-		t.Fatalf("per-shard steals %d != total %d", steals, st.Steals)
-	}
-	if steals != stolen {
-		t.Fatalf("steals %d != stolen %d: every stolen batch has exactly one thief", steals, stolen)
 	}
 	if want := st.MeanBatch; st.Batches > 0 {
 		if got := float64(st.BatchJobs) / float64(st.Batches); got != want {

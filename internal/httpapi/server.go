@@ -17,9 +17,7 @@
 //     cross-trial aggregates (Pareto fronts, baseline deltas),
 //   - GET /v1/scheduler — the unified execution plane (internal/sched):
 //     shard count, capacity, queue depths, late/skipped ticks and run
-//     latency of the scheduler that paces flows and runs trials,
-//   - the original single-flow /api/... routes as thin aliases onto a
-//     default flow, for callers written against the old server.
+//     latency of the scheduler that paces flows and runs trials.
 //
 // Every failure is a uniform JSON envelope {"error": {"code", "message"}}
 // (apiv1.ErrorEnvelope), and all requests pass through recovery and
@@ -36,7 +34,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	apiv1 "repro/api/v1"
@@ -55,10 +52,9 @@ type Server struct {
 	h      http.Handler // mux wrapped in middleware
 	logger *log.Logger  // nil: no request logging
 
-	defaultID string // explicit default flow for the legacy /api aliases
+	defaultID string // explicit default flow for the root dashboard (GET /)
 
 	watchHeartbeat time.Duration // watch stream keep-alive interval (0: default)
-	legacyOnce     sync.Once     // logs the /api deprecation exactly once
 
 	pprof           bool          // expose net/http/pprof under /debug/pprof/
 	selfScrapeEvery time.Duration // WithSelfScrape interval (0: off)
@@ -77,9 +73,9 @@ func WithLogger(l *log.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
 
-// WithDefaultFlow pins the flow the legacy /api routes and the root
-// dashboard operate on. Without it, the default is the registry's sole
-// flow, or the first flow created through POST /v1/flows.
+// WithDefaultFlow pins the flow whose dashboard GET / serves. Without it,
+// the root serves the registry's sole flow, or the flow index when there
+// are several.
 func WithDefaultFlow(id string) Option {
 	return func(s *Server) { s.defaultID = id }
 }
@@ -211,19 +207,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/experiments/{id}/results", withGzip(s.experimentScoped(s.handleExperimentResults)))
 	s.mux.HandleFunc("DELETE /v1/experiments/{id}", s.handleDeleteExperiment)
 
-	// Legacy single-flow aliases onto the default flow. /api/flow keeps the
-	// old bare-spec response shape; everything else matches v1 exactly.
-	s.mux.HandleFunc("GET /api/flow", s.defaultScoped(s.handleLegacySpec))
-	s.mux.HandleFunc("GET /api/status", s.defaultScoped(s.handleStatus))
-	s.mux.HandleFunc("GET /api/layers", s.defaultScoped(s.handleLayers))
-	s.mux.HandleFunc("GET /api/layers/{kind}/decisions", s.defaultScoped(s.handleDecisions))
-	s.mux.HandleFunc("POST /api/layers/{kind}/controller", s.defaultScoped(s.handleTuneController))
-	s.mux.HandleFunc("GET /api/metrics", withGzip(s.defaultScoped(s.handleListMetrics)))
-	s.mux.HandleFunc("GET /api/metrics/query", withGzip(s.defaultScoped(s.handleQueryMetrics)))
-	s.mux.HandleFunc("GET /api/snapshot", withGzip(s.defaultScoped(s.handleSnapshot)))
-	s.mux.HandleFunc("GET /api/dependencies", s.defaultScoped(s.handleDependencies))
-	s.mux.HandleFunc("POST /api/advance", s.defaultScoped(s.handleAdvance))
-
 	// Root: the default flow's dashboard, or the flow index when there is
 	// no single default.
 	s.mux.HandleFunc("GET /{$}", s.handleRoot)
@@ -245,47 +228,16 @@ func (s *Server) flowScoped(h flowHandler) http.HandlerFunc {
 	}
 }
 
-// defaultScoped resolves the legacy default flow. The unversioned /api
-// routes are deprecated aliases of /v1/flows/{id}/...: every response
-// carries a Deprecation header pointing at the successor, and the first
-// alias request is logged once so operators notice without the log
-// drowning in repeats.
-func (s *Server) defaultScoped(h flowHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/flows>; rel="successor-version"`)
-		s.legacyOnce.Do(func() {
-			if s.logger != nil {
-				s.logger.Printf("deprecated: %s %s — the unversioned /api routes alias /v1/flows/{id}/...; migrate to /v1", r.Method, r.URL.Path)
-			}
-		})
-		f, err := s.defaultFlow()
-		if err != nil {
-			writeError(w, http.StatusNotFound, apiv1.CodeNotFound, "%v", err)
-			return
-		}
-		h(w, r, f)
-	}
-}
-
-// defaultFlow picks the flow the unversioned aliases operate on: the
-// explicitly configured one if present, else the registry's sole flow.
-func (s *Server) defaultFlow() (*registry.Flow, error) {
+// defaultFlow picks the flow GET / renders: the explicitly configured one
+// if registered, else the registry's sole flow.
+func (s *Server) defaultFlow() (*registry.Flow, bool) {
 	if s.defaultID != "" {
-		if f, ok := s.reg.Get(s.defaultID); ok {
-			return f, nil
-		}
-		return nil, fmt.Errorf("default flow %q not registered", s.defaultID)
+		return s.reg.Get(s.defaultID)
 	}
-	flows := s.reg.List()
-	switch len(flows) {
-	case 0:
-		return nil, fmt.Errorf("no flows registered; POST /v1/flows to create one")
-	case 1:
-		return flows[0], nil
-	default:
-		return nil, fmt.Errorf("%d flows registered and no default configured; use /v1/flows/{id}/...", len(flows))
+	if flows := s.reg.List(); len(flows) == 1 {
+		return flows[0], true
 	}
+	return nil, false
 }
 
 // Handler returns the HTTP handler (for httptest and custom servers).

@@ -545,90 +545,12 @@ func TestRootServesDefaultDashboardOrIndex(t *testing.T) {
 }
 
 func TestWithDefaultFlowPinsRoot(t *testing.T) {
-	// The pinned flow "web" carries the default spec name "clickstream",
-	// distinguishing it from the pre-registered "clicks" flow.
 	s, _ := newTestServer(t, WithDefaultFlow("web"))
 	do(t, s, http.MethodPost, "/v1/flows", `{"id": "web", "peak": 1000}`, nil)
 	rec := do(t, s, http.MethodGet, "/", "", nil)
 	if !strings.Contains(rec.Body.String(), "/v1/flows/web/advance") {
 		t.Errorf("root did not render pinned default: %.80s", rec.Body.String())
 	}
-	var st apiv1.Status
-	get(t, s, "/api/status", &st)
-	if st.Flow != "clickstream" {
-		t.Errorf("legacy status flow = %q, want clickstream", st.Flow)
-	}
-}
-
-// --- legacy aliases ---
-
-func TestLegacyAliasesServeDefaultFlow(t *testing.T) {
-	s, _ := newTestServer(t)
-
-	// The old server wrote the bare flow.Spec; the alias must keep that
-	// shape so pre-v1 callers still decode it.
-	var spec flow.Spec
-	if rec := get(t, s, "/api/flow", &spec); rec.Code != http.StatusOK {
-		t.Fatalf("/api/flow status = %d", rec.Code)
-	}
-	if spec.Name != "clicks" || len(spec.Layers) != 3 {
-		t.Errorf("legacy flow = %q with %d layers", spec.Name, len(spec.Layers))
-	}
-
-	var st apiv1.Status
-	get(t, s, "/api/status", &st)
-	if st.Ticks != 90 {
-		t.Errorf("legacy status ticks = %d, want 90", st.Ticks)
-	}
-
-	var layers []apiv1.Layer
-	get(t, s, "/api/layers", &layers)
-	if len(layers) != 3 {
-		t.Errorf("legacy layers = %d, want 3", len(layers))
-	}
-
-	rec := do(t, s, http.MethodPost, "/api/advance?d=10m", "", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy advance = %d: %s", rec.Code, rec.Body)
-	}
-	get(t, s, "/api/status", &st)
-	if st.Ticks != 150 {
-		t.Errorf("ticks after legacy advance = %d, want 150", st.Ticks)
-	}
-
-	var ctrl apiv1.Controller
-	rec = do(t, s, http.MethodPost, "/api/layers/analytics/controller", `{"ref": 70}`, &ctrl)
-	if rec.Code != http.StatusOK || ctrl.Ref != 70 {
-		t.Errorf("legacy tune = %d, ref %v", rec.Code, ctrl.Ref)
-	}
-
-	var metrics map[string][]apiv1.MetricID
-	get(t, s, "/api/metrics", &metrics)
-	if len(metrics) == 0 {
-		t.Error("legacy metrics empty")
-	}
-	var series apiv1.Series
-	rec = get(t, s, "/api/metrics/query?ns=Analytics/Compute&name=CPUUtilization&dim.Topology=clicks&window=10m", &series)
-	if rec.Code != http.StatusOK || len(series.Points) == 0 {
-		t.Errorf("legacy query = %d with %d points", rec.Code, len(series.Points))
-	}
-	if rec := get(t, s, "/api/snapshot?window=10m", nil); rec.Code != http.StatusOK {
-		t.Errorf("legacy snapshot = %d", rec.Code)
-	}
-	if rec := get(t, s, "/api/layers/ingestion/decisions?n=3", nil); rec.Code != http.StatusOK {
-		t.Errorf("legacy decisions = %d", rec.Code)
-	}
-}
-
-func TestLegacyAliasesNeedResolvableDefault(t *testing.T) {
-	reg := registry.New()
-	s := NewServer(reg)
-	wantEnvelope(t, get(t, s, "/api/status", nil), http.StatusNotFound, apiv1.CodeNotFound)
-
-	// Two flows without a configured default is ambiguous.
-	s2, _ := newTestServer(t)
-	do(t, s2, http.MethodPost, "/v1/flows", `{"id": "web", "peak": 1000}`, nil)
-	wantEnvelope(t, get(t, s2, "/api/status", nil), http.StatusNotFound, apiv1.CodeNotFound)
 }
 
 func TestUnknownRouteIs404(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // flows can reach on one box. Each synthetic job is a paced tick callback
 // doing the minimum credible work (an atomic add, optionally a CPU burn
 // for the skew grids), so the measurement isolates the execution plane
-// itself — wheel advancement, batching, queue locking, stealing — from
+// itself — wheel advancement, batching, queue locking — from
 // simulation cost. Three lab grids ride on one config:
 //
 //   - scale: N paced jobs sustained for a wall window; the score is tick
@@ -23,7 +23,8 @@ import (
 //     the burst cost and the fidelity window starts immediately after, so
 //     a scheduler that melts under simultaneous arrivals fails the grid.
 //   - skewed durations: a fraction of jobs burn CPU every fire, creating
-//     hot shards; run with stealing on and off to price the imbalance.
+//     hot shards; the grid holds shard-affine execution to the same
+//     fidelity bar under that imbalance.
 
 // ScaleBenchConfig sizes one synthetic scale measurement.
 type ScaleBenchConfig struct {
@@ -36,8 +37,6 @@ type ScaleBenchConfig struct {
 	// Shards/Workers size the scheduler (zero: defaults).
 	Shards  int
 	Workers int
-	// NoSteal disables work stealing (A/B knob for the skew grid).
-	NoSteal bool
 	// HeavyFrac of the jobs burn HeavyWork of CPU on every fire; the rest
 	// are a single atomic add. Zero means a uniform light load.
 	HeavyFrac float64
@@ -78,9 +77,7 @@ type ScaleBenchResult struct {
 	Fidelity     float64 `json:"fidelity"`
 	LateRuns     uint64  `json:"late_runs"`
 	SkippedTicks uint64  `json:"skipped_ticks"`
-	// Steals counts batches taken by idle workers from sibling shards;
 	// MeanBatch/MaxBatch describe how much lock amortisation batching won.
-	Steals     uint64  `json:"steals"`
 	MeanBatch  float64 `json:"mean_batch"`
 	MaxBatch   int     `json:"max_batch"`
 	Goroutines int     `json:"goroutines"`
@@ -138,9 +135,7 @@ func spin(d time.Duration) {
 // measures delivered tick fidelity over cfg.Wall.
 func RunSchedScaleBench(name string, cfg ScaleBenchConfig) (ScaleBenchResult, error) {
 	cfg = cfg.withDefaults()
-	plane := sched.New(sched.Config{
-		Shards: cfg.Shards, Workers: cfg.Workers, NoSteal: cfg.NoSteal,
-	})
+	plane := sched.New(sched.Config{Shards: cfg.Shards, Workers: cfg.Workers})
 	defer plane.Close()
 
 	var ticks atomic.Uint64
@@ -202,7 +197,6 @@ func RunSchedScaleBench(name string, cfg ScaleBenchConfig) (ScaleBenchResult, er
 		Fidelity:     perSec / demand,
 		LateRuns:     st.LateRuns,
 		SkippedTicks: st.SkippedTicks,
-		Steals:       st.Steals,
 		MeanBatch:    st.MeanBatch(),
 		MaxBatch:     st.MaxBatch,
 		Goroutines:   peak,

@@ -192,12 +192,12 @@ func TestPopLockedWorkConserving(t *testing.T) {
 	sh.mu.Lock()
 	sh.flowCredit = 100
 	b = sh.popLocked()
-	qd := sh.qdepth.Load()
+	qd := sh.queued[ClassFlow] + sh.queued[ClassBatch]
 	sh.mu.Unlock()
 	if b == nil || b.class != ClassBatch {
 		t.Fatalf("lone batch queue did not drain: %+v", b)
 	}
 	if qd != 0 {
-		t.Fatalf("qdepth = %d after draining everything, want 0", qd)
+		t.Fatalf("queued = %d after draining everything, want 0", qd)
 	}
 }

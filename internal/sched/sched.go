@@ -17,8 +17,7 @@
 //     experiment grid cannot starve live flow pacing and pacers cannot
 //     starve the lab;
 //   - per-shard statistics: queue depths, armed timers, executed jobs,
-//     late and skipped ticks, steal counts, batch sizes, and a run-latency
-//     histogram.
+//     late and skipped ticks, batch sizes, and a run-latency histogram.
 //
 // Execution is batched: one wheel advance drains every due job into a
 // per-class run batch handed to a worker in a single lock acquisition, so
@@ -27,13 +26,14 @@
 // stack and flushing them — shard counters, latency buckets, process
 // telemetry, and the batch's periodic re-arms — once per batch. Batches
 // are capped at MaxBatch jobs so a thundering herd splits into units that
-// sibling workers can run in parallel.
+// a shard's workers (Workers > 1) can run in parallel.
 //
-// Idle workers steal: a worker whose own shard is dry scans the sibling
-// shards' queue depths (a lock-free atomic per shard), locks only the
-// hottest victim, and takes one queued batch — closing the imbalance
-// window that skewed job durations open between shards. Stolen periodic
-// jobs re-arm on their home shard, so timer placement never drifts.
+// Execution is shard-affine: a periodic job is armed, queued, executed and
+// re-armed on exactly the shard its id hashes to, for its whole life. No
+// worker ever takes another shard's lock, so two shard locks are never held
+// at once and per-shard counters are exact — work never migrates. Load
+// balance comes from the id hash and the hash-spread first fire; chunked
+// jobs (which have no timer) are placed on the least-loaded shard instead.
 //
 // The total goroutine count is O(shards): one timer loop plus Workers
 // workers per shard, independent of how many flows are paced or trials
@@ -97,7 +97,8 @@ const (
 	DefaultFlowWeight = 4
 	// DefaultMaxBatch caps how many fired jobs one run batch may carry:
 	// beyond it the timer loop splits the herd into multiple batches so
-	// sibling workers (and steals) can drain it in parallel.
+	// the shard's workers can drain it in parallel, and fairness credit and
+	// stats flushes stay fine-grained.
 	DefaultMaxBatch = 256
 	// maxShards caps the shard count even on very wide machines; beyond
 	// this the per-shard structures stop paying for themselves.
@@ -125,9 +126,6 @@ type Config struct {
 	FlowWeight int
 	// MaxBatch caps the jobs per run batch (default DefaultMaxBatch).
 	MaxBatch int
-	// NoSteal disables work stealing between shards — an A/B knob for
-	// benchmarks; production keeps stealing on.
-	NoSteal bool
 }
 
 func (c Config) withDefaults() Config {
@@ -192,8 +190,6 @@ func New(cfg Config) *Scheduler {
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, newShard(s, i))
 	}
-	// All shards exist before any goroutine starts: workers scan the whole
-	// s.shards slice when stealing.
 	for _, sh := range s.shards {
 		s.wg.Add(1 + cfg.Workers)
 		go sh.timerLoop()
@@ -232,14 +228,13 @@ func (s *Scheduler) Periodic(id string, class Class, interval time.Duration, tic
 		return nil, ErrClosed
 	}
 	j := &job{id: id, class: class, periodic: true, interval: interval, tick: tick, onStop: onStop}
-	j.home = s.shardFor(id)
 	// Spread the first fire across the interval by id hash: 100k flows
 	// registered in one burst then land across the whole wheel instead of
 	// detonating out of a single slot every interval forever. Subsequent
 	// fires run at the fixed rate from wherever the first one landed.
 	spread := time.Duration(maphash.String(s.seed, id) % uint64(interval))
 	j.nextAt = time.Now().Add(interval - spread/2) //flowervet:allow wallclock(the scheduler is the wall-time executor that paces virtual ticks against real time)
-	if !j.home.insertTimer(j) {
+	if !s.shardFor(id).insertTimer(j) {
 		// The shard closed between the closed check above and the arm: a
 		// nil-error return here would hand the caller a ticket for a job
 		// that will never fire.
@@ -300,60 +295,6 @@ func (s *Scheduler) enqueueBatch(j *job) bool {
 		return false
 	}
 	return s.shards[best].enqueue(j)
-}
-
-// steal takes one queued batch from the hottest sibling of thief. The scan
-// reads each shard's lock-free depth mirror and locks only the chosen
-// victim — the thief's own lock is never held here, so no two shard locks
-// are ever held at once.
-func (s *Scheduler) steal(thief *shard) *batch {
-	if s.cfg.NoSteal || len(s.shards) < 2 {
-		return nil
-	}
-	var victim *shard
-	var hottest int64
-	for _, sh := range s.shards {
-		if sh == thief {
-			continue
-		}
-		if d := sh.qdepth.Load(); d > hottest {
-			victim, hottest = sh, d
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	victim.mu.Lock()
-	if victim.closed {
-		victim.mu.Unlock()
-		return nil
-	}
-	b := victim.popLocked()
-	if b != nil {
-		victim.stolen++
-	}
-	victim.mu.Unlock()
-	return b
-}
-
-// wakeSibling nudges one sibling shard's workers so an idle one can come
-// steal the backlog building on shard from. Best-effort: TryLock only —
-// a sibling busy enough to hold its own lock has no idle workers to wake.
-func (s *Scheduler) wakeSibling(from int) {
-	if s.cfg.NoSteal || len(s.shards) < 2 {
-		return
-	}
-	for i := 1; i < len(s.shards); i++ {
-		sh := s.shards[(from+i)%len(s.shards)]
-		if sh.qdepth.Load() > 0 {
-			continue // its own workers have work; they won't steal
-		}
-		if sh.mu.TryLock() {
-			sh.cond.Signal()
-			sh.mu.Unlock()
-			return
-		}
-	}
 }
 
 // Close stops the scheduler: no new work is accepted, every worker

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -20,11 +19,6 @@ type job struct {
 	tick     TickFunc
 	run      ChunkFunc
 	onStop   func(error)
-	// home is the shard the periodic job's id hashes to: the wheel it
-	// always re-arms into, even when a steal executed it elsewhere — so
-	// timer placement stays stable under work stealing. Nil for chunked
-	// jobs, which re-queue by load instead.
-	home *shard
 
 	mu      sync.Mutex
 	stopped bool
@@ -132,10 +126,6 @@ type shard struct {
 	idx int
 	sc  *Scheduler
 
-	// qdepth mirrors the total queued job count (both classes) so the
-	// steal scan can find the hottest shard without touching any lock.
-	qdepth atomic.Int64
-
 	mu         sync.Mutex
 	cond       *sync.Cond
 	queues     [numClasses]fifo
@@ -157,8 +147,6 @@ type shard struct {
 	executed     [numClasses]uint64
 	lateRuns     uint64
 	skippedTicks uint64
-	steals       uint64 // batches this shard's workers stole from siblings
-	stolen       uint64 // batches siblings' workers took from this shard
 	batches      uint64 // batches executed by this shard's workers
 	batchJobs    uint64 // jobs across those batches
 	maxBatch     int    // largest batch executed here
@@ -217,7 +205,6 @@ func (sh *shard) putBatchLocked(b *batch) {
 func (sh *shard) pushLocked(b *batch) {
 	sh.queues[b.class].push(b)
 	sh.queued[b.class] += len(b.jobs)
-	sh.qdepth.Add(int64(len(b.jobs)))
 }
 
 // insertTimerLocked arms a periodic job at j.nextAt; sh.mu must be held.
@@ -252,22 +239,6 @@ func (sh *shard) insertTimer(j *job) bool {
 	return true
 }
 
-// insertTimers re-arms a whole batch's periodic jobs in one lock
-// acquisition. On a closed shard the re-arms are dropped: the scheduler is
-// shutting down and periodic jobs are lifecycle-managed via Ticket.Stop.
-func (sh *shard) insertTimers(jobs []*job) {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return
-	}
-	for _, j := range jobs {
-		sh.insertTimerLocked(j)
-	}
-	sh.mu.Unlock()
-	sh.wakeTimerLoop()
-}
-
 func (sh *shard) wakeTimerLoop() {
 	select {
 	case sh.timerWake <- struct{}{}:
@@ -293,7 +264,6 @@ func (sh *shard) timerLoop() {
 			return
 		}
 		now := time.Now() //flowervet:allow wallclock(wheel advancement measures real elapsed time)
-		backlog := sh.queued[ClassFlow]+sh.queued[ClassBatch] > 0
 		var fired [numClasses]*batch
 		pushed := 0
 		for sh.timers > 0 && !sh.curAt.Add(tick).After(now) {
@@ -314,8 +284,8 @@ func (sh *shard) timerLoop() {
 				}
 				fired[c].jobs = append(fired[c].jobs, e.j)
 				if len(fired[c].jobs) >= maxBatch {
-					// Cap batch granularity: sibling workers (and steals)
-					// can then pick up the rest of a huge herd in parallel
+					// Cap batch granularity: the shard's other workers can
+					// then pick up the rest of a huge herd in parallel
 					// instead of serialising behind one mega-batch.
 					sh.pushLocked(fired[c])
 					pushed++
@@ -345,11 +315,6 @@ func (sh *shard) timerLoop() {
 		}
 		sh.mu.Unlock()
 
-		if pushed > 0 && backlog {
-			// This advance queued behind work the local workers have not
-			// drained yet: give an idle sibling a chance to steal it.
-			sh.sc.wakeSibling(sh.idx)
-		}
 		if !armed {
 			<-sh.timerWake
 			continue
@@ -374,15 +339,11 @@ func (sh *shard) enqueue(j *job) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	backlog := sh.queued[ClassFlow]+sh.queued[ClassBatch] > 0
 	b := sh.getBatchLocked(j.class)
 	b.jobs = append(b.jobs, j)
 	sh.pushLocked(b)
 	sh.cond.Signal()
 	sh.mu.Unlock()
-	if backlog {
-		sh.sc.wakeSibling(sh.idx)
-	}
 	return true
 }
 
@@ -414,39 +375,25 @@ func (sh *shard) popLocked() *batch {
 		sh.flowCredit -= len(b.jobs)
 	}
 	sh.queued[c] -= len(b.jobs)
-	sh.qdepth.Add(int64(-len(b.jobs)))
 	return b
 }
 
-// workerLoop drains the shard's run queues batch by batch and, when its
-// own shard is dry, steals a queued batch from the hottest sibling before
-// going to sleep — closing the imbalance window skewed job durations open
-// between shards.
+// workerLoop drains the shard's run queues batch by batch. It only ever
+// takes its own shard's lock: a periodic job is armed, queued, executed and
+// re-armed on the shard its id hashes to, for its whole life.
 func (sh *shard) workerLoop() {
 	defer sh.sc.wg.Done()
 	var br batchRun
 	sh.mu.Lock()
 	for {
+		for !sh.closed && sh.queued[ClassFlow]+sh.queued[ClassBatch] == 0 {
+			sh.cond.Wait()
+		}
 		if sh.closed {
 			sh.mu.Unlock()
 			return
 		}
 		b := sh.popLocked()
-		stolen := false
-		if b == nil {
-			sh.mu.Unlock()
-			if b = sh.sc.steal(sh); b == nil {
-				sh.mu.Lock()
-				// Re-check under the lock: work may have arrived (or the
-				// shard closed) between the failed steal and here.
-				if !sh.closed && sh.queued[ClassFlow]+sh.queued[ClassBatch] == 0 {
-					sh.cond.Wait()
-				}
-				continue
-			}
-			stolen = true
-			sh.mu.Lock()
-		}
 		if b.class == ClassBatch {
 			sh.execBatch += len(b.jobs)
 		}
@@ -456,15 +403,15 @@ func (sh *shard) workerLoop() {
 
 		class := b.class
 		size := len(b.jobs)
-		rearmSame := len(br.rearm) > 0 && br.rearm[0].home == sh
 		sh.mu.Lock()
 		if class == ClassBatch {
 			sh.execBatch -= size
 		}
-		sh.flushStatsLocked(class, &br.stats, size, stolen)
-		if rearmSame && !sh.closed {
-			// The common, unstolen case: the whole batch re-arms into this
-			// shard's own wheel under the lock the flush already holds.
+		sh.flushStatsLocked(class, &br.stats, size)
+		if !sh.closed {
+			// The whole batch re-arms into this shard's wheel under the lock
+			// the flush already holds. On a closed shard the re-arms are
+			// dropped: periodic jobs are lifecycle-managed via Ticket.Stop.
 			for _, j := range br.rearm {
 				sh.insertTimerLocked(j)
 			}
@@ -472,14 +419,10 @@ func (sh *shard) workerLoop() {
 		sh.putBatchLocked(b)
 		sh.mu.Unlock()
 
-		if rearmSame {
+		if len(br.rearm) > 0 {
 			sh.wakeTimerLoop()
-		} else if len(br.rearm) > 0 {
-			// A stolen batch re-arms on its home shard (all jobs of one
-			// timer batch share it), keeping wheel placement stable.
-			br.rearm[0].home.insertTimers(br.rearm)
 		}
-		sh.flushTelemetry(class, &br.stats, size, stolen)
+		sh.flushTelemetry(class, &br.stats, size)
 		for _, j := range br.requeue {
 			// Chunked jobs re-queue through the least-loaded scan so long
 			// jobs drift toward idle shards instead of pinning where they
@@ -583,10 +526,8 @@ func (sh *shard) runBatch(b *batch, br *batchRun) {
 }
 
 // flushStatsLocked folds one batch's accumulated stats into the shard;
-// sh.mu must be held. Executed counts land on the shard whose worker ran
-// the batch, so per-shard rows show where work actually happened under
-// stealing.
-func (sh *shard) flushStatsLocked(c Class, bs *batchStats, size int, stolen bool) {
+// sh.mu must be held.
+func (sh *shard) flushStatsLocked(c Class, bs *batchStats, size int) {
 	sh.executed[c] += bs.executed
 	sh.lateRuns += bs.lateRuns
 	sh.skippedTicks += bs.skippedTicks
@@ -602,14 +543,11 @@ func (sh *shard) flushStatsLocked(c Class, bs *batchStats, size int, stolen bool
 	if size > sh.maxBatch {
 		sh.maxBatch = size
 	}
-	if stolen {
-		sh.steals++
-	}
 }
 
 // flushTelemetry mirrors one batch's stats into the process-wide
 // instruments — a handful of atomic adds per batch, outside any lock.
-func (sh *shard) flushTelemetry(c Class, bs *batchStats, size int, stolen bool) {
+func (sh *shard) flushTelemetry(c Class, bs *batchStats, size int) {
 	if bs.executed > 0 {
 		telExecutedByClass[c].Add(bs.executed)
 		telRunSecondsByClass[c].Merge(bs.latCounts[:], bs.latSum, bs.latMax)
@@ -622,7 +560,4 @@ func (sh *shard) flushTelemetry(c Class, bs *batchStats, size int, stolen bool) 
 	}
 	telBatchesByClass[c].Inc()
 	telBatchJobsByClass[c].Observe(time.Duration(size) * batchJobUnit)
-	if stolen {
-		telSteals.Inc()
-	}
 }

@@ -70,10 +70,6 @@ type ShardStats struct {
 	// bounded catch-up policy dropped.
 	LateRuns     uint64
 	SkippedTicks uint64
-	// Steals counts batches this shard's workers took from siblings;
-	// Stolen counts batches siblings took from this shard's queues.
-	Steals uint64
-	Stolen uint64
 	// Batches / BatchJobs count run batches executed by this shard's
 	// workers and the jobs they carried; MaxBatch is the largest batch.
 	Batches   uint64
@@ -102,7 +98,6 @@ type Stats struct {
 	ExecutedBatch uint64
 	LateRuns      uint64
 	SkippedTicks  uint64
-	Steals        uint64
 	Batches       uint64
 	BatchJobs     uint64
 	MaxBatch      int
@@ -144,8 +139,6 @@ func (s *Scheduler) Stats() Stats {
 			ExecutedBatch: sh.executed[ClassBatch],
 			LateRuns:      sh.lateRuns,
 			SkippedTicks:  sh.skippedTicks,
-			Steals:        sh.steals,
-			Stolen:        sh.stolen,
 			Batches:       sh.batches,
 			BatchJobs:     sh.batchJobs,
 			MaxBatch:      sh.maxBatch,
@@ -167,7 +160,6 @@ func (s *Scheduler) Stats() Stats {
 		out.ExecutedBatch += row.ExecutedBatch
 		out.LateRuns += row.LateRuns
 		out.SkippedTicks += row.SkippedTicks
-		out.Steals += row.Steals
 		out.Batches += row.Batches
 		out.BatchJobs += row.BatchJobs
 		if row.MaxBatch > out.MaxBatch {

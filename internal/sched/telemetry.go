@@ -26,9 +26,6 @@ var (
 		"Run latency of executed jobs, by class.", latencyBounds[:], "class")
 	telRunSecondsByClass [numClasses]*telemetry.Histogram
 
-	telSteals = telemetry.Default().Counter("flower_sched_steals_total",
-		"Run batches idle workers stole from sibling shards.")
-
 	telBatches = telemetry.Default().CounterVec("flower_sched_batches_total",
 		"Run batches executed, by class.", "class")
 	telBatchesByClass [numClasses]*telemetry.Counter
