@@ -23,6 +23,8 @@
 //	flowctl query -url http://host:8080 [-explain] [-json] 'select flow=web ns=Ingestion/Stream name=IncomingRecords | window 30m | resample 1m avg'
 //	flowctl sched -url http://host:8080 [-json]    execution-plane stats (GET /v1/scheduler)
 //	flowctl top -url http://host:8080 [-interval 2s] [-once]   live self-telemetry view
+//	flowctl dashboard -url http://host:8080 -flow web [-window 30m] [-follow] [-refresh 1s]
+//	flowctl dashboard -replay metrics.wal [-window 30m]   render from a `flowerd -journal` metric log
 //
 // Experiment farm (Scenario Lab, /v1/experiments):
 //
@@ -101,6 +103,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cmdSched(args[1:])
 	case "top":
 		cmdTop(args[1:])
+	case "dashboard":
+		cmdDashboard(args[1:])
 	case "experiments":
 		cmdExperiments(args[1:])
 	case "help", "-h", "-help", "--help":
@@ -141,6 +145,7 @@ remote (against flowerd -http; all take -url):
   query       run one streaming pipeline query across every flow (-explain, -json)
   sched       execution-plane stats: shards, capacity, queues, tick latency
   top         live self-telemetry view: HTTP, scheduler, bus, store, lab
+  dashboard   one flow's all-in-one-place monitor (-follow: live; -replay FILE: from a metric log)
 
 experiment farm (Scenario Lab; all take -url):
   experiments create     submit an experiment grid (-spec exp.json)

@@ -23,11 +23,11 @@
 // flows are paced, and a weighted-fairness policy keeps big experiment
 // grids from starving live flows. On SIGINT/SIGTERM the daemon shuts
 // down in order: HTTP drained, experiments settled, pacers stopped,
-// scheduler drained, journal flushed. The streaming read plane rides
+// scheduler drained, metric log synced. The streaming read plane rides
 // along: SSE/NDJSON watch endpoints (/v1/flows/{id}/watch,
 // /v1/experiments/{id}/watch, /v1/watch) and the columnar
 // POST /v1/metrics:batchQuery — see API.md ("Read plane"), `flowctl
-// watch` and `flowmon -follow`. -spec may repeat to serve several
+// watch` and `flowctl dashboard -follow`. -spec may repeat to serve several
 // flows at once, and -flows N serves N independently-seeded replicas of the
 // built-in flow; more flows can be created at runtime with POST /v1/flows
 // (see API.md, or use the repro/client SDK / flowctl's remote
@@ -48,8 +48,8 @@
 //
 // Without -http, flowerd performs a single-flow batch run and prints the
 // summary and dashboard. flowerd exits non-zero when a durability
-// boundary fails at shutdown — a journal or WAL that cannot be flushed is
-// an error, not a log line.
+// boundary fails at shutdown — a metric log or WAL that cannot be synced
+// is an error, not a log line.
 package main
 
 import (
@@ -92,7 +92,7 @@ func main() {
 	replicas := flag.Int("flows", 1, "with -http and no -spec: serve this many independently-seeded replicas of the built-in flow")
 	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler (0: GOMAXPROCS, max 64)")
 	schedWorkers := flag.Int("sched-workers", 0, "with -http: workers per scheduler shard (0: 1); shards x workers is the whole server's execution capacity")
-	journalPath := flag.String("journal", "", "append the default flow's metric datapoints to this journal file (replayable with flowmon -replay)")
+	journalPath := flag.String("journal", "", "append the default flow's metric datapoints to this metric log (replayable with flowctl dashboard -replay)")
 	pprofOn := flag.Bool("pprof", false, "with -http: expose net/http/pprof under /debug/pprof/ on the same listener")
 	selfScrape := flag.Duration("selfscrape", 0, "with -http: ingest flowerd's own telemetry into the reserved "+httpapi.SelfScrapeFlow+" flow every interval (0 = off)")
 	dataDir := flag.String("data-dir", "", "with -http: durable control-plane directory (write-ahead log + checkpoint); flows, pacers and experiments survive restarts")
@@ -141,14 +141,12 @@ func main() {
 		log.Fatalf("manager: %v", err)
 	}
 
-	var journal *persist.Journal
+	var journal *persist.WAL
 	if *journalPath != "" {
-		j, err := persist.OpenFileJournal(*journalPath)
-		if err != nil {
+		if journal, err = persist.OpenFileWAL(*journalPath, metricLog); err != nil {
 			log.Fatalf("journal: %v", err)
 		}
-		j.Attach(mgr.Store())
-		journal = j
+		journal.LogMetrics(mgr.Store())
 	}
 
 	fmt.Printf("flower: managing flow %q for %v (step %v, seed %d)\n", spec.Name, *duration, *step, *seed)
@@ -191,15 +189,20 @@ func main() {
 		fmt.Printf("\nmetric history written to %s\n", *csvPath)
 	}
 
-	// A journal that cannot be flushed means datapoints were lost: that is
-	// a failed run, not a footnote.
+	// A metric log that cannot be synced means datapoints were lost: that
+	// is a failed run, not a footnote.
 	if journal != nil {
 		if err := journal.Close(); err != nil {
 			log.Fatalf("journal close: %v", err)
 		}
-		fmt.Printf("\n%d datapoints journaled to %s\n", journal.Records(), *journalPath)
+		fmt.Printf("\n%d datapoints logged to %s\n", journal.Records(), *journalPath)
 	}
 }
+
+// metricLog is how -journal's file is opened: a datapoint of a seeded
+// simulation is reproducible, so records are written through to the OS
+// one by one and fsynced once, at Close.
+var metricLog = persist.WALOptions{NoSync: true}
 
 type serveConfig struct {
 	specPaths         []string
@@ -316,16 +319,15 @@ func serveHTTP(addr string, cfg serveConfig) int {
 		}
 	}
 
-	var journal *persist.Journal
+	var journal *persist.WAL
 	if cfg.journalPath != "" {
-		j, err := persist.OpenFileJournal(cfg.journalPath)
-		if err != nil {
+		var err error
+		if journal, err = persist.OpenFileWAL(cfg.journalPath, metricLog); err != nil {
 			log.Fatalf("journal: %v", err)
 		}
 		if f, ok := reg.Get(defaultID); ok {
-			f.View(func(m *flower.Manager) { j.Attach(m.Store()) })
+			f.View(func(m *flower.Manager) { journal.LogMetrics(m.Store()) })
 		}
-		journal = j
 	}
 
 	// Background compaction: fold the WAL into a checkpoint once it has
@@ -393,8 +395,8 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	// stop accepting HTTP (bounded drain of in-flight requests — watch
 	// streams are force-closed when the deadline lapses), settle the lab's
 	// experiments while workers still run, stop every pacer, and only then
-	// drain the scheduler. The journal and WAL close after all of it, so
-	// every datapoint and mutation recorded by the final ticks is flushed
+	// drain the scheduler. The metric log and WAL close after all of it, so
+	// every datapoint and mutation recorded by the final ticks is synced
 	// — and a close that fails is a non-zero exit, not a log line.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -438,7 +440,7 @@ func serveHTTP(addr string, cfg serveConfig) int {
 			log.Printf("journal close: %v", err)
 			exit = 1
 		} else {
-			fmt.Printf("\n%d datapoints journaled to %s\n", journal.Records(), cfg.journalPath)
+			fmt.Printf("\n%d datapoints logged to %s\n", journal.Records(), cfg.journalPath)
 		}
 	}
 	return exit

@@ -112,7 +112,7 @@
 // a single streaming pass over a zero-copy view; retention pruning is an
 // amortised head drop, never a copy of the surviving points. The map-keyed
 // Put/GetStatistics calls remain as compatibility wrappers for callers
-// whose metric identity is per-request (HTTP queries, journal replay).
+// whose metric identity is per-request (HTTP queries).
 // See API.md ("Metric store: handle-based hot path") for the performance
 // model, and internal/perfbench — or `flowerbench -suite perf` — for the
 // measured speedups versus the pre-rebuild implementation.
@@ -136,8 +136,8 @@
 // WatchFlow/WatchExperiment/Watch iterators reconnect and resume on
 // their own, WaitExperiment waits on a watch stream with zero
 // steady-state polls (falling back to polling on pre-watch servers), and
-// `flowctl watch` / `flowmon -follow` bring the streams to the terminal.
-// See API.md ("Read plane").
+// `flowctl watch` / `flowctl dashboard -follow` bring the streams to the
+// terminal. See API.md ("Read plane").
 //
 // # Query plane
 //
@@ -199,7 +199,10 @@
 // streams keep serving) rather than acknowledge anything it cannot
 // make durable. The kill -9 crash-recovery integration test in
 // cmd/flowerd and the fault-injection filesystem (internal/injectfs)
-// keep the contract honest. See API.md ("Durability & recovery").
+// keep the contract honest. `flowerd -journal` logs the default flow's
+// datapoints in the same framing, through the same writer and reader;
+// `flowctl dashboard -replay` renders such a metric log after the fact.
+// See API.md ("Durability & recovery").
 //
 // # Static analysis
 //

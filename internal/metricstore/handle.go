@@ -56,7 +56,7 @@ func (s *Store) Lookup(namespace, name string, dims map[string]string) (*Handle,
 func (h *Handle) ID() MetricID { return h.e.id }
 
 // Append records one observation; the timestamp must not precede the
-// metric's newest datapoint. Retention pruning and the journal hook run
+// metric's newest datapoint. Retention pruning and the metric-log hook run
 // exactly as for Store.Put.
 func (h *Handle) Append(t time.Time, v float64) error {
 	return h.s.append(h.e, t, v)
@@ -124,15 +124,4 @@ func (h *Handle) ViewWindow(from, to time.Time, fn func(v timeseries.View, sc *t
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	fn(e.ts.View(from, e.resolveTo(to)), &e.scratch)
-}
-
-// WindowValues appends the raw values in [from, to) to dst and returns the
-// extended slice — a zero To means "through the newest datapoint", as for
-// Stat and Window — so repeat pollers reuse one buffer instead of
-// materialising Raw/Between/Values chains per poll.
-func (h *Handle) WindowValues(from, to time.Time, dst []float64) []float64 {
-	e := h.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ts.View(from, e.resolveTo(to)).CopyValues(dst)
 }

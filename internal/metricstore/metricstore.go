@@ -118,7 +118,7 @@ type Store struct {
 	// retention is the pruning window in nanoseconds (0 keeps everything);
 	// atomic so the per-append read does not touch the store lock.
 	retention atomic.Int64
-	// onPut is the journal observer; atomic for the same reason.
+	// onPut is the metric-log observer; atomic for the same reason.
 	onPut atomic.Pointer[func(id MetricID, t time.Time, v float64)]
 
 	keyPool sync.Pool // *keyScratch
@@ -163,7 +163,7 @@ func (s *Store) SetRetention(d time.Duration) {
 
 // SetOnPut installs an observer invoked after every successful append with
 // the stored metric's canonical ID — the hook internal/persist uses to
-// journal the metric stream durably. The observer runs under the metric's
+// log the metric stream durably. The observer runs under the metric's
 // entry lock, so appends of one metric reach it in order; it must not call
 // back into the store. Pass nil to remove it.
 func (s *Store) SetOnPut(fn func(id MetricID, t time.Time, v float64)) {
@@ -215,7 +215,7 @@ func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error
 }
 
 // append records one observation under the entry's lock: ordered append,
-// amortised retention pruning, and the journal hook. The telemetry at the
+// amortised retention pruning, and the metric-log hook. The telemetry at the
 // bottom is hot-path safe: an atomic counter add, and trace timing only
 // when a sampled tick trace is live (one atomic pointer load otherwise).
 func (s *Store) append(e *entry, t time.Time, v float64) error {
@@ -251,7 +251,7 @@ func (s *Store) append(e *entry, t time.Time, v float64) error {
 
 // resolveTo implements the shared open-ended-window rule — a zero to
 // means "through the newest datapoint" — for every windowed read (window,
-// Handle.Stat, Handle.WindowValues). It must be called under e.mu.
+// Handle.Stat, Handle.ViewWindow). It must be called under e.mu.
 func (e *entry) resolveTo(to time.Time) time.Time {
 	if to.IsZero() {
 		if last, ok := e.ts.Last(); ok {

@@ -1,376 +1,112 @@
-// Package persist makes the metric store durable: an append-only journal
-// of every datapoint, full-store snapshots, and replay of either back into
-// a live store.
+// Package persist is the plane's durability layer: one on-disk log
+// format with one writer and one reader, plus one checkpoint.
 //
 // The real Flower reads CloudWatch, whose data outlives any one process;
-// this reproduction's metric store is in-memory, so cross-run workflows —
-// learning Eq. 1 dependencies from last week's logs, re-rendering a
-// dashboard after the run, feeding a recorded trace to the share analyzer —
-// need the store to persist. Two complementary forms, the classic
-// log+checkpoint pair:
+// this reproduction's state is in-memory, so whatever must survive a run
+// goes through the log in wal.go — CRC32C-framed, line-delimited records,
+// WAL the only writer, ReadWAL the only reader and the only place that
+// decides what a torn tail is. Two things ride it:
 //
-//   - Journal: a line-delimited JSON log written through the store's
-//     on-put hook as the simulation runs. Crash-safe up to the last flush,
-//     append-only, replayable with Replay.
-//   - Snapshot: a complete point-in-time dump of the store, much denser
-//     than the journal (one record per series, not per point) and the
-//     natural checkpoint format.
+//   - The control log (wal.go, recover.go): flowerd -data-dir's WAL plus
+//     its ControlCheckpoint. Every mutation is appended and fsynced before
+//     it is acknowledged; compaction folds the log into the checkpoint;
+//     recovery replays checkpoint + tail.
+//   - The metric log (this file): flowerd -journal's metric.put records,
+//     written through the store's on-put hook and replayed into a fresh
+//     store (flowctl dashboard -replay) — learning Eq. 1 dependencies from
+//     last week's run, re-rendering a dashboard after the fact.
 //
-// Both formats are versioned plain JSON: debuggable with standard tools
-// and forward-extensible.
+// WALOptions.NoSync in production use is for metric logs only: a datapoint
+// of a seeded simulation is reproducible, so its log is written through to
+// the OS per record and fsynced once, at Close. The control WAL never sets
+// it — an acknowledged mutation must be on stable storage.
 package persist
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/metricstore"
-	"repro/internal/telemetry"
-	"repro/internal/timeseries"
 )
 
-// Process-wide durability telemetry: journal write volume, flush latency,
-// and snapshot count — the signals that tell an operator what persistence
-// costs the plane. Timing goes through the telemetry package's wall-clock
-// helpers (this package is otherwise tick-driven and wall-clock-free).
-var (
-	telJournalRecords = telemetry.Default().Counter("flower_persist_journal_records_total",
-		"Datapoints journaled.")
-	telJournalBytes = telemetry.Default().Counter("flower_persist_journal_bytes_total",
-		"Bytes appended to journals (before OS buffering).")
-	telFlushSeconds = telemetry.Default().Histogram("flower_persist_flush_seconds",
-		"Journal flush latency.", nil)
-	telSnapshots = telemetry.Default().Counter("flower_persist_snapshots_total",
-		"Store snapshots written.")
-)
-
-// journalVersion tags journal records for forward compatibility.
-const journalVersion = 1
-
-// Record is one journaled datapoint.
-type Record struct {
-	// V is the format version (see journalVersion).
-	V int `json:"v"`
-	// NS and Name identify the metric; Dims its dimension set.
+// MetricPutOp is the payload of OpMetricPut: metric NS/Name{Dims} observed
+// Val at T, nanoseconds since the Unix epoch.
+type MetricPutOp struct {
 	NS   string            `json:"ns"`
 	Name string            `json:"name"`
 	Dims map[string]string `json:"dims,omitempty"`
-	// T is the observation time in nanoseconds since the Unix epoch
-	// (compact, lossless, and sortable).
-	T int64 `json:"t"`
-	// Val is the observation value.
-	Val float64 `json:"val"`
+	T    int64             `json:"t"`
+	Val  float64           `json:"val"`
 }
 
-// Journal appends metric datapoints to a writer as line-delimited JSON.
-// It is safe for concurrent use. Writes are buffered; call Flush (or
-// Close, for file-backed journals) to make them durable.
-type Journal struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	f   *os.File // non-nil when file-backed; synced on Close
-	err error    // first write error, made sticky
-	n   int      // records written
-}
-
-// NewJournal journals onto w.
-func NewJournal(w io.Writer) *Journal {
-	return &Journal{w: bufio.NewWriter(w)}
-}
-
-// OpenFileJournal opens (creating or appending to) a file-backed journal.
-func OpenFileJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("persist: open journal: %w", err)
-	}
-	j := NewJournal(f)
-	j.f = f
-	return j, nil
-}
-
-// Record appends one datapoint. The first error encountered is returned
-// from every subsequent call (and from Flush/Close), so a full disk is not
-// silently ignored.
-func (j *Journal) Record(id metricstore.MetricID, t time.Time, v float64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	rec := Record{
-		V: journalVersion, NS: id.Namespace, Name: id.Name, Dims: id.Dimensions,
-		T: t.UnixNano(), Val: v,
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		j.err = err
-		return err
-	}
-	data = append(data, '\n')
-	if _, err := j.w.Write(data); err != nil {
-		j.err = fmt.Errorf("persist: journal write: %w", err)
-		return j.err
-	}
-	j.n++
-	telJournalRecords.Inc()
-	telJournalBytes.Add(uint64(len(data)))
-	return nil
-}
-
-// Records reports how many datapoints have been journaled.
-func (j *Journal) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
-
-// Err returns the sticky error, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Flush forces buffered records down to the underlying writer.
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	start := telemetry.Now()
-	if err := j.w.Flush(); err != nil {
-		j.err = err
-		return err
-	}
-	telFlushSeconds.Observe(time.Duration(telemetry.SinceNanos(start)))
-	return nil
-}
-
-// Close flushes and, for file-backed journals, syncs and closes the file.
-func (j *Journal) Close() error {
-	if err := j.Flush(); err != nil {
-		if j.f != nil {
-			j.f.Close()
-		}
-		return err
-	}
-	if j.f == nil {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return fmt.Errorf("persist: journal sync: %w", err)
-	}
-	return j.f.Close()
-}
-
-// Attach wires the journal to a store: every Put is journaled from now on.
-// Detach by calling store.SetOnPut(nil). Journal errors are sticky and
-// surfaced by Flush/Close rather than interrupting the simulation.
-func (j *Journal) Attach(store *metricstore.Store) {
+// LogMetrics wires the WAL to a store: every Put is appended as a
+// metric.put record from now on. Detach by calling store.SetOnPut(nil).
+// A datapoint the log cannot take — a failed write, or a value JSON cannot
+// carry (NaN, ±Inf) — makes the WAL's error sticky, surfaced by Err/Close
+// rather than interrupting the simulation: a log with a silent hole would
+// replay as if it were the run.
+func (w *WAL) LogMetrics(store *metricstore.Store) {
 	store.SetOnPut(func(id metricstore.MetricID, t time.Time, v float64) {
-		_ = j.Record(id, t, v) // sticky; surfaced on Flush/Close
+		_, err := w.Append(OpMetricPut, MetricPutOp{
+			NS: id.Namespace, Name: id.Name, Dims: id.Dimensions, T: t.UnixNano(), Val: v,
+		})
+		if err != nil {
+			w.mu.Lock()
+			if w.err == nil {
+				w.degrade(err)
+			}
+			w.mu.Unlock()
+		}
 	})
 }
 
-// Replay reads a journal and applies every record to the store, returning
-// the number of datapoints applied. Blank lines are skipped. A malformed
-// *final* line is tolerated: an append-only journal cut off by a crash or
-// kill legitimately ends mid-record, and recovery up to the last complete
-// record is the expected WAL semantics. The applied count is returned
-// together with a wrapped ErrTornTail (and the event counted in
-// telemetry) so callers can log the truncation instead of losing it
-// silently. Malformed content followed by more records — mid-file
-// corruption — still aborts with an error identifying the offending
-// line, as does an unsupported version.
+// Replay reads a metric log and appends every metric.put record to the
+// store in file order, returning the number of datapoints applied. Seq is
+// ignored: a metric log has no checkpoint watermark. ReadWAL's verdicts
+// pass through: a torn final record still applies every complete one and
+// returns ErrTornTail (counted in telemetry) for the caller to log, and
+// mid-file corruption fails naming the line. So does any op other than
+// metric.put — a control WAL is not a metric log — and a datapoint older
+// than its series' newest.
 func Replay(r io.Reader, store *metricstore.Store) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	applied := 0
-	line := 0
-	var pending error // parse failure awaiting the torn-tail / corruption verdict
-	// Journals repeat a small set of metric identities record after
-	// record; interning each identity once and appending through the
-	// handle skips the per-record key rebuild the map-keyed Put would do.
-	handles := map[string]*metricstore.Handle{}
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if pending != nil {
-			// Content after a malformed line: that line was not a torn
-			// tail but corruption.
-			return applied, pending
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			pending = fmt.Errorf("persist: journal line %d: %w", line, err)
-			continue
-		}
-		if rec.V != journalVersion {
-			return applied, fmt.Errorf("persist: journal line %d: unsupported version %d", line, rec.V)
-		}
-		id := metricstore.MetricID{Namespace: rec.NS, Name: rec.Name, Dimensions: rec.Dims}
-		h, ok := handles[id.Key()]
-		if !ok {
-			var err error
-			h, err = store.Handle(rec.NS, rec.Name, rec.Dims)
-			if err != nil {
-				return applied, fmt.Errorf("persist: journal line %d: %w", line, err)
-			}
-			handles[id.Key()] = h
-		}
-		if err := h.Append(time.Unix(0, rec.T), rec.Val); err != nil {
-			return applied, fmt.Errorf("persist: journal line %d: %w", line, err)
-		}
-		applied++
+	recs, readErr := ReadWAL(r)
+	if readErr != nil && !errors.Is(readErr, ErrTornTail) {
+		return 0, readErr
 	}
-	if err := sc.Err(); err != nil {
-		return applied, fmt.Errorf("persist: journal read: %w", err)
+	apply := func(rec WALRecord) error {
+		if rec.Op != OpMetricPut {
+			return fmt.Errorf("unexpected op %q", rec.Op)
+		}
+		var op MetricPutOp
+		if err := rec.Decode(&op); err != nil {
+			return err
+		}
+		h, err := store.Handle(op.NS, op.Name, op.Dims)
+		if err != nil {
+			return err
+		}
+		return h.Append(time.Unix(0, op.T), op.Val)
 	}
-	if pending != nil {
-		telTornTails.Inc()
-		return applied, fmt.Errorf("%v: %w", pending, ErrTornTail)
+	for i, rec := range recs {
+		if err := apply(rec); err != nil {
+			return i, fmt.Errorf("persist: metric log line %d: %w", rec.Line, err)
+		}
 	}
-	return applied, nil
+	if readErr != nil {
+		telWALTornTails.Inc()
+	}
+	return len(recs), readErr
 }
 
 // ReplayFile is Replay over a file.
 func ReplayFile(path string, store *metricstore.Store) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("persist: open journal: %w", err)
+		return 0, fmt.Errorf("persist: open metric log: %w", err)
 	}
 	defer f.Close()
 	return Replay(f, store)
-}
-
-// snapshotVersion tags snapshot documents.
-const snapshotVersion = 1
-
-// snapshotDoc is the on-disk snapshot layout.
-type snapshotDoc struct {
-	Version int              `json:"version"`
-	TakenAt int64            `json:"taken_at"` // Unix nanoseconds
-	Series  []snapshotSeries `json:"series"`
-}
-
-type snapshotSeries struct {
-	NS     string            `json:"ns"`
-	Name   string            `json:"name"`
-	Dims   map[string]string `json:"dims,omitempty"`
-	Times  []int64           `json:"t"` // Unix nanoseconds, ascending
-	Values []float64         `json:"v"`
-}
-
-// ErrEmptySnapshot reports a snapshot with no series.
-var ErrEmptySnapshot = errors.New("persist: snapshot contains no series")
-
-// Snapshot writes a complete point-in-time dump of the store. The store's
-// columns are copied straight into the snapshot document — the timestamps
-// are already unix nanoseconds — without materialising intermediate series.
-func Snapshot(store *metricstore.Store, now time.Time, w io.Writer) error {
-	doc := snapshotDoc{Version: snapshotVersion, TakenAt: now.UnixNano()}
-	store.Each(func(id metricstore.MetricID, v timeseries.View) {
-		ss := snapshotSeries{NS: id.Namespace, Name: id.Name, Dims: id.Dimensions}
-		ss.Times, ss.Values = v.CopyColumns(
-			make([]int64, 0, v.Len()), make([]float64, 0, v.Len()))
-		doc.Series = append(doc.Series, ss)
-	})
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("persist: snapshot encode: %w", err)
-	}
-	telSnapshots.Inc()
-	return nil
-}
-
-// SnapshotFile writes a snapshot atomically: to a temp file in the target
-// directory, synced, then renamed over the destination, so a crash never
-// leaves a torn snapshot behind.
-func SnapshotFile(store *metricstore.Store, now time.Time, path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".snapshot-*")
-	if err != nil {
-		return fmt.Errorf("persist: snapshot temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := Snapshot(store, now, tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: snapshot sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: snapshot rename: %w", err)
-	}
-	return nil
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
-}
-
-// Restore reads a snapshot into the store and returns the number of
-// datapoints restored and the snapshot's capture time.
-func Restore(r io.Reader, store *metricstore.Store) (points int, takenAt time.Time, err error) {
-	var doc snapshotDoc
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return 0, time.Time{}, fmt.Errorf("persist: snapshot decode: %w", err)
-	}
-	if doc.Version != snapshotVersion {
-		return 0, time.Time{}, fmt.Errorf("persist: unsupported snapshot version %d", doc.Version)
-	}
-	if len(doc.Series) == 0 {
-		return 0, time.Time{}, ErrEmptySnapshot
-	}
-	for _, ss := range doc.Series {
-		if len(ss.Times) != len(ss.Values) {
-			return points, time.Time{}, fmt.Errorf("persist: series %s/%s: %d times vs %d values",
-				ss.NS, ss.Name, len(ss.Times), len(ss.Values))
-		}
-		// One handle per series: the metric identity is interned once and
-		// the datapoints append through it.
-		h, err := store.Handle(ss.NS, ss.Name, ss.Dims)
-		if err != nil {
-			return points, time.Time{}, fmt.Errorf("persist: restore %s/%s: %w", ss.NS, ss.Name, err)
-		}
-		for i := range ss.Times {
-			if err := h.Append(time.Unix(0, ss.Times[i]), ss.Values[i]); err != nil {
-				return points, time.Time{}, fmt.Errorf("persist: restore %s/%s: %w", ss.NS, ss.Name, err)
-			}
-			points++
-		}
-	}
-	return points, time.Unix(0, doc.TakenAt), nil
-}
-
-// RestoreFile is Restore over a file.
-func RestoreFile(path string, store *metricstore.Store) (int, time.Time, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, time.Time{}, fmt.Errorf("persist: open snapshot: %w", err)
-	}
-	defer f.Close()
-	return Restore(f, store)
 }

@@ -15,15 +15,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The control-plane WAL makes the plane's *mutations* durable the same
-// way the metric journal makes its *observations* durable: an
-// append-only, line-delimited log plus a periodic checkpoint. Unlike the
-// journal, WAL records are CRC-framed — a flow definition is worth more
-// than a datapoint, so a torn or bit-rotted record must be detected, not
-// replayed as garbage — and every record is appended (and fsynced)
-// before the mutation is acknowledged to the caller.
-//
-// Frame format, one record per line:
+// The log is append-only and line-delimited, one CRC-framed record per
+// line — a torn or bit-rotted record must be detected, not replayed as
+// garbage:
 //
 //	w1 <crc32c-hex8> <envelope-json>\n
 //
@@ -32,10 +26,14 @@ import (
 // watermark), a wall-clock timestamp and the op payload. Everything is
 // plain JSON: debuggable with grep and jq, forward-extensible by adding
 // fields.
+//
+// The control plane logs its mutations here, each appended (and fsynced)
+// before it is acknowledged to the caller, with a periodic checkpoint
+// bounding the replay; the metric log (persist.go) logs datapoints.
 
-// Control-plane durability telemetry. The journal metrics above count
-// datapoints; these count mutations, the WAL's unit of work, plus the
-// recovery-side counters the crashtest asserts on.
+// Durability telemetry, shared by every WAL instance: records are
+// mutations on a control WAL and datapoints on a metric log. The
+// recovery-side counters are the ones the crashtest asserts on.
 var (
 	telWALRecords = telemetry.Default().Counter("flower_persist_wal_records_total",
 		"Control-plane WAL records appended.")
@@ -53,8 +51,6 @@ var (
 		"Control-plane WAL records replayed at recovery.")
 	telWALTornTails = telemetry.Default().Counter("flower_persist_wal_torn_tails_total",
 		"Control-plane WAL recoveries that found (and tolerated) a torn final record.")
-	telTornTails = telemetry.Default().Counter("flower_persist_journal_torn_tails_total",
-		"Metric-journal replays that ended in a torn final record.")
 )
 
 // ErrTornTail reports that an append-only log ended mid-record — the
@@ -77,14 +73,15 @@ var ErrDegraded = errors.New("control plane degraded: WAL writes failing, mutati
 const walVersion = 1
 
 // walMagic prefixes every WAL line; a file that doesn't open with it is
-// not a control WAL.
+// not a log this package wrote.
 const walMagic = "w1"
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms that matter.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WAL op codes: one per control-plane mutation.
+// Op codes: one per control-plane mutation, plus the metric log's
+// datapoint.
 const (
 	OpFlowCreate       = "flow.create"
 	OpFlowPace         = "flow.pace" // pace 0 records a stop
@@ -94,6 +91,7 @@ const (
 	OpExperimentCancel = "experiment.cancel"
 	OpExperimentFinish = "experiment.finish"
 	OpExperimentDelete = "experiment.delete"
+	OpMetricPut        = "metric.put"
 )
 
 // WALRecord is the envelope every WAL line carries.
@@ -108,6 +106,9 @@ type WALRecord struct {
 	// Op is the mutation kind (Op* constants); Data its payload.
 	Op   string          `json:"op"`
 	Data json.RawMessage `json:"data"`
+	// Line is the 1-based line ReadWAL parsed the record from, for error
+	// messages; it is not part of the frame.
+	Line int `json:"-"`
 }
 
 // Decode unmarshals the record's payload into out.
@@ -131,9 +132,10 @@ type SyncWriter interface {
 // WALOptions configure a WAL.
 type WALOptions struct {
 	// NoSync skips the per-append fsync. Appends are still unbuffered
-	// single writes; only the durability barrier is elided. For tests
-	// and benchmarks — a production control plane wants every mutation
-	// synced before it is acknowledged.
+	// single writes; only the durability barrier is elided (Close still
+	// syncs). For metric logs, tests and benchmarks — a production
+	// control plane wants every mutation synced before it is
+	// acknowledged.
 	NoSync bool
 	// NextSeq seeds the sequence counter when continuing an existing
 	// log: the last sequence number already used. The first record
@@ -141,7 +143,7 @@ type WALOptions struct {
 	NextSeq uint64
 }
 
-// WAL appends CRC-framed control-plane records to a SyncWriter. Every
+// WAL appends CRC-framed records to a SyncWriter. Every
 // Append is one unbuffered write followed by a sync (unless NoSync), so
 // an acknowledged mutation is on stable storage. The first write or
 // sync failure is sticky and wraps ErrDegraded: a WAL that lost a write
@@ -305,7 +307,7 @@ func parseWALLine(line []byte) (WALRecord, error) {
 	return rec, nil
 }
 
-// ReadWAL parses a control-plane WAL. A malformed *final* line — torn
+// ReadWAL parses a log. A malformed *final* line — torn
 // magic, failed CRC, truncated JSON, missing newline — is the expected
 // residue of a crash mid-append: the complete records are returned
 // together with a wrapped ErrTornTail. Malformed content *followed by
@@ -334,6 +336,7 @@ func ReadWAL(r io.Reader) ([]WALRecord, error) {
 			}
 			return recs, fmt.Errorf("persist: wal line %d: corrupt mid-file: %w", i+1, err)
 		}
+		rec.Line = i + 1
 		recs = append(recs, rec)
 	}
 	return recs, nil
@@ -405,33 +408,59 @@ type ExperimentCheckpoint struct {
 	Spec json.RawMessage `json:"spec"`
 }
 
-// WriteControlCheckpoint writes the checkpoint atomically: temp file in
-// the target directory, synced, renamed over the destination — the same
-// crash discipline SnapshotFile uses, so a crash never leaves a torn
-// checkpoint.
-func WriteControlCheckpoint(path string, ckpt *ControlCheckpoint) error {
-	ckpt.Version = controlCheckpointVersion
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+// syncDir fsyncs a directory, making a rename inside it durable. A
+// variable only so the compaction test can record when it runs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("persist: checkpoint temp: %w", err)
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// atomicReplace replaces path with whatever write produces: temp file in
+// the same directory, synced, renamed over the destination, then the
+// directory synced — so a crash leaves the old file or the new one, never
+// a torn one, and once atomicReplace returns power loss cannot roll the
+// rename back.
+func atomicReplace(path string, write func(io.Writer) error) error {
+	dir, name := filepath.Dir(path), filepath.Base(path)
+	fail := func(step string, err error) error {
+		return fmt.Errorf("persist: replace %s: %s: %w", name, step, err)
+	}
+	tmp, err := os.CreateTemp(dir, "."+name+"-*")
+	if err != nil {
+		return fail("temp", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(ckpt); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("persist: checkpoint encode: %w", err)
+		return fail("write", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("persist: checkpoint sync: %w", err)
+		return fail("sync", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: checkpoint close: %w", err)
+		return fail("close", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: checkpoint rename: %w", err)
+		return fail("rename", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fail("sync dir", err)
 	}
 	return nil
+}
+
+// WriteControlCheckpoint writes the checkpoint through atomicReplace, so
+// a crash never leaves a torn checkpoint.
+func WriteControlCheckpoint(path string, ckpt *ControlCheckpoint) error {
+	ckpt.Version = controlCheckpointVersion
+	return atomicReplace(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(ckpt)
+	})
 }
 
 // ReadControlCheckpoint reads a checkpoint; a missing file returns
@@ -545,9 +574,6 @@ func OpenControlLog(dir string, opts ControlLogOptions) (*ControlLog, *Recovered
 	return l, state, nil
 }
 
-// Dir returns the data directory the log lives in.
-func (l *ControlLog) Dir() string { return l.dir }
-
 // Append frames and durably appends one mutation record.
 func (l *ControlLog) Append(op string, payload any) error {
 	l.mu.Lock()
@@ -557,13 +583,6 @@ func (l *ControlLog) Append(op string, payload any) error {
 	}
 	l.sinceCkpt++
 	return nil
-}
-
-// Err returns the sticky degradation error, if any.
-func (l *ControlLog) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.wal.Err()
 }
 
 // Seq returns the last WAL sequence number assigned.
@@ -599,7 +618,10 @@ func (l *ControlLog) CompactWith(capture func() *ControlCheckpoint) error {
 // compact writes the checkpoint, then rewrites the WAL keeping only
 // records past its watermark. Checkpoint-then-rotate is the crash-safe
 // order: dying in between leaves pre-watermark records in the WAL,
-// which recovery filters out by sequence number.
+// which recovery filters out by sequence number. Each step's rename is
+// made durable (atomicReplace syncs the directory) before the next
+// begins, so power loss cannot keep the rotation and lose the checkpoint
+// that justified dropping those records.
 func (l *ControlLog) compact(ckpt *ControlCheckpoint) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -614,41 +636,29 @@ func (l *ControlLog) compact(ckpt *ControlCheckpoint) error {
 	if err := WriteControlCheckpoint(filepath.Join(l.dir, CheckpointFileName), ckpt); err != nil {
 		return err
 	}
-	// Rewrite the tail atomically: temp, sync, rename, then swing the
-	// append handle to the new file.
-	tmp, err := os.CreateTemp(l.dir, ".wal-*")
-	if err != nil {
-		return fmt.Errorf("persist: wal rotate temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	// Retained records are rewritten verbatim — original sequence
-	// numbers and timestamps — so the checkpoint watermark still
-	// partitions them correctly on the next recovery.
+	// Rewrite the tail atomically, then swing the append handle to the
+	// new file. Retained records are rewritten verbatim — original
+	// sequence numbers and timestamps — so the checkpoint watermark
+	// still partitions them correctly on the next recovery.
 	kept := 0
-	for _, rec := range recs {
-		if rec.Seq <= ckpt.LastSeq {
-			continue
+	err = atomicReplace(walPath, func(w io.Writer) error {
+		for _, rec := range recs {
+			if rec.Seq <= ckpt.LastSeq {
+				continue
+			}
+			frame, err := frameRecord(rec)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+			kept++
 		}
-		frame, err := frameRecord(rec)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("persist: wal rotate write: %w", err)
-		}
-		kept++
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: wal rotate sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: wal rotate close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), walPath); err != nil {
-		return fmt.Errorf("persist: wal rotate rename: %w", err)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// The old handle points at the unlinked inode; reopen on the
 	// rotated file, preserving the sequence counter.

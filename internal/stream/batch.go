@@ -95,15 +95,6 @@ func (s *Stream) DrainCount(max int) int {
 	return drained
 }
 
-// CountedBacklog reports only the counted (non-materialised) backlog.
-func (s *Stream) CountedBacklog() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.countBuffer
-	}
-	return total
-}
-
 // KeyPopulation is a precomputed set of partition-key hashes used to derive
 // per-shard arrival weights: with keys drawn uniformly from the population,
 // the probability a record lands on a shard equals the fraction of the
