@@ -21,6 +21,13 @@
 // entries, never while touching series data. The hotpath analyzer in
 // internal/analysis machine-checks that per-tick packages stay on the
 // handle tier.
+//
+// Memory follows use: interning a metric allocates its identity (key,
+// dimension copy, entry) but no column storage, and the columns then grow
+// by append as datapoints arrive, so a flow that has not ticked holds no
+// series data. Growth may move a series' columns, which is why every
+// zero-copy read (Each, Handle.ViewWindow) hands out its timeseries.View
+// under the metric's lock and only for the duration of the callback.
 package metricstore
 
 import (
@@ -208,7 +215,11 @@ func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error
 	if e, ok := s.series[key]; ok {
 		return e, nil
 	}
-	e := &entry{id: id, ts: timeseries.New(1024)}
+	// No capacity up front: handles are interned at flow build time, before
+	// (or without ever) publishing, and a fleet interns tens of thousands.
+	// Append growth is amortised O(1), so the columns cost what the metric
+	// has actually published.
+	e := &entry{id: id, ts: timeseries.New(0)}
 	s.series[key] = e
 	telEntries.Inc()
 	return e, nil

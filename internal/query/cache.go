@@ -22,17 +22,20 @@ type flowMatcher interface {
 // re-walk every registered flow per request; with tens of thousands of
 // flows that walk — and its glob match per flow — dominated plan time for
 // the common case of a repeated dashboard query. The flow set only
-// changes on flow creation and deletion, so the cache subscribes to those
-// eventbus events and invalidates wholesale on each one; per-flow series
-// resolution stays live (metrics appear at runtime without any flow
-// lifecycle event), which keeps the cache safe by construction.
+// changes on flow creation and deletion, so the cache holds a coalescing
+// eventbus.Flag on those events and invalidates wholesale when it finds the
+// flag raised; per-flow series resolution stays live (metrics appear at
+// runtime without any flow lifecycle event), which keeps the cache safe by
+// construction. The cache only ever needs "something changed since I last
+// looked", so the flag — unlike a buffered subscription — cannot overflow
+// on a plane that creates flows and never queries.
 //
 // A PlanCache is safe for concurrent use. Close releases its bus
 // subscription, after which the cache degrades to a pass-through (every
 // lookup recomputes) rather than serving sets nothing can invalidate.
 type PlanCache struct {
-	src Source
-	sub *eventbus.Subscription
+	src   Source
+	dirty *eventbus.Flag
 
 	mu       sync.Mutex
 	gen      uint64 // bumped on every invalidation
@@ -49,7 +52,7 @@ func NewPlanCache(src Source, bus *eventbus.Bus) *PlanCache {
 		c.disabled = true
 		return c
 	}
-	c.sub = bus.Subscribe(256, eventbus.Live, func(ev eventbus.Event) bool {
+	c.dirty = bus.SubscribeFlag(func(ev eventbus.Event) bool {
 		return ev.Type == registry.EventFlowCreated || ev.Type == registry.EventFlowDeleted
 	})
 	return c
@@ -58,14 +61,14 @@ func NewPlanCache(src Source, bus *eventbus.Bus) *PlanCache {
 // Close releases the cache's bus subscription. The cache remains usable
 // as a pass-through afterwards.
 func (c *PlanCache) Close() {
-	if c.sub == nil {
+	if c.dirty == nil {
 		return
 	}
 	c.mu.Lock()
 	c.disabled = true
 	c.flows = map[string][]string{}
 	c.mu.Unlock()
-	c.sub.Close()
+	c.dirty.Close()
 }
 
 // FlowIDs delegates to the wrapped source.
@@ -77,13 +80,11 @@ func (c *PlanCache) WithFlow(id string, fn func(store *metricstore.Store, now ti
 }
 
 // FlowsMatching returns the flow IDs matching glob, from cache when the
-// entry is still valid. Invalidation events (and any subscription drops —
-// a drop means an unknown invalidation may have been missed) are drained
-// first, so a lookup never returns a set older than the last observed
-// lifecycle event.
+// entry is still valid. The dirty flag is taken first, so a lookup never
+// returns a set older than the last lifecycle event published before it.
 func (c *PlanCache) FlowsMatching(glob string) []string {
 	c.mu.Lock()
-	c.drainLocked()
+	c.invalidateIfDirtyLocked()
 	if ids, ok := c.flows[glob]; ok {
 		c.mu.Unlock()
 		telPlanCacheHits.Inc()
@@ -112,40 +113,17 @@ func (c *PlanCache) FlowsMatching(glob string) []string {
 	// Store only if no invalidation raced the walk — a flow created or
 	// deleted mid-walk may or may not be in ids, so caching it would pin a
 	// set no event will ever invalidate again.
-	if c.drainLocked(); c.gen == gen && !c.disabled {
+	if c.invalidateIfDirtyLocked(); c.gen == gen && !c.disabled {
 		c.flows[glob] = ids
 	}
 	c.mu.Unlock()
 	return ids
 }
 
-// drainLocked consumes pending invalidation events without blocking and
-// clears the cache if any arrived (or were dropped); c.mu must be held.
-func (c *PlanCache) drainLocked() {
-	if c.disabled {
-		return
-	}
-	invalidate := false
-drain:
-	for {
-		select {
-		case _, ok := <-c.sub.Events():
-			invalidate = true
-			if !ok {
-				// Subscription closed (Close raced this lookup): no further
-				// invalidations will ever arrive, so serving from cache
-				// would mean serving stale sets forever.
-				c.disabled = true
-				break drain
-			}
-		default:
-			break drain
-		}
-	}
-	if c.sub.Dropped() > 0 {
-		invalidate = true
-	}
-	if invalidate {
+// invalidateIfDirtyLocked clears the cache if a lifecycle event was
+// published since the last call; c.mu must be held.
+func (c *PlanCache) invalidateIfDirtyLocked() {
+	if !c.disabled && c.dirty.Take() {
 		c.flows = map[string][]string{}
 		c.gen++
 	}

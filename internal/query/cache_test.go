@@ -95,9 +95,11 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheOverflowResyncs: an event storm larger than the
-// subscription buffer still invalidates — the Dropped() check catches
-// what the channel could not hold — and the cache then re-caches cleanly.
+// TestPlanCacheOverflowResyncs: a lifecycle storm on a plane nobody
+// queries — far more events than any subscriber buffer would hold — costs
+// the bus no drops (the cache's subscription is a coalescing flag, so
+// flower_eventbus_dropped_total stays a loss signal), still invalidates,
+// and the cache then re-caches cleanly.
 func TestPlanCacheOverflowResyncs(t *testing.T) {
 	src := &cacheSource{flows: testFlows("a")}
 	bus := eventbus.New(0)
@@ -105,18 +107,71 @@ func TestPlanCacheOverflowResyncs(t *testing.T) {
 	defer c.Close()
 
 	c.FlowsMatching("*")
-	for i := 0; i < 600; i++ { // subscription buffer is 256
-		id := fmt.Sprintf("f%03d", i)
-		src.flows[id] = StaticFlow{Store: metricstore.NewStore(), Now: time.Unix(0, 0)}
-		bus.Publish(registry.EventFlowCreated, id, nil)
+	const storm = 10000
+	for i := 0; i < storm; i++ {
+		id := fmt.Sprintf("f%05d", i)
+		if i%2 == 0 {
+			src.flows[id] = StaticFlow{Store: metricstore.NewStore(), Now: time.Unix(0, 0)}
+			bus.Publish(registry.EventFlowCreated, id, nil)
+		} else {
+			bus.Publish(registry.EventFlowDeleted, id, nil)
+		}
 	}
-	if got := c.FlowsMatching("f*"); len(got) != 600 {
-		t.Fatalf("after storm, matched %d flows, want 600", len(got))
+	if n := bus.TotalDropped(); n != 0 {
+		t.Fatalf("query-free plane counted %d dropped events; nobody lost anything", n)
+	}
+	if got := c.FlowsMatching("f*"); len(got) != storm/2 {
+		t.Fatalf("after storm, matched %d flows, want %d", len(got), storm/2)
+	}
+	if got := c.FlowsMatching("*"); len(got) != storm/2+1 {
+		t.Fatalf("after storm, the pre-storm entry for * was served stale: %d flows, want %d", len(got), storm/2+1)
 	}
 	walks := src.walks
-	if got := c.FlowsMatching("f*"); len(got) != 600 || src.walks != walks {
+	if got := c.FlowsMatching("f*"); len(got) != storm/2 || src.walks != walks {
 		t.Fatalf("post-storm lookup not served from cache (%d flows, %d -> %d walks)",
 			len(got), walks, src.walks)
+	}
+}
+
+// racingSource publishes a lifecycle event from inside the walk, the way a
+// flow created while FlowsMatching iterates the registry would.
+type racingSource struct {
+	cacheSource
+	bus  *eventbus.Bus
+	race bool
+}
+
+func (s *racingSource) FlowIDs() []string {
+	ids := s.cacheSource.FlowIDs()
+	if s.race {
+		s.flows["late"] = StaticFlow{Store: metricstore.NewStore(), Now: time.Unix(0, 0)}
+		s.bus.Publish(registry.EventFlowCreated, "late", nil)
+	}
+	return ids
+}
+
+// TestPlanCacheEventDuringWalkNotStored: a set computed while a lifecycle
+// event landed may or may not contain that flow, so it must be returned but
+// not cached — the next lookup walks again and sees the flow.
+func TestPlanCacheEventDuringWalkNotStored(t *testing.T) {
+	bus := eventbus.New(0)
+	src := &racingSource{cacheSource: cacheSource{flows: testFlows("a")}, bus: bus, race: true}
+	c := NewPlanCache(src, bus)
+	defer c.Close()
+
+	if got := c.FlowsMatching("*"); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("racing walk returned %v, want the pre-event set [a]", got)
+	}
+	src.race = false
+	walks := src.walks
+	if got := c.FlowsMatching("*"); !reflect.DeepEqual(got, []string{"a", "late"}) {
+		t.Fatalf("lookup after the race = %v, want [a late] (raced set was cached?)", got)
+	}
+	if src.walks != walks+1 {
+		t.Fatalf("lookup after the race did not walk the source (%d -> %d)", walks, src.walks)
+	}
+	if c.FlowsMatching("*"); src.walks != walks+1 {
+		t.Fatal("clean walk after the race was not cached")
 	}
 }
 

@@ -101,7 +101,7 @@ func newDecisions(m *core.Manager, marks decisionMark) map[flow.LayerKind][]cont
 // the event's SSE delivery. Advance calls it under f.mu so concurrent
 // advances publish in simulation order; that is safe because Publish never
 // blocks on subscribers.
-func (f *Flow) publishAdvance(d time.Duration, res sim.Result, simTime time.Time, decided map[flow.LayerKind][]control.Decision) uint64 {
+func (f *Flow) publishAdvance(d time.Duration, res sim.Progress, simTime time.Time, decided map[flow.LayerKind][]control.Decision) uint64 {
 	if f.bus == nil {
 		return 0
 	}

@@ -157,32 +157,42 @@ func (f *Flow) View(fn func(m *core.Manager)) {
 // runs (an advance in flight when Delete lands finishes harmlessly), but
 // nothing is published: flow.deleted is final on the stream.
 func (f *Flow) Advance(d time.Duration) (sim.Result, error) {
-	return f.advance(d, telemetry.Traces.Begin(f.id))
-}
-
-// advance is Advance plus tick-trace stamping: tr, when non-nil, is the
-// sampled trace the pacer began for this advance, and the stage marks
-// (flow lock acquired, controller step done, event published) land here.
-// All trace calls are nil-safe, so the untraced path pays nothing.
-func (f *Flow) advance(d time.Duration, tr *telemetry.Trace) (sim.Result, error) {
+	tr := telemetry.Traces.Begin(f.id)
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.advanceLocked(d, tr); err != nil {
+		return sim.Result{}, err
+	}
+	return f.mgr.Harness().Result(), nil
+}
+
+// advance is the pacer's Advance: it has no use for the sim.Result and so
+// does not pay for building one per tick.
+func (f *Flow) advance(d time.Duration, tr *telemetry.Trace) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.advanceLocked(d, tr)
+}
+
+// advanceLocked is the body of both; f.mu must be held. tr, when non-nil,
+// is the sampled trace begun for this advance before the lock was taken,
+// and the stage marks (flow lock acquired, controller step done, event
+// published) land here. All trace calls are nil-safe, so the untraced path
+// pays nothing.
+func (f *Flow) advanceLocked(d time.Duration, tr *telemetry.Trace) error {
 	tr.Mark(telemetry.StageSchedFire)
 	marks := markDecisions(f.mgr)
-	res, err := f.mgr.Run(d)
+	h := f.mgr.Harness()
+	err := h.Advance(d)
 	tr.Mark(telemetry.StageController)
-	if err != nil {
+	if err != nil || f.deleting {
 		telemetry.Traces.Abandon(tr)
-		return res, err
+		return err
 	}
-	if f.deleting {
-		telemetry.Traces.Abandon(tr)
-		return res, nil
-	}
-	seq := f.publishAdvance(d, res, f.mgr.Harness().Clock.Now(), newDecisions(f.mgr, marks))
+	seq := f.publishAdvance(d, h.Progress(), h.Clock.Now(), newDecisions(f.mgr, marks))
 	telemetry.Traces.Publish(tr, seq)
 	telAdvances.Inc()
-	return res, nil
+	return nil
 }
 
 // StartPacing advances the flow continuously: every wallTick of wall time,
@@ -248,7 +258,7 @@ func (f *Flow) StartPacing(pace float64, wallTick time.Duration) error {
 			debt -= due
 			// Begin the (sampled) tick trace before taking the flow lock so
 			// the sched_fire stage measures fire-to-lock latency.
-			if _, err := f.advance(due, telemetry.Traces.Begin(f.id)); err != nil {
+			if err := f.advance(due, telemetry.Traces.Begin(f.id)); err != nil {
 				return err
 			}
 		}

@@ -568,11 +568,38 @@ func (h *Harness) account(now time.Time, step time.Duration) {
 // Run advances the simulation by d and returns the cumulative result. It
 // may be called repeatedly; results accumulate across calls.
 func (h *Harness) Run(d time.Duration) (Result, error) {
+	if err := h.Advance(d); err != nil {
+		return Result{}, err
+	}
+	return h.Result(), nil
+}
+
+// Advance is Run without building the Result: the per-tick path for a
+// caller that advances thousands of times and reads at most Progress.
+func (h *Harness) Advance(d time.Duration) error {
 	if d <= 0 {
-		return Result{}, fmt.Errorf("sim: run duration must be positive")
+		return fmt.Errorf("sim: run duration must be positive")
 	}
 	h.Scheduler.RunFor(d)
-	return h.Result(), nil
+	return nil
+}
+
+// Progress is the scalar head of a Result — what a flow.advanced event
+// carries — read without copying the per-layer maps.
+type Progress struct {
+	Ticks         int
+	ViolationRate float64
+	TotalCost     float64
+}
+
+// Progress returns the cumulative counters so far; each field equals the
+// same-named field of Result().
+func (h *Harness) Progress() Progress {
+	p := Progress{Ticks: h.res.Ticks, TotalCost: h.Meter.Total()}
+	if p.Ticks > 0 {
+		p.ViolationRate = h.res.ViolationRate / float64(p.Ticks)
+	}
+	return p
 }
 
 // Result returns the cumulative result so far without advancing the
@@ -580,12 +607,13 @@ func (h *Harness) Run(d time.Duration) (Result, error) {
 func (h *Harness) Result() Result {
 	res := h.res
 	res.Duration = h.Clock.Elapsed()
+	p := h.Progress()
+	res.ViolationRate, res.TotalCost = p.ViolationRate, p.TotalCost
 	// Copy the accumulator maps and normalise the copies, leaving the
 	// harness accumulators intact for subsequent Run calls.
 	mu := make(map[flow.LayerKind]float64, len(h.res.MeanUtil))
 	vio := make(map[flow.LayerKind]int, len(h.res.Violations))
 	if res.Ticks > 0 {
-		res.ViolationRate = h.res.ViolationRate / float64(res.Ticks)
 		for k, v := range h.res.MeanUtil {
 			mu[k] = v / float64(res.Ticks)
 		}
@@ -599,7 +627,6 @@ func (h *Harness) Result() Result {
 	for kind, loop := range h.Loops {
 		res.Actions[kind] = loop.Actions()
 	}
-	res.TotalCost = h.Meter.Total()
 	res.PeakRunRate = h.Meter.PeakRunRate()
 	res.Offered = h.Generator.Offered()
 	res.Rejected = h.Generator.Rejected()

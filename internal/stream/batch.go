@@ -3,6 +3,8 @@ package stream
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 )
 
@@ -99,6 +101,9 @@ func (s *Stream) DrainCount(max int) int {
 // per-shard arrival weights: with keys drawn uniformly from the population,
 // the probability a record lands on a shard equals the fraction of the
 // population hashing into that shard's range.
+//
+// A KeyPopulation is immutable once built: no method writes to it, so one
+// instance may be shared by any number of streams and goroutines.
 type KeyPopulation struct {
 	hashes []uint64 // sorted
 }
@@ -113,14 +118,37 @@ func NewKeyPopulation(keys []string) *KeyPopulation {
 	return &KeyPopulation{hashes: h}
 }
 
-// UniformUserPopulation builds the population of the click-stream
-// generator's user IDs ("user-0" … "user-{n−1}").
+// uniformPops memoises UniformUserPopulation by size. The population is a
+// pure function of its size, and every flow of a fleet asks for the same
+// one on its first tick. Entries are never evicted: sizes come from code
+// (workload.GeneratorConfig.Users), not from request input, and one costs
+// 8 bytes per key.
+var uniformPops struct {
+	sync.Mutex
+	bySize map[int]*KeyPopulation
+}
+
+// UniformUserPopulation returns the population of the click-stream
+// generator's user IDs ("user-0" … "user-{n−1}"). There is one instance per
+// n in the process, built on first request and shared by every later
+// caller; concurrent first requests wait for the one build. It draws no
+// randomness, so sharing it cannot perturb any seeded stream.
 func UniformUserPopulation(n int) *KeyPopulation {
+	uniformPops.Lock()
+	defer uniformPops.Unlock()
+	if p, ok := uniformPops.bySize[n]; ok {
+		return p
+	}
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("user-%d", i)
+		keys[i] = "user-" + strconv.Itoa(i)
 	}
-	return NewKeyPopulation(keys)
+	p := NewKeyPopulation(keys)
+	if uniformPops.bySize == nil {
+		uniformPops.bySize = make(map[int]*KeyPopulation)
+	}
+	uniformPops.bySize[n] = p
+	return p
 }
 
 // Size reports the population size.

@@ -3,6 +3,8 @@ package stream
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -214,6 +216,60 @@ func TestKeyPopulationWeightsMatchPerRecordRouting(t *testing.T) {
 		if math.Abs(frac-w[i]) > 0.01 {
 			t.Errorf("shard %d: empirical %.4f vs weight %.4f", i, frac, w[i])
 		}
+	}
+}
+
+// TestUniformUserPopulationSharedAndEqualToPrivate: concurrent first
+// requests for one size — flows on different scheduler shards reaching
+// their first tick together — all get the same instance, and that instance
+// yields exactly the weights a privately built population does, over random
+// shard layouts including after a reshard. Run under -race this is also the
+// proof that sharing is read-only.
+func TestUniformUserPopulationSharedAndEqualToPrivate(t *testing.T) {
+	const users = 7321 // a size no other test requests: the build races here
+	keys := make([]string, users)
+	for i := range keys {
+		keys[i] = "user-" + itoa(i)
+	}
+	private := NewKeyPopulation(keys)
+
+	const workers = 8
+	got := make([]*KeyPopulation, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			pop := UniformUserPopulation(users)
+			got[g] = pop
+			for layout := 0; layout < 20; layout++ {
+				s, err := New("t", 1+rng.Intn(64), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for pass := 0; pass < 2; pass++ {
+					if w, want := pop.Weights(s.Shards()), private.Weights(s.Shards()); !reflect.DeepEqual(w, want) {
+						t.Errorf("worker %d, %d shards: shared weights %v, private %v", g, s.ShardCount(), w, want)
+						return
+					}
+					if err := s.UpdateShardCount(1 + rng.Intn(64)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < workers; g++ {
+		if got[g] != got[0] {
+			t.Fatalf("worker %d got population %p, worker 0 got %p: want one shared instance", g, got[g], got[0])
+		}
+	}
+	if got[0].Size() != users {
+		t.Fatalf("Size = %d, want %d", got[0].Size(), users)
 	}
 }
 

@@ -197,3 +197,68 @@ func TestViewZeroCopyWindow(t *testing.T) {
 		t.Fatalf("inverted window view len %d, want 0", got)
 	}
 }
+
+// TestGrownFromEmptyEqualsPresized: the capacity hint changes when a series
+// allocates, never what it holds. Under a random interleaving of appends
+// and retention drops, a series grown from New(0) and one given a hint
+// larger than it will ever need agree on every read: Columns, windowed
+// View, DropBefore's return, compaction work, and Resample.
+func TestGrownFromEmptyEqualsPresized(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		grown, sized := New(0), New(1<<13)
+		n := 1 + rng.Intn(4000)
+		now := columnarEpoch
+		for i := 0; i < n; i++ {
+			now = now.Add(time.Duration(rng.Intn(3)) * time.Second) // repeats allowed
+			v := rng.NormFloat64()
+			grown.MustAppend(now, v)
+			sized.MustAppend(now, v)
+			if rng.Intn(20) == 0 {
+				cut := now.Add(-time.Duration(rng.Intn(600)) * time.Second)
+				if a, b := grown.DropBefore(cut), sized.DropBefore(cut); a != b {
+					t.Fatalf("trial %d: DropBefore dropped %d grown vs %d presized", trial, a, b)
+				}
+			}
+			if i%257 != 0 && i != n-1 {
+				continue
+			}
+			gt, gv := grown.Columns()
+			st, sv := sized.Columns()
+			if !equalColumns(gt, gv, st, sv) {
+				t.Fatalf("trial %d after %d appends: Columns differ", trial, i+1)
+			}
+			from := now.Add(-time.Duration(rng.Intn(900)) * time.Second)
+			to := from.Add(time.Duration(rng.Intn(900)) * time.Second)
+			gw, sw := grown.View(from, to), sized.View(from, to)
+			gt, gv = gw.CopyColumns(nil, nil)
+			st, sv = sw.CopyColumns(nil, nil)
+			if !equalColumns(gt, gv, st, sv) {
+				t.Fatalf("trial %d after %d appends: View[%v,%v) differs", trial, i+1, from, to)
+			}
+		}
+		if a, b := CopiedPoints(grown), CopiedPoints(sized); a != b {
+			t.Fatalf("trial %d: compaction copied %d grown vs %d presized", trial, a, b)
+		}
+		for _, agg := range []Agg{AggMean, AggMax, AggCount, AggP90} {
+			gt, gv := grown.Resample(time.Minute, agg).Columns()
+			st, sv := sized.Resample(time.Minute, agg).Columns()
+			if !equalColumns(gt, gv, st, sv) {
+				t.Fatalf("trial %d: Resample(%v) differs", trial, agg)
+			}
+		}
+	}
+}
+
+// equalColumns compares two column pairs bit for bit (NaN equals NaN).
+func equalColumns(at []int64, av []float64, bt []int64, bv []float64) bool {
+	if len(at) != len(bt) || len(av) != len(bv) || len(at) != len(av) {
+		return false
+	}
+	for i := range at {
+		if at[i] != bt[i] || math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -9,6 +9,13 @@
 // retention pruning is an amortised-O(1) head drop instead of a copy of the
 // surviving points. Read paths that do not need an owned copy use View, a
 // zero-copy window over the columns.
+//
+// Columns grow on demand: a series holds no storage until its first Append
+// and then grows by append's amortised doubling, so an empty series costs
+// its header only. New's capacity hint is for callers that know the final
+// size (Resample, Materialize); it changes allocation count, never
+// contents. Because growth may move the columns, a View is valid only until
+// the next Append or DropBefore on its series.
 package timeseries
 
 import (
@@ -45,7 +52,8 @@ type Series struct {
 // short series are not shuffled for a handful of dropped points.
 const compactMin = 32
 
-// New returns an empty series with capacity hint n.
+// New returns an empty series with capacity hint n; New(0) allocates no
+// column storage.
 func New(n int) *Series {
 	return &Series{times: make([]int64, 0, n), vals: make([]float64, 0, n)}
 }
