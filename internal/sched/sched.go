@@ -39,6 +39,18 @@
 // workers per shard, independent of how many flows are paced or trials
 // queued — the property that lets one daemon pace thousands of flows.
 //
+// Each shard's timer loop sleeps on one deadline-driven clock. A job is
+// never released before its wheel-slot boundary, and every shard's
+// boundaries lie on one grid (epoch + k·WheelTick), so shards due in the
+// same quantum wake out of one epoll_wait return. On Linux the clock is a
+// timerfd read through the netpoller, so the loop learns of a boundary as
+// it passes; elsewhere it is a runtime timer, up to 1 ms late. The loop
+// sleeps through empty slots: an empty wheel costs nothing at rest, one
+// holding only a far deadline wakes once per revolution. Known limit: the
+// runtime polls the netpoller only from a P whose run queue is empty
+// (sysmon backstops at 10 ms), so with every P saturated an expiry can be
+// noticed later than a runtime timer would be; bounded catch-up covers it.
+//
 // Periodic jobs fire on a fixed-rate schedule with a bounded catch-up
 // policy: a job that falls behind wall time (slow callback, saturated
 // workers) is delivered the elapsed intervals in one batched call — capped
@@ -174,6 +186,7 @@ type ChunkFunc func() (done bool)
 // Scheduler is a sharded tick scheduler; construct with New.
 type Scheduler struct {
 	cfg       Config
+	epoch     time.Time // origin of the one grid (epoch + k·WheelTick) every shard's slot boundaries lie on
 	shards    []*shard
 	seed      maphash.Seed
 	rr        atomic.Uint64 // rotates the least-loaded scan's start shard
@@ -184,11 +197,17 @@ type Scheduler struct {
 
 // New starts a scheduler: Shards timer loops plus Shards × Workers worker
 // goroutines, all idle until work arrives. Close releases them.
-func New(cfg Config) *Scheduler {
+func New(cfg Config) *Scheduler { return newScheduler(cfg, newClock) }
+
+// newScheduler is New over a chosen shard clock (tests run both kinds).
+func newScheduler(cfg Config, newClock func() clock) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, seed: maphash.MakeSeed()}
+	s.epoch = time.Now() //flowervet:allow wallclock(the timing wheels track real time; sched is the wall-time executor)
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(s, i))
+		sh := newShard(s, i)
+		sh.clk = newClock()
+		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1 + cfg.Workers)
@@ -310,11 +329,8 @@ func (s *Scheduler) Close() {
 			sh.mu.Lock()
 			sh.closed = true
 			sh.cond.Broadcast()
+			sh.clk.arm(time.Time{}) // long past: wakes a loop asleep on any deadline
 			sh.mu.Unlock()
-			select {
-			case sh.timerWake <- struct{}{}:
-			default:
-			}
 		}
 		s.wg.Wait()
 		// All workers have exited; whatever is still queued will never

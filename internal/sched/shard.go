@@ -28,6 +28,9 @@ type job struct {
 	// the worker that just ran the job (under j.mu) and read by the wheel
 	// insert that re-arms it — a strict hand-off, never concurrent.
 	nextAt time.Time
+	// armedAt is the wheel-slot boundary the pending fire was armed for,
+	// which fire lag is measured from; handed off exactly as nextAt is.
+	armedAt time.Time
 }
 
 // batch is the unit the run queues hold and workers execute: one or more
@@ -84,17 +87,22 @@ type batchStats struct {
 	executed     uint64
 	lateRuns     uint64
 	skippedTicks uint64
-	latCounts    [numLatencyBuckets]uint64
-	latSum       time.Duration
-	latMax       time.Duration
+	run          latencyAcc // execution durations
+	fireLag      latencyAcc // periodic jobs: run start − armedAt
 }
 
-func (bs *batchStats) observe(d time.Duration) {
-	bs.executed++
-	bs.latCounts[latencyBucket(d)]++
-	bs.latSum += d
-	if d > bs.latMax {
-		bs.latMax = d
+// latencyAcc is a local distribution over latencyBounds (see Histogram.Merge).
+type latencyAcc struct {
+	counts [numLatencyBuckets]uint64
+	sum    time.Duration
+	max    time.Duration
+}
+
+func (a *latencyAcc) observe(d time.Duration) {
+	a.counts[latencyBucket(d)]++
+	a.sum += d
+	if d > a.max {
+		a.max = d
 	}
 }
 
@@ -136,12 +144,15 @@ type shard struct {
 	closed     bool
 
 	// Timer wheel, also guarded by mu. cur/curAt track the cursor slot and
-	// the wall time of its boundary; timers counts armed entries.
-	slots     [][]wheelEntry
-	cur       int
-	curAt     time.Time
-	timers    int
-	timerWake chan struct{} // pokes the timer loop after an insert / on close
+	// the wall time of its boundary, always on the scheduler's grid; timers
+	// counts armed entries. wakeAt is the instant clk is armed to wake the
+	// timer loop at (zero: nothing armed, the loop sleeps until an insert).
+	slots  [][]wheelEntry
+	cur    int
+	curAt  time.Time
+	timers int
+	clk    clock
+	wakeAt time.Time
 
 	// Stats, guarded by mu.
 	executed     [numClasses]uint64
@@ -161,8 +172,7 @@ func newShard(sc *Scheduler, idx int) *shard {
 		sc:         sc,
 		flowCredit: sc.cfg.FlowWeight,
 		slots:      make([][]wheelEntry, sc.cfg.WheelSlots),
-		curAt:      time.Now(), //flowervet:allow wallclock(the timing wheel cursor tracks real time; sched is the wall-time executor)
-		timerWake:  make(chan struct{}, 1),
+		curAt:      sc.epoch,
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	return sh
@@ -209,21 +219,33 @@ func (sh *shard) pushLocked(b *batch) {
 
 // insertTimerLocked arms a periodic job at j.nextAt; sh.mu must be held.
 // Due and past times land in the next slot: the wheel never fires early,
-// and a behind-schedule job fires on the next advance.
+// and a behind-schedule job fires on the next advance. The clock is
+// re-armed only when the cursor must reach the entry's slot sooner than the
+// loop is already due to wake.
 func (sh *shard) insertTimerLocked(j *job) {
-	tick := sh.sc.cfg.WheelTick
+	tick, n := sh.sc.cfg.WheelTick, len(sh.slots)
 	if sh.timers == 0 {
 		// The wheel was idle, so the cursor stopped tracking wall time;
-		// re-anchor it at now before placing the first entry.
-		sh.curAt = time.Now() //flowervet:allow wallclock(re-anchoring the wheel cursor is real-time pacing)
+		// re-anchor it at the grid boundary behind now before placing the
+		// first entry.
+		now := time.Now() //flowervet:allow wallclock(re-anchoring the wheel cursor is real-time pacing)
+		sh.curAt = now.Add(-(now.Sub(sh.sc.epoch) % tick))
 	}
 	offset := int((j.nextAt.Sub(sh.curAt) + tick - 1) / tick)
 	if offset < 1 {
 		offset = 1
 	}
-	slot := (sh.cur + offset) % len(sh.slots)
-	sh.slots[slot] = append(sh.slots[slot], wheelEntry{j: j, rounds: (offset - 1) / len(sh.slots)})
+	slot := (sh.cur + offset) % n
+	sh.slots[slot] = append(sh.slots[slot], wheelEntry{j: j, rounds: (offset - 1) / n})
 	sh.timers++
+	j.armedAt = sh.curAt.Add(time.Duration(offset) * tick)
+	// An entry with rounds to wait still needs the cursor at its slot once
+	// per revolution, to count them down.
+	wake := sh.curAt.Add(time.Duration((offset-1)%n+1) * tick)
+	if sh.wakeAt.IsZero() || wake.Before(sh.wakeAt) {
+		sh.wakeAt = wake
+		sh.clk.arm(wake)
+	}
 }
 
 // insertTimer arms one periodic job, reporting false on a closed shard.
@@ -235,28 +257,21 @@ func (sh *shard) insertTimer(j *job) bool {
 	}
 	sh.insertTimerLocked(j)
 	sh.mu.Unlock()
-	sh.wakeTimerLoop()
 	return true
 }
 
-func (sh *shard) wakeTimerLoop() {
-	select {
-	case sh.timerWake <- struct{}{}:
-	default:
-	}
-}
-
-// timerLoop advances the wheel: it sleeps to the next slot boundary while
-// timers are armed (and parks on timerWake when none are), draining each
-// advance's due entries into per-class run batches pushed in the same lock
-// acquisition the advance already holds — the fire path costs O(advances)
-// lock work, not O(fired jobs).
+// timerLoop advances the wheel, draining each advance's due entries into
+// per-class run batches pushed in the same lock acquisition the advance
+// already holds — the fire path costs O(advances) lock work, not O(fired
+// jobs). Between advances it sleeps on the shard clock to the boundary of
+// the next occupied slot — or, the wheel empty, until an insert arms the
+// clock; a boundary already past fires on the next turn. The package doc
+// states what that sleep guarantees.
 func (sh *shard) timerLoop() {
 	defer sh.sc.wg.Done()
+	defer sh.clk.close()
 	tick := sh.sc.cfg.WheelTick
 	maxBatch := sh.sc.cfg.MaxBatch
-	timer := time.NewTimer(time.Hour) //flowervet:allow wallclock(the timer loop is the wall-time heart of the scheduler)
-	timer.Stop()
 	for {
 		sh.mu.Lock()
 		if sh.closed {
@@ -308,26 +323,19 @@ func (sh *shard) timerLoop() {
 		} else if pushed > 1 {
 			sh.cond.Broadcast()
 		}
-		armed := sh.timers > 0
-		var wait time.Duration
-		if armed {
-			wait = time.Until(sh.curAt.Add(tick)) //flowervet:allow wallclock(timer arming against the next real-time wheel edge)
+		sh.wakeAt = time.Time{}
+		if sh.timers > 0 {
+			ahead := 1
+			for len(sh.slots[(sh.cur+ahead)%len(sh.slots)]) == 0 {
+				ahead++
+			}
+			sh.wakeAt = sh.curAt.Add(time.Duration(ahead) * tick)
+			sh.clk.arm(sh.wakeAt)
 		}
 		sh.mu.Unlock()
 
-		if !armed {
-			<-sh.timerWake
-			continue
-		}
-		if wait < 100*time.Microsecond {
-			wait = 100 * time.Microsecond
-		}
-		timer.Reset(wait)
-		select {
-		case <-timer.C:
-		case <-sh.timerWake:
-			timer.Stop()
-		}
+		sh.clk.wait()
+		telTimerWakeups.Inc()
 	}
 }
 
@@ -419,9 +427,6 @@ func (sh *shard) workerLoop() {
 		sh.putBatchLocked(b)
 		sh.mu.Unlock()
 
-		if len(br.rearm) > 0 {
-			sh.wakeTimerLoop()
-		}
 		sh.flushTelemetry(class, &br.stats, size)
 		for _, j := range br.requeue {
 			// Chunked jobs re-queue through the least-loaded scan so long
@@ -461,6 +466,7 @@ func (sh *shard) runBatch(b *batch, br *batchRun) {
 		j.running = true
 		n := 0
 		if j.periodic {
+			br.stats.fireLag.observe(prev.Sub(j.armedAt))
 			// Fixed-rate catch-up, bounded: deliver every interval owed since
 			// nextAt in this one call, but never more than MaxCatchUp — the
 			// excess is dropped (and counted), so overload degrades the tick
@@ -491,7 +497,8 @@ func (sh *shard) runBatch(b *batch, br *batchRun) {
 			done = j.run()
 		}
 		now := time.Now() //flowervet:allow wallclock(per-class tick-duration histograms measure real execution cost)
-		br.stats.observe(now.Sub(prev))
+		br.stats.executed++
+		br.stats.run.observe(now.Sub(prev))
 		prev = now
 
 		j.mu.Lock()
@@ -531,11 +538,11 @@ func (sh *shard) flushStatsLocked(c Class, bs *batchStats, size int) {
 	sh.executed[c] += bs.executed
 	sh.lateRuns += bs.lateRuns
 	sh.skippedTicks += bs.skippedTicks
-	sh.latSum += bs.latSum
-	if bs.latMax > sh.latMax {
-		sh.latMax = bs.latMax
+	sh.latSum += bs.run.sum
+	if bs.run.max > sh.latMax {
+		sh.latMax = bs.run.max
 	}
-	for i, n := range bs.latCounts {
+	for i, n := range bs.run.counts {
 		sh.latCounts[i] += n
 	}
 	sh.batches++
@@ -550,7 +557,8 @@ func (sh *shard) flushStatsLocked(c Class, bs *batchStats, size int) {
 func (sh *shard) flushTelemetry(c Class, bs *batchStats, size int) {
 	if bs.executed > 0 {
 		telExecutedByClass[c].Add(bs.executed)
-		telRunSecondsByClass[c].Merge(bs.latCounts[:], bs.latSum, bs.latMax)
+		telRunSecondsByClass[c].Merge(bs.run.counts[:], bs.run.sum, bs.run.max)
+		telFireLagByClass[c].Merge(bs.fireLag.counts[:], bs.fireLag.sum, bs.fireLag.max)
 	}
 	if bs.lateRuns > 0 {
 		telLateRuns.Add(bs.lateRuns)

@@ -26,6 +26,13 @@ var (
 		"Run latency of executed jobs, by class.", latencyBounds[:], "class")
 	telRunSecondsByClass [numClasses]*telemetry.Histogram
 
+	telTimerWakeups = telemetry.Default().Counter("flower_sched_timer_wakeups_total",
+		"Returns of a shard's timer loop from its clock sleep: wheel advances plus early re-arms.")
+
+	telFireLag = telemetry.Default().HistogramVec("flower_sched_fire_lag_seconds",
+		"Periodic run start minus the wheel-slot boundary the fire was armed for, by class.", latencyBounds[:], "class")
+	telFireLagByClass [numClasses]*telemetry.Histogram
+
 	telBatches = telemetry.Default().CounterVec("flower_sched_batches_total",
 		"Run batches executed, by class.", "class")
 	telBatchesByClass [numClasses]*telemetry.Counter
@@ -54,6 +61,7 @@ func init() {
 	for c := Class(0); c < numClasses; c++ {
 		telExecutedByClass[c] = telExecuted.With(c.String())
 		telRunSecondsByClass[c] = telRunSeconds.With(c.String())
+		telFireLagByClass[c] = telFireLag.With(c.String())
 		telBatchesByClass[c] = telBatches.With(c.String())
 		telBatchJobsByClass[c] = telBatchJobs.With(c.String())
 	}
