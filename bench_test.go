@@ -1,7 +1,8 @@
 // Repository-level benchmarks: one per paper artefact (see DESIGN.md §4
-// and EXPERIMENTS.md), each delegating to internal/exper so that
-// `go test -bench` and cmd/flowerbench print the same numbers, plus
-// micro-benchmarks of the hot paths.
+// and EXPERIMENTS.md), each delegating to internal/exper, plus
+// micro-benchmarks of the simulation's hot paths. cmd/flowerbench farms
+// out the same package's Scenario Lab grids; latency, throughput and CPU
+// of the running daemon are measured by cmd/e2ebench, not here.
 //
 // The experiment benchmarks report domain metrics (correlation, settling
 // minutes, saving percentages) via b.ReportMetric; wall-clock ns/op is the

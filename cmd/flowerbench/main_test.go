@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// TestReportSuitesNeverNull pins the report's JSON shape: suites and
-// suites_run marshal as arrays even when no lab suite ran — a
-// measurement-only invocation (-suite perf,obs) used to emit
-// "suites": null, which broke consumers that range over the list.
+// TestReportSuitesNeverNull pins the report's JSON shape: suites marshal
+// as an array even when no suite ran (an empty -suite selection), never
+// as null, which broke consumers that range over the list.
 func TestReportSuitesNeverNull(t *testing.T) {
 	var rep report
-	rep.finalize(nil)
+	rep.finalize()
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -23,38 +22,5 @@ func TestReportSuitesNeverNull(t *testing.T) {
 	}
 	if !strings.Contains(s, `"suites":[]`) {
 		t.Fatalf("empty suites not marshalled as []: %s", s)
-	}
-	if !strings.Contains(s, `"suites_run":[]`) {
-		t.Fatalf("empty suites_run not marshalled as []: %s", s)
-	}
-}
-
-// TestReportRecordsSuitesRun asserts the suites-run list round-trips in
-// execution order and that existing suite rows survive finalize.
-func TestReportRecordsSuitesRun(t *testing.T) {
-	rep := report{Suites: []suiteReport{{Name: "controllers"}}}
-	rep.finalize([]string{"controllers", "sched", "obs"})
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		SuitesRun []string      `json:"suites_run"`
-		Suites    []suiteReport `json:"suites"`
-	}
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"controllers", "sched", "obs"}
-	if len(got.SuitesRun) != len(want) {
-		t.Fatalf("suites_run = %v, want %v", got.SuitesRun, want)
-	}
-	for i := range want {
-		if got.SuitesRun[i] != want[i] {
-			t.Fatalf("suites_run = %v, want %v", got.SuitesRun, want)
-		}
-	}
-	if len(got.Suites) != 1 || got.Suites[0].Name != "controllers" {
-		t.Fatalf("suites lost through finalize: %v", got.Suites)
 	}
 }

@@ -40,7 +40,7 @@
 // cross-trial aggregates — best/worst, baseline deltas, and the Pareto
 // front over (cost, violation rate). The lab is also served remotely at
 // /v1/experiments (see API.md), driven by `flowctl experiments`, and
-// powers cmd/flowerbench's benchmark farm.
+// powers cmd/flowerbench, which farms out the paper-experiment grids.
 //
 // Lab quickstart — compare two monitoring windows across two workload
 // patterns, eight simulated hours each, all cores busy:
@@ -93,12 +93,9 @@
 // batch-shape counters, run-latency histograms — at
 // GET /v1/scheduler, `flowctl sched`, and Scheduler.Stats. Size it with
 // flowerd's -sched-shards/-sched-workers; shards × workers is the one
-// capacity knob of the whole server. The `flowerbench -suite sched`
-// benchmark pair records advances/sec and goroutine count against the
-// retired goroutine-per-flow pacing design in BENCH_REPORT.json, and
-// its scale grid registers 100k paced jobs (the -sched-flows axis) with
-// recorded setup-time and delivered-tick-fidelity thresholds that fail
-// the run when missed.
+// capacity knob of the whole server. sched.TestHerdHoldsSchedule holds a
+// 50k-job thundering herd to a bounded setup and ≥ 90% delivered-tick
+// fidelity; cmd/e2ebench measures tick lag and CPU in a running flowerd.
 //
 // # Metric pipeline
 //
@@ -114,8 +111,9 @@
 // Put/GetStatistics calls remain as compatibility wrappers for callers
 // whose metric identity is per-request (HTTP queries).
 // See API.md ("Metric store: handle-based hot path") for the performance
-// model, and internal/perfbench — or `flowerbench -suite perf` — for the
-// measured speedups versus the pre-rebuild implementation.
+// model. TestColumnarStoreMatchesLegacyRandomised holds the store
+// bit-for-bit to the pre-rebuild implementation, kept as a test oracle,
+// and cmd/e2ebench measures the read and write paths end to end.
 //
 // # Read plane
 //
@@ -130,9 +128,8 @@
 // blocks the simulation tick). Bulk series reads go through
 // POST /v1/metrics:batchQuery: many (flow, metric, window, resample)
 // selectors per request, answered as columnar ts/vs arrays serialized
-// straight from the store — the SDK's BatchQueryMetrics fetches 16 series
-// with several-fold fewer bytes and allocations than 16 per-point
-// queries (see BENCH_REPORT.json's batch_query_x16). The SDK's
+// straight from the store — the SDK's BatchQueryMetrics fetches many
+// series in one round trip instead of one per-point query each. The SDK's
 // WatchFlow/WatchExperiment/Watch iterators reconnect and resume on
 // their own, WaitExperiment waits on a watch stream with zero
 // steady-state polls (falling back to polling on pre-watch servers), and
@@ -158,17 +155,16 @@
 // and the single-metric route are now sugar over the same executor, so
 // every read surface agrees bucket for bucket. The SDK exposes
 // Query/QueryPlan/QueryExplain, `flowctl query` renders the tables, and
-// `flowerbench -suite query` holds the bar: the engine must beat the
-// frozen materialize-everything evaluator on bytes and allocations for
-// the 16-series join+aggregate query while staying bit-for-bit
-// identical to it. See API.md ("Query plane").
+// query.TestQueryEngineMatchesNaive holds the engine bit-for-bit to a
+// frozen materialize-everything evaluator on a 16-series scan and
+// join+aggregate query. See API.md ("Query plane").
 //
 // # Self-telemetry
 //
 // The plane watches itself with a zero-dependency metrics registry
 // (internal/telemetry): atomic counters, gauges and fixed-bucket latency
 // histograms, labeled families, allocation-free on the write path — the
-// budgets are asserted by `flowerbench -suite obs` in CI. Every layer is
+// budgets are testing.AllocsPerRun tests beside the code. Every layer is
 // instrumented (HTTP middleware, scheduler, event bus, metric store,
 // registry, lab, persistence), and GET /v1/telemetry serves the snapshot
 // as JSON or, via Accept/?format negotiation, as the Prometheus text
@@ -214,7 +210,7 @@
 // (per-tick packages must use build-time metric handles — no map-keyed
 // store wrappers, no handle resolution or MetricID construction in
 // loops), wallclock (time.Now/Sleep/timers are banned outside simtime,
-// perfbench, telemetry, commands, examples and tests — the simulation is
+// telemetry, commands, examples and tests — the simulation is
 // single-clocked and wall time belongs to the packages that measure it),
 // stopleak (every created Scheduler, Ticket,
 // Subscription, lab Engine, Registry or persist WAL handle must reach

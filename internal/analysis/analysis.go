@@ -26,7 +26,7 @@
 //     Latest/Raw) nor resolve handles or build metric identities inside
 //     loops — Handle/Lookup at build time only.
 //   - wallclock: bans time.Now/Sleep/After/Since/... outside simtime,
-//     perfbench, cmd/*, examples/* and test files — scheduler-driven code
+//     telemetry, cmd/*, examples/* and test files — scheduler-driven code
 //     takes time from the virtual clock or its tick callback.
 //   - stopleak: a created Scheduler, periodic Ticket, event-bus
 //     Subscription, lab Engine or flow Registry must have its

@@ -1,5 +1,5 @@
 // Package wallclockbad is flowervet testdata: wall-clock reads in a
-// package that is neither simtime, perfbench, cmd/* nor examples/*.
+// package that is neither simtime, telemetry, cmd/* nor examples/*.
 package wallclockbad
 
 import "time"

@@ -19,7 +19,7 @@ func newWallClock() *wallClock { return &wallClock{} }
 func (*wallClock) Name() string { return "wallclock" }
 
 func (*wallClock) Doc() string {
-	return "bans time.Now/Sleep/After/Since/... outside simtime, perfbench, telemetry, cmd/* and examples/* — scheduler-driven code takes time from the virtual clock or its tick callback"
+	return "bans time.Now/Sleep/After/Since/... outside simtime, telemetry, cmd/* and examples/* — scheduler-driven code takes time from the virtual clock or its tick callback"
 }
 
 // wallClockBanned is the set of time-package functions that read or
@@ -33,14 +33,13 @@ var wallClockBanned = map[string]bool{
 
 // wallClockExempt lists the package paths that legitimately own wall
 // time: the virtual clock itself (whose Epoch doc explains why it is NOT
-// time.Now), the wall-clock benchmark harness, the telemetry plane
-// (which exists to measure real durations and hands them out via
-// telemetry.Now/SinceNanos), and process entry points. The suffix match
-// covers telemetry's golden-testdata mirror, which loads under a
-// testdata-prefixed import path.
+// time.Now), the telemetry plane (which exists to measure real durations
+// and hands them out via telemetry.Now/SinceNanos), and process entry
+// points. The suffix match covers telemetry's golden-testdata mirror,
+// which loads under a testdata-prefixed import path.
 func wallClockExempt(path string) bool {
 	switch path {
-	case "repro/internal/simtime", "repro/internal/perfbench", "repro/internal/telemetry":
+	case "repro/internal/simtime", "repro/internal/telemetry":
 		return true
 	}
 	if strings.HasSuffix(path, "/internal/telemetry") {
@@ -71,7 +70,7 @@ func (a *wallClock) Run(p *Pass) {
 			if !ok || pn.Imported().Path() != "time" {
 				return true
 			}
-			p.Reportf(call.Pos(), "time.%s outside simtime/perfbench/cmd — scheduler-driven code must take time from the virtual clock or its tick callback (or state why wall time is wanted: //flowervet:allow wallclock(reason))", sel.Sel.Name)
+			p.Reportf(call.Pos(), "time.%s outside simtime/telemetry/cmd — scheduler-driven code must take time from the virtual clock or its tick callback (or state why wall time is wanted: //flowervet:allow wallclock(reason))", sel.Sel.Name)
 			return true
 		})
 	}

@@ -1,9 +1,10 @@
 // Package exper implements the experiment harness: one function per paper
 // artefact (figure, equation, or quantitative claim), each running the
 // full simulated flow and returning a structured result with a formatted
-// table matching what the paper reports. cmd/flowerbench and the
-// repository-level benchmarks both call into this package, so the printed
-// rows and the benchmark metrics always agree.
+// table matching what the paper reports. The repository-level benchmarks
+// call these functions, so the printed rows and the benchmark metrics
+// always agree; cmd/flowerbench farms out the Scenario Lab grids in
+// lab.go.
 //
 // The experiment index lives in DESIGN.md §4; paper-vs-measured numbers
 // are recorded in EXPERIMENTS.md.

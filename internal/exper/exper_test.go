@@ -9,9 +9,8 @@ import (
 )
 
 // The long-running experiments (Fig2, Eq2, Controllers, CostSaving,
-// RuleVsAdaptive) are exercised by the repository benchmarks and by
-// cmd/flowerbench; the unit tests here cover the fast experiments and the
-// shared plumbing.
+// RuleVsAdaptive) are exercised by the repository benchmarks; the unit
+// tests here cover the fast experiments and the shared plumbing.
 
 func TestFig4FindsThePaperFront(t *testing.T) {
 	r, err := Fig4(42)

@@ -13,8 +13,8 @@ import (
 // Canonical Scenario Lab experiment grids: the studies the repository
 // used to run as hand-written serial loops (examples/controllers,
 // examples/pareto, the exper sweeps), expressed as declarative lab.Spec
-// grids so cmd/flowerbench, the examples and any API caller can fan
-// them out over the worker pool.
+// grids so cmd/flowerbench (whose five suites are exactly these grids),
+// the examples and any API caller can fan them out over the worker pool.
 
 // shootoutController builds one controller type's per-layer specs, with
 // gains scaled to each layer's allocation magnitude (the storage layer

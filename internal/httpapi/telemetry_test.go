@@ -4,6 +4,8 @@ import (
 	"compress/gzip"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,40 @@ func telFind(t *testing.T, tel apiv1.Telemetry, name string) *apiv1.MetricFamily
 	return nil
 }
 
+// catalogFamilies reads the backticked family names out of the table
+// under "The metric catalog" in API.md.
+func catalogFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile("../../API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "The metric catalog")
+	if !ok {
+		t.Fatal(`API.md has no "The metric catalog" section`)
+	}
+	names := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(rest, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		for _, m := range catalogName.FindAllStringSubmatch(line, -1) {
+			names[m[1]] = true
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("API.md's metric catalog lists no families")
+	}
+	return names
+}
+
+var catalogName = regexp.MustCompile("`(flower_[a-z0-9_]+)`")
+
 func TestTelemetryJSON(t *testing.T) {
 	s, _ := newTestServer(t)
 	// Generate some traffic first so the HTTP families have data.
@@ -39,18 +75,21 @@ func TestTelemetryJSON(t *testing.T) {
 	if tel.At.IsZero() {
 		t.Error("snapshot At is zero")
 	}
-	// One family from every instrumented layer must be present.
-	for _, name := range []string{
-		"flower_http_requests_total",
-		"flower_http_request_seconds",
-		"flower_sched_executed_total",
-		"flower_eventbus_publishes_total",
-		"flower_store_appends_total",
-		"flower_registry_advances_total",
-		"flower_process_goroutines",
-	} {
-		if telFind(t, tel, name) == nil {
-			t.Errorf("family %s missing", name)
+	// This test binary links every instrumented package, so the scrape
+	// must serve exactly the families API.md's catalog documents.
+	served := map[string]bool{}
+	for _, f := range tel.Families {
+		served[f.Name] = true
+	}
+	documented := catalogFamilies(t)
+	for name := range served {
+		if !documented[name] {
+			t.Errorf("family %s is served but missing from API.md's metric catalog", name)
+		}
+	}
+	for name := range documented {
+		if !served[name] {
+			t.Errorf("family %s is in API.md's metric catalog but not served", name)
 		}
 	}
 	// The requests family is labeled and must carry the routes we hit.

@@ -16,8 +16,8 @@
 //
 // The subsystem is exposed end to end: /v1/experiments in
 // internal/httpapi, wire types in api/v1, methods in repro/client, the
-// `flowctl experiments` subcommand, and cmd/flowerbench's benchmark
-// farm.
+// `flowctl experiments` subcommand, and cmd/flowerbench, which farms
+// out internal/exper's paper-experiment grids.
 package lab
 
 import (

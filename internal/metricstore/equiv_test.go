@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"repro/internal/metricstore"
-	"repro/internal/perfbench"
 	"repro/internal/simtime"
 	"repro/internal/timeseries"
 )
 
 // The equivalence property: the columnar, handle-based store answers every
 // query bit-for-bit identically to the frozen pre-rebuild implementation
-// (perfbench.LegacyStore), on randomised workloads, through both the
+// (legacyStore, legacy_test.go), on randomised workloads, through both the
 // compatibility wrappers and the handle API, with and without retention.
 
 // equivMetric is one randomly generated metric identity.
@@ -46,7 +45,7 @@ func genMetrics(rng *rand.Rand) []equivMetric {
 // driveBoth feeds an identical randomised workload into both stores,
 // appending through Put on the legacy side and through a mix of Put and
 // Handle.Append on the new side.
-func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *perfbench.LegacyStore, metrics []equivMetric, points int) time.Time {
+func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, metrics []equivMetric, points int) time.Time {
 	t.Helper()
 	now := simtime.Epoch
 	handles := make([]*metricstore.Handle, len(metrics))
@@ -78,7 +77,7 @@ func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *perf
 
 // assertSeriesEqual requires the new series to match the legacy one
 // bit-for-bit in timestamps and values.
-func assertSeriesEqual(t *testing.T, tag string, got *timeseries.Series, want *perfbench.LegacySeries) {
+func assertSeriesEqual(t *testing.T, tag string, got *timeseries.Series, want *legacySeries) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: len %d != legacy %d", tag, got.Len(), want.Len())
@@ -107,7 +106,7 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := metricstore.NewStore()
-			legacy := perfbench.NewLegacyStore()
+			legacy := newLegacyStore()
 			if seed%2 == 1 {
 				// Half the seeds prune: retention must not change answers
 				// inside the retained window relative to the same-pruned
@@ -135,7 +134,7 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 				stat := statsList()[rng.Intn(8)]
 				tag := fmt.Sprintf("q%d %s/%s period=%v stat=%v", qi, m.ns, m.name, period, stat)
 
-				want, wantErr := legacy.GetStatistics(perfbench.LegacyQuery{
+				want, wantErr := legacy.GetStatistics(legacyQuery{
 					Namespace: m.ns, Name: m.name, Dimensions: m.dims,
 					From: from, To: to, Period: period, Stat: stat,
 				})
@@ -164,7 +163,7 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 				// statistic over the legacy window copy.
 				if period == 0 {
 					gotV, gotN := h.Stat(from, to, stat)
-					wantV, wantN, err := legacy.WindowStat(perfbench.LegacyQuery{
+					wantV, wantN, err := legacy.WindowStat(legacyQuery{
 						Namespace: m.ns, Name: m.name, Dimensions: m.dims,
 						From: from, To: to, Stat: stat,
 					})

@@ -122,6 +122,29 @@ func TestRetention(t *testing.T) {
 	}
 }
 
+// TestHandleAppendSteadyStateAllocs pins the hot write at zero
+// allocations: a series warmed past its growth phase under a 10-minute
+// retention window, so every append is lock + column write + retention
+// drop + telemetry. Query-plane reads share the entry lock with this
+// path, so the budget also guards against read-side changes pushing
+// allocations into the writer.
+func TestHandleAppendSteadyStateAllocs(t *testing.T) {
+	s := NewStore()
+	s.SetRetention(10 * time.Minute)
+	h := s.MustHandle("Ingestion/Stream", "IncomingRecords", dims("StreamName", "bench", "Shard", "s-01"))
+	i := 0
+	appendNext := func() {
+		h.MustAppend(t0.Add(time.Duration(i)*time.Second), float64(i))
+		i++
+	}
+	for i < 2048 { // > retention at 1 Hz: pruning is in steady state
+		appendNext()
+	}
+	if allocs := testing.AllocsPerRun(1000, appendNext); allocs != 0 {
+		t.Fatalf("steady-state Handle.Append allocated %.1f/op, want 0", allocs)
+	}
+}
+
 func TestListMetricsAndNamespaces(t *testing.T) {
 	s := NewStore()
 	s.MustPut("B", "m2", nil, t0, 1)

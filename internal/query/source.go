@@ -48,32 +48,3 @@ func (s registrySource) WithFlow(id string, fn func(store *metricstore.Store, no
 	})
 	return true
 }
-
-// StaticFlow is one fixed flow of a StaticSource.
-type StaticFlow struct {
-	Store *metricstore.Store
-	Now   time.Time
-}
-
-// StaticSource serves fixed stores without a registry — the Source used
-// by the engine's tests and the flowerbench query suite, where the data
-// is built once and no pacers run.
-type StaticSource map[string]StaticFlow
-
-func (s StaticSource) FlowIDs() []string {
-	ids := make([]string, 0, len(s))
-	for id := range s {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-func (s StaticSource) WithFlow(id string, fn func(store *metricstore.Store, now time.Time)) bool {
-	f, ok := s[id]
-	if !ok {
-		return false
-	}
-	fn(f.Store, f.Now)
-	return true
-}

@@ -210,3 +210,53 @@ func TestSkewedDurationsHoldSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestHerdHoldsSchedule is the thundering-herd guard: 50k periodic 1 s
+// jobs registered in one burst must register within a bounded setup time,
+// and from the moment the burst ends the plane must deliver at least 90%
+// of the tick rate their schedules demand. A scheduler that melts under
+// simultaneous arrivals, or piles the herd into one wheel slot, fails.
+func TestHerdHoldsSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock herd; skipped in -short")
+	}
+	const (
+		jobs     = 50000
+		interval = time.Second
+		window   = 2 * time.Second
+		maxSetup = time.Second
+	)
+	s := New(Config{})
+	defer s.Close()
+	var ticks atomic.Uint64
+	tick := func(n int) error { ticks.Add(uint64(n)); return nil }
+
+	start := time.Now()
+	tks := make([]*Ticket, jobs)
+	for i := range tks {
+		tk, err := s.Periodic(fmt.Sprintf("herd-%05d", i), ClassFlow, interval, tick, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks[i] = tk
+	}
+	setup := time.Since(start)
+
+	before, at := ticks.Load(), time.Now()
+	time.Sleep(window)
+	delivered, elapsed := ticks.Load()-before, time.Since(at)
+	for _, tk := range tks {
+		tk.Stop()
+	}
+
+	demanded := float64(jobs) * elapsed.Seconds() / interval.Seconds()
+	fidelity := float64(delivered) / demanded
+	t.Logf("%d jobs: setup %v, delivered %d of %.0f demanded intervals (fidelity %.3f)",
+		jobs, setup, delivered, demanded, fidelity)
+	if setup > maxSetup {
+		t.Errorf("registering %d jobs took %v, bound %v", jobs, setup, maxSetup)
+	}
+	if fidelity < 0.9 {
+		t.Errorf("fidelity %.3f after the herd, want >= 0.9", fidelity)
+	}
+}

@@ -375,6 +375,47 @@ func TestManyPeriodicJobsRace(t *testing.T) {
 	}
 }
 
+// TestDrainLoopSteadyStateAllocs pins one traversal of the worker drain
+// loop — pop batch → execute → flush stats → re-queue — at zero
+// allocations, driven by a chunked job that hands control back every
+// chunk. The loop runs once per batch for every paced flow in the
+// process, so even one allocation per execution would put the garbage
+// collector on the hot path.
+func TestDrainLoopSteadyStateAllocs(t *testing.T) {
+	s := New(Config{Shards: 1, Workers: 1})
+	defer s.Close()
+	ch := make(chan struct{})
+	tk, err := s.Submit("drain-hot", ClassBatch, func() bool {
+		ch <- struct{}{}
+		return false
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the freelists past their growth phase before measuring.
+	for i := 0; i < 64; i++ {
+		<-ch
+	}
+	allocs := testing.AllocsPerRun(1000, func() { <-ch })
+	// The job is mid-send when measuring stops: keep draining until Stop
+	// has seen the in-flight chunk return.
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-ch:
+			case <-done:
+				return
+			}
+		}
+	}()
+	tk.Stop()
+	close(done)
+	if allocs != 0 {
+		t.Fatalf("drain loop allocated %.1f/op at steady state, want 0", allocs)
+	}
+}
+
 // TestCloseSettlesAbandonedChunkedJobs: a Close landing while chunked
 // jobs are mid-flight (between chunks) or still queued must invoke each
 // job's onStop with ErrClosed exactly once, so submitters (the lab's

@@ -45,15 +45,34 @@ func TestVecInternsChildren(t *testing.T) {
 	}
 }
 
-func TestVecSteadyStateAllocs(t *testing.T) {
+// TestHotPathAllocs pins the instruments at zero allocations per
+// operation. The write side rides inside Handle.Append, scheduler ticks
+// and the HTTP middleware; the read side backs every scrape.
+func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("c", "", "a", "b")
-	v.With("x", "y") // intern
-	allocs := testing.AllocsPerRun(100, func() {
-		v.With("x", "y").Inc()
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state With allocated %.1f/op, want 0", allocs)
+	c := r.Counter("c_total", "")
+	v := r.CounterVec("v_total", "", "route", "method", "code")
+	v.With("/v1/flows/{id}/metrics", "GET", "200") // intern: steady state is a read-locked map hit
+	h := r.Histogram("h_seconds", "", nil)
+	tr := NewTracer()
+	tr.SetEvery(1 << 30) // the common case every flow advance pays: not sampled
+	var sink uint64
+	var i int
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"counter_inc", func() { c.Inc() }},
+		{"counter_read", func() { sink += c.Value() }},
+		{"vec_with_inc", func() { v.With("/v1/flows/{id}/metrics", "GET", "200").Inc() }},
+		{"histogram_observe", func() { i++; h.Observe(time.Duration(i%1000) * time.Microsecond) }},
+		{"tracer_begin_unsampled", func() { tr.Abandon(tr.Begin("f")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+				t.Errorf("%.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 
