@@ -11,7 +11,8 @@ package apiv1
 // BatchQuerySelector names one aggregated series of one flow. Window and
 // Period are Go duration strings with the same defaults as
 // GET /v1/flows/{id}/metrics/query (30m window, 1m period); Stat accepts
-// the same CloudWatch-flavoured statistic names (empty: avg). A zero
+// the same CloudWatch-flavoured statistic names in any letter case (empty:
+// avg). A zero
 // ("0s") Period selects the raw datapoints of the window, unresampled.
 type BatchQuerySelector struct {
 	Flow       string            `json:"flow"`

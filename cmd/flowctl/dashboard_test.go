@@ -68,7 +68,7 @@ func TestDashboardReplayTornTail(t *testing.T) {
 	w.LogMetrics(store)
 	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
-		store.MustPut("Ingestion/Stream", "IncomingRecords", nil, at.Add(time.Duration(i)*time.Minute), float64(100*i))
+		storePut(store, "Ingestion/Stream", "IncomingRecords", nil, at.Add(time.Duration(i)*time.Minute), float64(100*i))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -107,9 +107,11 @@
 // time and then append or aggregate through it allocation-free, under a
 // per-metric lock. Windowed statistics are answered by binary search plus
 // a single streaming pass over a zero-copy view; retention pruning is an
-// amortised head drop, never a copy of the surviving points. The map-keyed
-// Put/GetStatistics calls remain as compatibility wrappers for callers
-// whose metric identity is per-request (HTTP queries).
+// amortised head drop, never a copy of the surviving points. Callers whose
+// metric identity is per-request (HTTP queries, alarms) resolve with
+// Store.Lookup and read through the same handle. Every period statistic,
+// whether its buckets start at the epoch or at the window's first point,
+// is one bucket walker over zero-copy sub-views.
 // See API.md ("Metric store: handle-based hot path") for the performance
 // model. TestColumnarStoreMatchesLegacyRandomised holds the store
 // bit-for-bit to the pre-rebuild implementation, kept as a test oracle,
@@ -207,9 +209,8 @@
 // driver plus go/parser and go/types — no dependencies) with five
 // analyzers: lockorder (the whole-program acquired-while-held lock
 // graph must stay acyclic and respect the documented orders), hotpath
-// (per-tick packages must use build-time metric handles — no map-keyed
-// store wrappers, no handle resolution or MetricID construction in
-// loops), wallclock (time.Now/Sleep/timers are banned outside simtime,
+// (per-tick packages must use build-time metric handles — no handle
+// resolution or MetricID construction in loops), wallclock (time.Now/Sleep/timers are banned outside simtime,
 // telemetry, commands, examples and tests — the simulation is
 // single-clocked and wall time belongs to the packages that measure it),
 // stopleak (every created Scheduler, Ticket,

@@ -21,10 +21,9 @@
 //     order — metricstore store-lock before entry-lock, registry pacerMu
 //     before the flow lock, and never a registry lock while holding a
 //     scheduler shard or job lock.
-//   - hotpath: packages on the per-tick path may not call the map-keyed
-//     metricstore compatibility wrappers (Put/MustPut/GetStatistics/
-//     Latest/Raw) nor resolve handles or build metric identities inside
-//     loops — Handle/Lookup at build time only.
+//   - hotpath: packages on the per-tick path may not resolve metric
+//     handles or build metric identities inside loops — Handle/Lookup at
+//     build time only.
 //   - wallclock: bans time.Now/Sleep/After/Since/... outside simtime,
 //     telemetry, cmd/*, examples/* and test files — scheduler-driven code
 //     takes time from the virtual clock or its tick callback.

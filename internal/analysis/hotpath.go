@@ -5,14 +5,13 @@ import (
 	"go/types"
 )
 
-// hotPath enforces the metric plane's two-tier API split on the packages
-// that publish or read metrics every simulation tick. The handle tier
-// (Store.Handle/Lookup once at build time, Handle.Append/Stat/... per
-// tick) is allocation-free; the map-keyed compatibility wrappers rebuild
-// the canonical key from the dimension map on every call. One wrapper
-// call inside a tick is invisible in tests and a steady allocation+lock
-// tax at a million flows — the exact hot/cold separation Polynesia
-// argues must be enforced, not hoped for.
+// hotPath keeps metric resolution out of the loops of the packages that
+// publish or read metrics every simulation tick. Handle operations
+// (Handle.Append/Stat/... per tick) are allocation-free; resolving one
+// (Store.Handle/Lookup) rebuilds the canonical key from the dimension map
+// and takes the store lock. One resolution per iteration is invisible in
+// tests and a steady allocation+lock tax at a million flows — the hot/cold
+// separation Polynesia argues must be enforced, not hoped for.
 type hotPath struct{}
 
 func newHotPath() *hotPath { return &hotPath{} }
@@ -20,14 +19,14 @@ func newHotPath() *hotPath { return &hotPath{} }
 func (*hotPath) Name() string { return "hotpath" }
 
 func (*hotPath) Doc() string {
-	return "per-tick packages may not call map-keyed metricstore wrappers nor resolve handles / build MetricIDs inside loops — Handle/Lookup at build time only"
+	return "per-tick packages may not resolve metric handles or build MetricIDs inside loops — Handle/Lookup at build time only"
 }
 
 // hotPathPackages are the packages on the per-tick path: every simulated
 // platform publisher plus the control loop and the simulation harness
 // that drives them — and the query engine, whose executor runs under
-// entry locks while pacers append, so per-row resolution or map-keyed
-// reads there would stall every writer.
+// entry locks while pacers append, so per-row resolution there would
+// stall every writer.
 var hotPathPackages = map[string]bool{
 	"repro/internal/stream":   true,
 	"repro/internal/compute":  true,
@@ -37,13 +36,6 @@ var hotPathPackages = map[string]bool{
 	"repro/internal/control":  true,
 	"repro/internal/sim":      true,
 	"repro/internal/query":    true,
-}
-
-// storeWrappers are the map-keyed compatibility methods of
-// metricstore.Store, banned on the hot path outright.
-var storeWrappers = map[string]bool{
-	"Put": true, "MustPut": true, "GetStatistics": true,
-	"Latest": true, "Raw": true,
 }
 
 // storeResolvers intern a metric identity; legal on the hot path only
@@ -104,19 +96,11 @@ func (a *hotPath) checkCall(p *Pass, call *ast.CallExpr, loopDepth int) {
 		return
 	}
 	name := sel.Sel.Name
-	if !storeWrappers[name] && !storeResolvers[name] {
+	if loopDepth == 0 || !storeResolvers[name] || !a.isStoreMethod(p, sel) {
 		return
 	}
-	if !a.isStoreMethod(p, sel) {
-		return
-	}
-	switch {
-	case storeWrappers[name]:
-		p.Reportf(call.Pos(), "map-keyed Store.%s on the per-tick path rebuilds the metric key every call — resolve a Handle at build time and use Handle.Append/Stat/Window instead", name)
-	case loopDepth > 0:
-		p.Reportf(call.Pos(), "Store.%s inside a loop on the per-tick path — handles are build-time references; resolve once outside the loop and reuse", name)
-		a.flagKeyBuilding(p, call.Args)
-	}
+	p.Reportf(call.Pos(), "Store.%s inside a loop on the per-tick path — handles are build-time references; resolve once outside the loop and reuse", name)
+	a.flagKeyBuilding(p, call.Args)
 }
 
 // flagKeyBuilding reports fmt.Sprintf calls and string concatenation used
@@ -149,8 +133,7 @@ func (a *hotPath) flagKeyBuilding(p *Pass, exprs []ast.Expr) {
 }
 
 // isStoreMethod reports whether sel resolves to a method with receiver
-// metricstore.Store (the handle type's methods share names like Latest;
-// only the Store-keyed tier is banned).
+// metricstore.Store.
 func (a *hotPath) isStoreMethod(p *Pass, sel *ast.SelectorExpr) bool {
 	s, ok := p.Info.Selections[sel]
 	if !ok {

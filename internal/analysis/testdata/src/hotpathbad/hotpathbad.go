@@ -1,21 +1,14 @@
 // Package hotpathbad is flowervet testdata: a package opted onto the
-// per-tick path that calls the map-keyed store wrappers and resolves
-// metric identities inside loops.
+// per-tick path that resolves metric identities inside loops.
 //
 //flowervet:hotpath
 package hotpathbad
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/metricstore"
 )
-
-// PublishTick publishes through the map-keyed wrapper.
-func PublishTick(s *metricstore.Store, at time.Time, v float64) error {
-	return s.Put("Ingestion/Stream", "IncomingRecords", nil, at, v) // want "map-keyed Store.Put"
-}
 
 // ReadLoop resolves a handle per iteration, building the key with
 // fmt.Sprintf each time.

@@ -30,7 +30,7 @@ func (p *plant) util() float64 {
 func TestMetricSensor(t *testing.T) {
 	ms := metricstore.NewStore()
 	for i := 0; i < 10; i++ {
-		ms.MustPut("ns", "cpu", nil, t0.Add(time.Duration(i)*time.Minute), float64(i*10))
+		storePut(ms, "ns", "cpu", nil, t0.Add(time.Duration(i)*time.Minute), float64(i*10))
 	}
 	s := &MetricSensor{Store: ms, Namespace: "ns", Metric: "cpu", Stat: timeseries.AggMean}
 	got, err := s.Measure(t0.Add(9*time.Minute), 5*time.Minute)
@@ -128,7 +128,7 @@ func runClosedLoop(t *testing.T, ctrl Controller, p *plant, ref float64, n int) 
 		// One minute of 10s samples.
 		for j := 0; j < 6; j++ {
 			now = now.Add(10 * time.Second)
-			ms.MustPut("plant", "util", nil, now, p.util())
+			storePut(ms, "plant", "util", nil, now, p.util())
 		}
 		loop.Step(now)
 		utils = append(utils, p.util())
@@ -196,7 +196,7 @@ func TestLoopDeadBandSuppressesChurn(t *testing.T) {
 	now := t0
 	for i := 0; i < 10; i++ {
 		now = now.Add(time.Minute)
-		ms.MustPut("plant", "util", nil, now, p.util())
+		storePut(ms, "plant", "util", nil, now, p.util())
 		loop.Step(now)
 	}
 	if got := loop.Actions(); got != 0 {
@@ -230,7 +230,7 @@ func TestLoopQuantize(t *testing.T) {
 	now := t0
 	for i := 0; i < 5; i++ {
 		now = now.Add(time.Minute)
-		ms.MustPut("plant", "util", nil, now, p.util())
+		storePut(ms, "plant", "util", nil, now, p.util())
 		loop.Step(now)
 	}
 	for _, v := range applied {
@@ -258,7 +258,7 @@ func TestLoopTickCadence(t *testing.T) {
 	now := t0
 	for i := 0; i < 20; i++ { // 20 one-minute ticks = 4 windows
 		now = now.Add(time.Minute)
-		ms.MustPut("p", "m", nil, now, 80)
+		storePut(ms, "p", "m", nil, now, 80)
 		loop.Tick(now, time.Minute)
 	}
 	if got := len(loop.Decisions()); got != 4 {
@@ -333,7 +333,7 @@ func TestLoopActuatorBoundsRespected(t *testing.T) {
 	now := t0
 	for i := 0; i < 5; i++ {
 		now = now.Add(time.Minute)
-		ms.MustPut("p", "m", nil, now, 100)
+		storePut(ms, "p", "m", nil, now, 100)
 		loop.Step(now)
 	}
 	if u != 12 {
@@ -366,7 +366,7 @@ func TestPlantGuardPreventsQuantizationLimitCycle(t *testing.T) {
 	now := t0
 	for i := 0; i < 60; i++ {
 		now = now.Add(time.Minute)
-		ms.MustPut("p", "u", nil, now, p.util())
+		storePut(ms, "p", "u", nil, now, p.util())
 		loop.Step(now)
 		if p.u != 2 {
 			t.Fatalf("window %d: allocation moved to %v; guard should hold at 2", i, p.u)
@@ -396,7 +396,7 @@ func TestPlantGuardCapsScaleOutOvershoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := t0.Add(time.Minute)
-	ms.MustPut("p", "u", nil, now, 100)
+	storePut(ms, "p", "u", nil, now, 100)
 	loop.Step(now)
 	if p.u != 4 {
 		t.Fatalf("guarded scale-out = %v, want 4", p.u)
@@ -418,7 +418,7 @@ func TestPlantGuardOffPreservesRawCommands(t *testing.T) {
 		Name: "raw", Ref: 60, Window: time.Minute, DeadBand: 5, Quantize: true,
 	}, ctrl, sensor, act)
 	now := t0.Add(time.Minute)
-	ms.MustPut("p", "u", nil, now, 100)
+	storePut(ms, "p", "u", nil, now, 100)
 	loop.Step(now)
 	if p.u != 402 { // 2 + 10·40
 		t.Fatalf("unguarded scale-out = %v, want 402", p.u)

@@ -24,13 +24,13 @@ func seedStore(t *testing.T, minutes, lag int, slope, off, noiseStd float64) *me
 	}
 	for i := 0; i < minutes; i++ {
 		now := t0.Add(time.Duration(i) * time.Minute)
-		ms.MustPut("Ingestion/Stream", "IncomingRecords", nil, now, rates[i])
+		storePut(ms, "Ingestion/Stream", "IncomingRecords", nil, now, rates[i])
 		src := rates[0]
 		if i >= lag {
 			src = rates[i-lag]
 		}
 		cpu := slope*src + off + rng.NormFloat64()*noiseStd
-		ms.MustPut("Analytics/Compute", "CPUUtilization", nil, now, cpu)
+		storePut(ms, "Analytics/Compute", "CPUUtilization", nil, now, cpu)
 	}
 	return ms
 }
@@ -94,8 +94,8 @@ func TestAnalyzeErrors(t *testing.T) {
 		t.Fatal("missing metrics accepted")
 	}
 	// Too few samples.
-	ms.MustPut(from.Namespace, from.Name, nil, t0, 1)
-	ms.MustPut(to.Namespace, to.Name, nil, t0, 1)
+	storePut(ms, from.Namespace, from.Name, nil, t0, 1)
+	storePut(ms, to.Namespace, to.Name, nil, t0, 1)
 	if _, err := a.Analyze(from, to); err == nil {
 		t.Fatal("insufficient samples accepted")
 	}
@@ -108,7 +108,7 @@ func TestAnalyzeAllFiltersWeakAndSameLayer(t *testing.T) {
 	// in DynamoDB".
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
-		ms.MustPut("Storage/KVStore", "ConsumedWriteCapacityUnits", nil,
+		storePut(ms, "Storage/KVStore", "ConsumedWriteCapacityUnits", nil,
 			t0.Add(time.Duration(i)*time.Minute), rng.Float64()*100)
 	}
 	from, to := refs()
@@ -177,9 +177,9 @@ func TestAnalyzeMultipleJointFit(t *testing.T) {
 		x1 := 1000 + 500*math.Sin(float64(i)/30) + rng.NormFloat64()*20
 		x2 := 200 + 100*math.Cos(float64(i)/17) + rng.NormFloat64()*10
 		y := 2 + 0.01*x1 + 0.05*x2 + rng.NormFloat64()*0.3
-		ms.MustPut("Ingestion/Stream", "IncomingRecords", nil, now, x1)
-		ms.MustPut("Analytics/Compute", "EmittedTuples", nil, now, x2)
-		ms.MustPut("Storage/KVStore", "ConsumedWriteCapacityUnits", nil, now, y)
+		storePut(ms, "Ingestion/Stream", "IncomingRecords", nil, now, x1)
+		storePut(ms, "Analytics/Compute", "EmittedTuples", nil, now, x2)
+		storePut(ms, "Storage/KVStore", "ConsumedWriteCapacityUnits", nil, now, y)
 	}
 	a := &Analyzer{Store: ms}
 	from := []MetricRef{

@@ -74,7 +74,7 @@ func parseSelector(q apiv1.BatchQuerySelector) (selector, *apiv1.Error) {
 	if q.Namespace == "" || q.Name == "" {
 		return sel, &apiv1.Error{Code: apiv1.CodeInvalidArgument, Message: "ns and name are required"}
 	}
-	stat, ok := parseStat(q.Stat)
+	stat, ok := query.ParseStat(q.Stat)
 	if !ok {
 		return sel, &apiv1.Error{Code: apiv1.CodeInvalidArgument, Message: "unknown stat " + q.Stat}
 	}

@@ -14,14 +14,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/kvstore"
-	"repro/internal/metricstore"
 	"repro/internal/monitor"
 	"repro/internal/persist"
-	"repro/internal/query"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/timeseries"
 )
 
 // wroteDegraded maps a degraded-plane mutation failure onto its wire
@@ -386,58 +383,26 @@ func (s *Server) handleListMetrics(w http.ResponseWriter, r *http.Request, f *re
 	writeJSON(w, http.StatusOK, out)
 }
 
-// parseStat maps a CloudWatch-flavoured statistic name to an aggregation.
-func parseStat(s string) (timeseries.Agg, bool) {
-	switch strings.ToLower(s) {
-	case "", "avg", "average", "mean":
-		return timeseries.AggMean, true
-	case "sum":
-		return timeseries.AggSum, true
-	case "min", "minimum":
-		return timeseries.AggMin, true
-	case "max", "maximum":
-		return timeseries.AggMax, true
-	case "count", "samplecount":
-		return timeseries.AggCount, true
-	case "p50":
-		return timeseries.AggP50, true
-	case "p90":
-		return timeseries.AggP90, true
-	case "p99":
-		return timeseries.AggP99, true
-	}
-	return 0, false
-}
-
 func (s *Server) handleQueryMetrics(w http.ResponseWriter, r *http.Request, f *registry.Flow) {
 	q := r.URL.Query()
-	ns, name := q.Get("ns"), q.Get("name")
-	if ns == "" || name == "" {
-		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "ns and name are required")
-		return
+	wire := apiv1.BatchQuerySelector{
+		Namespace: q.Get("ns"), Name: q.Get("name"), Dimensions: make(map[string]string),
+		Stat: q.Get("stat"), Window: q.Get("window"), Period: q.Get("period"),
 	}
-	stat, ok := parseStat(q.Get("stat"))
-	if !ok {
-		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "unknown stat %q", q.Get("stat"))
-		return
-	}
-	window := 30 * time.Minute
-	if raw := q.Get("window"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid window %q", raw)
-			return
+	for key, vals := range q {
+		if rest, found := strings.CutPrefix(key, "dim."); found && len(vals) > 0 {
+			wire.Dimensions[rest] = vals[0]
 		}
-		window = d
 	}
-	period := time.Minute
-	if raw := q.Get("period"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid period %q", raw)
-			return
-		}
-		period = d
+	// The batch selector rules, except that this route always buckets: a
+	// zero period (raw datapoints on batchQuery) is invalid here.
+	sel, argErr := parseSelector(wire)
+	if argErr == nil && sel.period == 0 {
+		argErr = &apiv1.Error{Code: apiv1.CodeInvalidArgument, Message: "invalid period " + wire.Period}
+	}
+	if argErr != nil {
+		writeError(w, http.StatusBadRequest, argErr.Code, "%s", argErr.Message)
+		return
 	}
 	// Pagination over the aggregated points: limit 0 means everything.
 	limit, offset := 0, 0
@@ -457,37 +422,18 @@ func (s *Server) handleQueryMetrics(w http.ResponseWriter, r *http.Request, f *r
 		}
 		offset = parsed
 	}
-	dims := make(map[string]string)
-	for key, vals := range q {
-		if rest, found := strings.CutPrefix(key, "dim."); found && len(vals) > 0 {
-			dims[rest] = vals[0]
-		}
-	}
 
-	// Evaluated by the query engine's streaming chain, so the single-metric
-	// endpoint, batchQuery, and /v1/query all agree — including the
-	// engine's epoch-aligned resample buckets.
-	var ts []int64
-	var vs []float64
-	found := false
-	f.View(func(m *core.Manager) {
-		now := m.Harness().Clock.Now()
-		if h, ok := m.Store().Lookup(ns, name, dims); ok {
-			found = true
-			ts, vs = query.EvalSelector(h,
-				now.Add(-window), now.Add(time.Nanosecond), period, stat)
-		}
-	})
-	if !found {
-		id := metricstore.MetricID{Namespace: ns, Name: name, Dimensions: dims}
-		writeError(w, http.StatusNotFound, apiv1.CodeNotFound, "query: no such metric %s", id)
+	var col colResult
+	f.View(func(m *core.Manager) { col = evalSelectorsLocked(m, []selector{sel})[0] })
+	if col.err != nil {
+		writeError(w, http.StatusNotFound, col.err.Code, "query: %s", col.err.Message)
 		return
 	}
 
-	total := len(ts)
+	total := len(col.ts)
 	resp := apiv1.Series{
-		Namespace: ns, Name: name,
-		Stat: stat.String(), Period: period.String(),
+		Namespace: sel.ns, Name: sel.name,
+		Stat: sel.stat.String(), Period: sel.period.String(),
 		Total: total, Offset: offset, Limit: limit,
 		Points: []apiv1.Point{},
 	}
@@ -498,7 +444,7 @@ func (s *Server) handleQueryMetrics(w http.ResponseWriter, r *http.Request, f *r
 		resp.NextOffset = &next
 	}
 	for i := offset; i < end; i++ {
-		resp.Points = append(resp.Points, apiv1.Point{T: time.Unix(0, ts[i]).UTC(), V: vs[i]})
+		resp.Points = append(resp.Points, apiv1.Point{T: time.Unix(0, col.ts[i]).UTC(), V: col.vs[i]})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

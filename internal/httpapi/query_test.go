@@ -3,6 +3,7 @@ package httpapi
 import (
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	apiv1 "repro/api/v1"
 	"repro/internal/flow"
 	"repro/internal/sim"
+	"repro/internal/timeseries"
 )
 
 // postQuery POSTs a query-plane request body and decodes the response.
@@ -122,6 +124,110 @@ func TestQueryMatchesBatchQuery(t *testing.T) {
 		if qs.Ts[i] != bs.Ts[i] || qs.Vs[i] != bs.Vs[i] {
 			t.Fatalf("point %d: query (%d, %v), batch (%d, %v)", i, qs.Ts[i], qs.Vs[i], bs.Ts[i], bs.Vs[i])
 		}
+	}
+}
+
+// TestStatSpellingsAgreeAcrossRoutes holds the read plane to one table of
+// statistic names: every spelling the GET route (any letter case) or the
+// pipeline and batchQuery parsers (exact CloudWatch forms) ever accepted
+// names the same aggregation on all three surfaces, and an unknown name is
+// rejected on all three.
+func TestStatSpellingsAgreeAcrossRoutes(t *testing.T) {
+	s, _ := newTestServer(t)
+	cases := []struct {
+		stat string
+		want timeseries.Agg
+	}{
+		{"", timeseries.AggMean}, {"avg", timeseries.AggMean}, {"mean", timeseries.AggMean},
+		{"average", timeseries.AggMean}, {"Average", timeseries.AggMean}, {"AVG", timeseries.AggMean},
+		{"Mean", timeseries.AggMean},
+		{"sum", timeseries.AggSum}, {"Sum", timeseries.AggSum}, {"SUM", timeseries.AggSum},
+		{"min", timeseries.AggMin}, {"minimum", timeseries.AggMin}, {"Minimum", timeseries.AggMin},
+		{"MIN", timeseries.AggMin},
+		{"max", timeseries.AggMax}, {"maximum", timeseries.AggMax}, {"Maximum", timeseries.AggMax},
+		{"MAXIMUM", timeseries.AggMax},
+		{"count", timeseries.AggCount}, {"samplecount", timeseries.AggCount},
+		{"SampleCount", timeseries.AggCount}, {"COUNT", timeseries.AggCount},
+		{"p50", timeseries.AggP50}, {"P50", timeseries.AggP50},
+		{"p90", timeseries.AggP90}, {"P90", timeseries.AggP90},
+		{"p99", timeseries.AggP99}, {"P99", timeseries.AggP99},
+	}
+	const (
+		getPath = "/v1/flows/clicks/metrics/query?ns=Ingestion/Stream&name=IncomingRecords&dim.StreamName=clicks&window=15m&period=1m&stat="
+		batchQ  = `{"flow": "clicks", "ns": "Ingestion/Stream", "name": "IncomingRecords", "dims": {"StreamName": "clicks"}, "window": "15m", "period": "1m", "stat": %q}`
+		pipe    = "select flow=clicks ns=Ingestion/Stream name=IncomingRecords dim.StreamName=clicks | window 15m | resample 1m "
+	)
+
+	// The canonical spelling of each aggregation is its reference answer.
+	queries := make([]string, len(cases))
+	for i, tc := range cases {
+		queries[i] = fmt.Sprintf(batchQ, tc.stat)
+	}
+	var batch apiv1.BatchQueryResponse
+	if rec := do(t, s, http.MethodPost, "/v1/metrics:batchQuery", `{"queries": [`+strings.Join(queries, ",")+`]}`, &batch); rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d (%s)", rec.Code, rec.Body.String())
+	}
+	ref := map[timeseries.Agg]apiv1.ColumnSeries{}
+	for i, tc := range cases {
+		if _, ok := ref[tc.want]; !ok {
+			ref[tc.want] = batch.Results[i]
+		}
+	}
+	same := func(ts []int64, vs []float64, want apiv1.ColumnSeries) bool {
+		if len(ts) == 0 || len(ts) != len(want.Ts) || len(vs) != len(want.Vs) {
+			return false
+		}
+		for i := range ts {
+			if ts[i] != want.Ts[i] || vs[i] != want.Vs[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	for i, tc := range cases {
+		want := ref[tc.want]
+		if b := batch.Results[i]; b.Error != nil || b.Stat != tc.want.String() || !same(b.Ts, b.Vs, want) {
+			t.Errorf("batchQuery stat %q: stat %q error %+v, want %v", tc.stat, b.Stat, b.Error, tc.want)
+		}
+
+		var single apiv1.Series
+		if rec := get(t, s, getPath+tc.stat, &single); rec.Code != http.StatusOK {
+			t.Fatalf("GET stat %q: %d", tc.stat, rec.Code)
+		}
+		ts := make([]int64, len(single.Points))
+		vs := make([]float64, len(single.Points))
+		for j, p := range single.Points {
+			ts[j], vs[j] = p.T.UnixNano(), p.V
+		}
+		if single.Stat != tc.want.String() || !same(ts, vs, want) {
+			t.Errorf("GET stat %q: stat %q, want %v and the same points", tc.stat, single.Stat, tc.want)
+		}
+
+		var q apiv1.QueryResponse
+		if rec := postQuery(t, s, "/v1/query", fmt.Sprintf(`{"q": %q}`, pipe+tc.stat), &q); rec.Code != http.StatusOK {
+			t.Fatalf("pipe stat %q: %d (%s)", tc.stat, rec.Code, rec.Body.String())
+		}
+		if len(q.Results) != 1 || !same(q.Results[0].Ts, q.Results[0].Vs, want) {
+			t.Errorf("pipe stat %q: answer differs from %v", tc.stat, tc.want)
+		}
+	}
+
+	// An unknown name is refused on every surface.
+	rec := get(t, s, getPath+"bogus", nil)
+	wantEnvelope(t, rec, http.StatusBadRequest, apiv1.CodeInvalidArgument)
+	if !strings.Contains(rec.Body.String(), "unknown stat") {
+		t.Errorf("GET bogus: %s", rec.Body.String())
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/metrics:batchQuery", `{"queries": [`+fmt.Sprintf(batchQ, "bogus")+`]}`, &batch); rec.Code != http.StatusOK ||
+		batch.Results[0].Error == nil || batch.Results[0].Error.Code != apiv1.CodeInvalidArgument ||
+		!strings.Contains(batch.Results[0].Error.Message, "unknown stat") {
+		t.Errorf("batchQuery bogus: %d %+v", rec.Code, batch.Results[0].Error)
+	}
+	rec = postQuery(t, s, "/v1/query", fmt.Sprintf(`{"q": %q}`, pipe+"bogus"), nil)
+	wantEnvelope(t, rec, http.StatusBadRequest, apiv1.CodeInvalidArgument)
+	if !strings.Contains(rec.Body.String(), "unknown stat") {
+		t.Errorf("pipe bogus: %s", rec.Body.String())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestConcurrentMetricPipelineUnderLabLoad drives the handle-based hot
-// paths — Handle.Append, Handle.Stat, Store.GetStatistics, Store.Latest,
+// paths — Handle.Append, Handle.Stat, Handle.Window, Handle.Latest,
 // Store.Each — concurrently against one shared store while a lab
 // experiment saturates the worker pool with real trials (each trial's
 // harness hammering its own store the same way). Run under -race (CI's
@@ -48,8 +48,8 @@ func TestConcurrentMetricPipelineUnderLabLoad(t *testing.T) {
 		}(name)
 	}
 
-	// Readers: compat queries, handle stats, latest reads and full-store
-	// walks race the writers until they finish.
+	// Readers: per-call resolution with windowed queries, handle stats,
+	// latest reads and full-store walks race the writers until they finish.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -64,10 +64,9 @@ func TestConcurrentMetricPipelineUnderLabLoad(t *testing.T) {
 				}
 				switch r {
 				case 0:
-					_, _ = store.GetStatistics(metricstore.Query{
-						Namespace: "Ingestion/Stream", Name: "IncomingRecords", Dimensions: dims,
-						Period: time.Minute, Stat: timeseries.AggP90,
-					})
+					if h, ok := store.Lookup("Ingestion/Stream", "IncomingRecords", dims); ok {
+						h.Window(metricstore.WindowQuery{Period: time.Minute, Stat: timeseries.AggP90})
+					}
 					storeLatest(store, "Ingestion/Stream", "WriteUtilization", dims)
 				case 1:
 					if h, ok := store.Lookup("Ingestion/Stream", "ThrottleEvents", dims); ok {
@@ -100,7 +99,7 @@ func TestConcurrentMetricPipelineUnderLabLoad(t *testing.T) {
 		if !ok {
 			t.Fatalf("metric %s missing", name)
 		}
-		if got, want := h.Len(), 4*300+1; got != want {
+		if got, want := h.Window(metricstore.WindowQuery{}).Len(), 4*300+1; got != want {
 			t.Fatalf("%s retained %d points, want %d", name, got, want)
 		}
 	}

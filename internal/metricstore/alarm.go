@@ -142,29 +142,22 @@ func (s *Store) EvaluateAlarms(now time.Time) []string {
 // EvaluateAlarm computes the alarm's state as of now and records
 // state-transition counts on the alarm.
 func (s *Store) EvaluateAlarm(a *Alarm, now time.Time) AlarmState {
-	window := time.Duration(a.EvalPeriods) * a.Period
-	stats, err := s.GetStatistics(Query{
-		Namespace:  a.Namespace,
-		Name:       a.Metric,
-		Dimensions: a.Dimensions,
-		From:       now.Add(-window),
-		To:         now.Add(time.Nanosecond),
-		Period:     a.Period,
-		Stat:       a.Stat,
-	})
 	newState := StateInsufficient
-	if err == nil && stats.Len() >= a.EvalPeriods {
-		newState = StateOK
-		breachedAll := true
-		vals := stats.TailN(a.EvalPeriods).Values()
-		for _, v := range vals {
-			if math.IsNaN(v) || !a.Compare.breaches(v, a.Threshold) {
-				breachedAll = false
-				break
+	if h, ok := s.Lookup(a.Namespace, a.Metric, a.Dimensions); ok {
+		window := time.Duration(a.EvalPeriods) * a.Period
+		stats := h.Window(WindowQuery{From: now.Add(-window), To: now.Add(time.Nanosecond), Period: a.Period, Stat: a.Stat})
+		if stats.Len() >= a.EvalPeriods {
+			newState = StateOK
+			breachedAll := true
+			for _, v := range stats.TailN(a.EvalPeriods).Values() {
+				if math.IsNaN(v) || !a.Compare.breaches(v, a.Threshold) {
+					breachedAll = false
+					break
+				}
 			}
-		}
-		if breachedAll {
-			newState = StateAlarm
+			if breachedAll {
+				newState = StateAlarm
+			}
 		}
 	}
 	if newState != a.state {
@@ -177,8 +170,7 @@ func (s *Store) EvaluateAlarm(a *Alarm, now time.Time) AlarmState {
 // State reports the alarm's last evaluated state.
 func (a *Alarm) State() AlarmState { return a.state }
 
-// Transitions reports how many state changes the alarm has undergone; the
-// rule-vs-adaptive experiment uses this as an oscillation measure.
+// Transitions reports how many state changes the alarm has undergone.
 func (a *Alarm) Transitions() int { return a.transitions }
 
 func sortStrings(ss []string) {

@@ -14,8 +14,10 @@ import (
 
 // The equivalence property: the columnar, handle-based store answers every
 // query bit-for-bit identically to the frozen pre-rebuild implementation
-// (legacyStore, legacy_test.go), on randomised workloads, through both the
-// compatibility wrappers and the handle API, with and without retention.
+// (legacyStore, legacy_test.go), on randomised workloads, whether appends
+// go through a build-time handle or resolve one per call, with and without
+// retention. The oracle's bucket-slice Resample is the reference for the
+// store's bucket walker.
 
 // equivMetric is one randomly generated metric identity.
 type equivMetric struct {
@@ -43,8 +45,8 @@ func genMetrics(rng *rand.Rand) []equivMetric {
 }
 
 // driveBoth feeds an identical randomised workload into both stores,
-// appending through Put on the legacy side and through a mix of Put and
-// Handle.Append on the new side.
+// appending through Put on the legacy side and on the new side through a
+// mix of per-call resolution (storePut) and build-time handles.
 func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, metrics []equivMetric, points int) time.Time {
 	t.Helper()
 	now := simtime.Epoch
@@ -65,9 +67,7 @@ func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *lega
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
-			if err := st.Put(m.ns, m.name, m.dims, now, v); err != nil {
-				t.Fatal(err)
-			}
+			storePut(st, m.ns, m.name, m.dims, now, v)
 		} else if err := handles[mi].Append(now, v); err != nil {
 			t.Fatal(err)
 		}
@@ -138,24 +138,14 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 					Namespace: m.ns, Name: m.name, Dimensions: m.dims,
 					From: from, To: to, Period: period, Stat: stat,
 				})
-				got, gotErr := st.GetStatistics(metricstore.Query{
-					Namespace: m.ns, Name: m.name, Dimensions: m.dims,
-					From: from, To: to, Period: period, Stat: stat,
-				})
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: err %v vs legacy %v", tag, gotErr, wantErr)
+				h, ok := st.Lookup(m.ns, m.name, m.dims)
+				if (wantErr == nil) != ok {
+					t.Fatalf("%s: lookup ok %v vs legacy err %v", tag, ok, wantErr)
 				}
 				if wantErr != nil {
 					continue
 				}
-				assertSeriesEqual(t, tag, got, want)
-
-				// The handle Window path must agree with the wrapper.
-				h, ok := st.Lookup(m.ns, m.name, m.dims)
-				if !ok {
-					t.Fatalf("%s: lookup failed for existing metric", tag)
-				}
-				assertSeriesEqual(t, tag+" (handle)", h.Window(metricstore.WindowQuery{
+				assertSeriesEqual(t, tag, h.Window(metricstore.WindowQuery{
 					From: from, To: to, Period: period, Stat: stat,
 				}), want)
 
@@ -196,8 +186,8 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 	}
 }
 
-// TestHandleAndPutShareSeries confirms the wrapper and the handle write to
-// the same interned series.
+// TestHandleAndPutShareSeries confirms a build-time handle and per-call
+// resolution write to the same interned series.
 func TestHandleAndPutShareSeries(t *testing.T) {
 	st := metricstore.NewStore()
 	dims := map[string]string{"StreamName": "clicks"}
@@ -206,14 +196,12 @@ func TestHandleAndPutShareSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := simtime.Epoch
-	if err := st.Put("Ingestion/Stream", "IncomingRecords", dims, t0, 1); err != nil {
-		t.Fatal(err)
-	}
+	storePut(st, "Ingestion/Stream", "IncomingRecords", dims, t0, 1)
 	if err := h.Append(t0.Add(time.Second), 2); err != nil {
 		t.Fatal(err)
 	}
-	if h.Len() != 2 {
-		t.Fatalf("handle sees %d points, want 2", h.Len())
+	if n := h.Window(metricstore.WindowQuery{}).Len(); n != 2 {
+		t.Fatalf("handle sees %d points, want 2", n)
 	}
 	raw := storeRaw(st, "Ingestion/Stream", "IncomingRecords", dims)
 	if raw.Len() != 2 {
@@ -226,15 +214,15 @@ func TestHandleAndPutShareSeries(t *testing.T) {
 	if err := h.Append(t0, 3); err == nil {
 		t.Fatal("out-of-order handle append accepted")
 	}
-	if err := st.Put("Ingestion/Stream", "IncomingRecords", dims, t0, 3); err == nil {
-		t.Fatal("out-of-order put accepted")
+	if err := st.MustHandle("Ingestion/Stream", "IncomingRecords", dims).Append(t0, 3); err == nil {
+		t.Fatal("out-of-order append through a fresh handle accepted")
 	}
 }
 
 // TestInternedUnpublishedMetricIsInvisible: resolving a handle at build
 // time must not make the metric observable before its first datapoint —
 // pre-first-tick queries, listings and lookups behave exactly as when
-// entries were only created on first Put.
+// entries were only created on first append.
 func TestInternedUnpublishedMetricIsInvisible(t *testing.T) {
 	st := metricstore.NewStore()
 	dims := map[string]string{"StreamName": "clicks"}
@@ -248,11 +236,6 @@ func TestInternedUnpublishedMetricIsInvisible(t *testing.T) {
 	}
 	if _, ok := st.Lookup("Ingestion/Stream", "IncomingRecords", dims); ok {
 		t.Fatal("Lookup found unpublished metric")
-	}
-	if _, err := st.GetStatistics(metricstore.Query{
-		Namespace: "Ingestion/Stream", Name: "IncomingRecords", Dimensions: dims,
-	}); err == nil {
-		t.Fatal("GetStatistics answered for unpublished metric")
 	}
 	if raw := storeRaw(st, "Ingestion/Stream", "IncomingRecords", dims); raw != nil {
 		t.Fatalf("Raw returned %v for unpublished metric", raw)
@@ -270,11 +253,6 @@ func TestInternedUnpublishedMetricIsInvisible(t *testing.T) {
 	}
 	if _, ok := st.Lookup("Ingestion/Stream", "IncomingRecords", dims); !ok {
 		t.Fatal("Lookup missed published metric")
-	}
-	if _, err := st.GetStatistics(metricstore.Query{
-		Namespace: "Ingestion/Stream", Name: "IncomingRecords", Dimensions: dims,
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -57,7 +57,7 @@ func (h *Handle) ID() MetricID { return h.e.id }
 
 // Append records one observation; the timestamp must not precede the
 // metric's newest datapoint. Retention pruning and the metric-log hook run
-// exactly as for Store.Put.
+// under the metric's lock.
 func (h *Handle) Append(t time.Time, v float64) error {
 	return h.s.append(h.e, t, v)
 }
@@ -74,13 +74,6 @@ func (h *Handle) Latest() (timeseries.Point, bool) {
 	h.e.mu.Lock()
 	defer h.e.mu.Unlock()
 	return h.e.ts.Last()
-}
-
-// Len reports the number of retained datapoints.
-func (h *Handle) Len() int {
-	h.e.mu.Lock()
-	defer h.e.mu.Unlock()
-	return h.e.ts.Len()
 }
 
 // Stat computes one statistic over the raw datapoints in [from, to) in a
@@ -106,8 +99,9 @@ type WindowQuery struct {
 	Stat     timeseries.Agg
 }
 
-// Window returns the queried window as an independent series, like
-// Store.GetStatistics without the per-call metric resolution.
+// Window returns the queried window as an independent series: the raw
+// points, or CloudWatch-style period statistics with buckets anchored at
+// the window's first point.
 func (h *Handle) Window(q WindowQuery) *timeseries.Series {
 	return h.s.window(h.e, q.From, q.To, q.Period, q.Stat)
 }

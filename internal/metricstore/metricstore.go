@@ -9,18 +9,15 @@
 // (Fig. 3): "Flower's sensor module periodically collects live data from
 // multiple sources such as CloudWatch".
 //
-// The store has two API tiers. The hot path is handle-based: Store.Handle
-// interns a metric's identity once and returns a *Handle whose Append,
-// Latest, Stat and Window operate under that metric's own lock with no
-// per-call key construction — per-tick publishers and sensors resolve their
-// handles at build time and stay allocation-free afterwards. The map-keyed
-// Put/GetStatistics calls remain as compatibility wrappers that rebuild the
-// key per call (into a pooled scratch buffer) and then take the same
-// per-entry path (the Latest/Raw wrappers are gone: readers go through
-// Lookup); the store-level lock is only ever held to create or look up
-// entries, never while touching series data. The hotpath analyzer in
-// internal/analysis machine-checks that per-tick packages stay on the
-// handle tier.
+// Every read and write goes through a handle: Store.Handle interns a
+// metric's identity once (Store.Lookup finds a published one without
+// creating it) and returns a *Handle whose Append, Latest, Stat and Window
+// operate under that metric's own lock with no per-call key construction —
+// per-tick publishers and sensors resolve their handles at build time and
+// stay allocation-free afterwards. The store-level lock is only ever held
+// to create or look up entries, never while touching series data. The
+// hotpath analyzer in internal/analysis machine-checks that per-tick
+// packages resolve handles outside their loops.
 //
 // Memory follows use: interning a metric allocates its identity (key,
 // dimension copy, entry) but no column storage, and the columns then grow
@@ -64,8 +61,8 @@ func (id MetricID) String() string {
 	return strings.ReplaceAll(key, "|", " ")
 }
 
-// keyScratch holds the reusable buffers the compatibility wrappers build
-// canonical keys into, so a steady-state Put or query allocates nothing for
+// keyScratch holds the reusable buffers lookup builds canonical keys into,
+// so resolving an existing metric (Lookup, Handle) allocates nothing for
 // key construction.
 type keyScratch struct {
 	buf  []byte
@@ -101,16 +98,6 @@ func (sc *keyScratch) appendKey(ns, name string, dims map[string]string) []byte 
 	sc.buf = b
 	sc.keys = keys
 	return b
-}
-
-// Query selects datapoints for GetStatistics.
-type Query struct {
-	Namespace  string
-	Name       string
-	Dimensions map[string]string
-	From, To   time.Time // half-open interval [From, To)
-	Period     time.Duration
-	Stat       timeseries.Agg
 }
 
 // Store is the metric repository. It is safe for concurrent use: entry
@@ -282,50 +269,9 @@ func (s *Store) window(e *entry, from, to time.Time, period time.Duration, stat 
 	if period <= 0 {
 		return v.Materialize()
 	}
-	// Presize the output to the bucket count the window implies: resampling
-	// can only shrink the point count, and growing the columns append by
-	// append is the read path's dominant allocation source.
-	buckets := v.Len()
-	if v.Len() > 1 {
-		if span := v.NanoAt(v.Len()-1) - v.NanoAt(0); span >= 0 {
-			if n := int(span/int64(period)) + 1; n < buckets {
-				buckets = n
-			}
-		}
-	}
-	return v.ResampleInto(timeseries.New(buckets), period, stat, &e.scratch)
-}
-
-// Put records one observation. Timestamps per metric must be non-decreasing
-// (the simulation has one clock, so this holds by construction). Callers on
-// a per-tick path should resolve a Handle once instead and Append through
-// it; Put re-derives the metric key from the dimension map on every call.
-func (s *Store) Put(namespace, name string, dims map[string]string, t time.Time, v float64) error {
-	e, err := s.entryFor(namespace, name, dims)
-	if err != nil {
-		return err
-	}
-	return s.append(e, t, v)
-}
-
-// MustPut is Put for simulation components that own the clock; a failure is
-// a wiring bug.
-func (s *Store) MustPut(namespace, name string, dims map[string]string, t time.Time, v float64) {
-	if err := s.Put(namespace, name, dims, t, v); err != nil {
-		panic(err)
-	}
-}
-
-// GetStatistics aggregates the selected metric into Period buckets using
-// q.Stat, CloudWatch-style. A zero Period returns the raw points between
-// From and To.
-func (s *Store) GetStatistics(q Query) (*timeseries.Series, error) {
-	e := s.lookup(q.Namespace, q.Name, q.Dimensions)
-	if e == nil || !e.published() {
-		id := MetricID{Namespace: q.Namespace, Name: q.Name, Dimensions: q.Dimensions}
-		return nil, fmt.Errorf("metricstore: no such metric %s", id)
-	}
-	return s.window(e, q.From, q.To, q.Period, q.Stat), nil
+	// Presize the output: growing the columns append by append is the read
+	// path's dominant allocation source.
+	return v.ResampleInto(timeseries.New(v.BucketHint(period)), period, stat, &e.scratch)
 }
 
 // sortedEntries snapshots the published entry set sorted by canonical key.

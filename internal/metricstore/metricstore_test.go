@@ -33,8 +33,8 @@ func TestMetricIDKeyCanonical(t *testing.T) {
 func TestPutAndLatest(t *testing.T) {
 	s := NewStore()
 	d := dims("StreamName", "clicks")
-	s.MustPut("Ingestion", "IncomingRecords", d, t0, 100)
-	s.MustPut("Ingestion", "IncomingRecords", d, t0.Add(time.Minute), 200)
+	storePut(s, "Ingestion", "IncomingRecords", d, t0, 100)
+	storePut(s, "Ingestion", "IncomingRecords", d, t0.Add(time.Minute), 200)
 	p, ok := storeLatest(s, "Ingestion", "IncomingRecords", d)
 	if !ok || p.V != 200 {
 		t.Fatalf("Latest = %+v ok=%v, want 200", p, ok)
@@ -46,43 +46,46 @@ func TestPutAndLatest(t *testing.T) {
 
 func TestPutValidation(t *testing.T) {
 	s := NewStore()
-	if err := s.Put("", "x", nil, t0, 1); err == nil {
+	if _, err := s.Handle("", "x", nil); err == nil {
 		t.Fatal("empty namespace accepted")
 	}
-	if err := s.Put("ns", "", nil, t0, 1); err == nil {
+	if _, err := s.Handle("ns", "", nil); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := s.Put("ns", "m", nil, t0, 1); err != nil {
-		t.Fatalf("valid put failed: %v", err)
+	h := s.MustHandle("ns", "m", nil)
+	if err := h.Append(t0, 1); err != nil {
+		t.Fatalf("valid append failed: %v", err)
 	}
-	if err := s.Put("ns", "m", nil, t0.Add(-time.Second), 2); err == nil {
-		t.Fatal("out-of-order put accepted")
+	if err := h.Append(t0.Add(-time.Second), 2); err == nil {
+		t.Fatal("out-of-order append accepted")
 	}
 }
 
 func TestPutCopiesDimensions(t *testing.T) {
 	s := NewStore()
 	d := dims("k", "v")
-	s.MustPut("ns", "m", d, t0, 1)
+	storePut(s, "ns", "m", d, t0, 1)
 	d["k"] = "mutated"
 	if _, ok := storeLatest(s, "ns", "m", dims("k", "v")); !ok {
 		t.Fatal("store was affected by caller mutating the dimension map")
 	}
 }
 
+// TestGetStatisticsPeriods: Handle.Window answers CloudWatch's
+// GetStatistics shape — period buckets over [From, To).
 func TestGetStatisticsPeriods(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 10; i++ {
-		s.MustPut("ns", "cpu", nil, t0.Add(time.Duration(i)*30*time.Second), float64(i))
+		storePut(s, "ns", "cpu", nil, t0.Add(time.Duration(i)*30*time.Second), float64(i))
 	}
-	got, err := s.GetStatistics(Query{
-		Namespace: "ns", Name: "cpu",
+	h, ok := s.Lookup("ns", "cpu", nil)
+	if !ok {
+		t.Fatal("published metric not found")
+	}
+	got := h.Window(WindowQuery{
 		From: t0, To: t0.Add(5 * time.Minute),
 		Period: time.Minute, Stat: timeseries.AggMean,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got.Len() != 5 {
 		t.Fatalf("stats len = %d, want 5", got.Len())
 	}
@@ -91,19 +94,21 @@ func TestGetStatisticsPeriods(t *testing.T) {
 	}
 }
 
+// TestGetStatisticsRawAndDefaults: a zero WindowQuery is the full raw
+// series, and an unknown metric does not resolve.
 func TestGetStatisticsRawAndDefaults(t *testing.T) {
 	s := NewStore()
-	s.MustPut("ns", "m", nil, t0, 1)
-	s.MustPut("ns", "m", nil, t0.Add(time.Minute), 2)
-	got, err := s.GetStatistics(Query{Namespace: "ns", Name: "m"})
-	if err != nil {
-		t.Fatal(err)
+	storePut(s, "ns", "m", nil, t0, 1)
+	storePut(s, "ns", "m", nil, t0.Add(time.Minute), 2)
+	h, ok := s.Lookup("ns", "m", nil)
+	if !ok {
+		t.Fatal("published metric not found")
 	}
-	if got.Len() != 2 {
+	if got := h.Window(WindowQuery{}); got.Len() != 2 {
 		t.Fatalf("raw len = %d, want 2 (zero To should include newest)", got.Len())
 	}
-	if _, err := s.GetStatistics(Query{Namespace: "ns", Name: "absent"}); err == nil {
-		t.Fatal("missing metric did not error")
+	if _, ok := s.Lookup("ns", "absent", nil); ok {
+		t.Fatal("missing metric was found")
 	}
 }
 
@@ -111,7 +116,7 @@ func TestRetention(t *testing.T) {
 	s := NewStore()
 	s.SetRetention(2 * time.Minute)
 	for i := 0; i < 10; i++ {
-		s.MustPut("ns", "m", nil, t0.Add(time.Duration(i)*time.Minute), float64(i))
+		storePut(s, "ns", "m", nil, t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
 	raw := storeRaw(s, "ns", "m", nil)
 	if raw.Len() != 3 { // minutes 7, 8, 9 (cutoff is inclusive of t-2m)
@@ -147,9 +152,9 @@ func TestHandleAppendSteadyStateAllocs(t *testing.T) {
 
 func TestListMetricsAndNamespaces(t *testing.T) {
 	s := NewStore()
-	s.MustPut("B", "m2", nil, t0, 1)
-	s.MustPut("A", "m1", dims("d", "1"), t0, 1)
-	s.MustPut("A", "m1", dims("d", "2"), t0, 1)
+	storePut(s, "B", "m2", nil, t0, 1)
+	storePut(s, "A", "m1", dims("d", "1"), t0, 1)
+	storePut(s, "A", "m1", dims("d", "2"), t0, 1)
 	all := s.ListMetrics("")
 	if len(all) != 3 {
 		t.Fatalf("ListMetrics(\"\") len = %d, want 3", len(all))
@@ -166,7 +171,7 @@ func TestListMetricsAndNamespaces(t *testing.T) {
 
 func TestRawIsACopy(t *testing.T) {
 	s := NewStore()
-	s.MustPut("ns", "m", nil, t0, 1)
+	storePut(s, "ns", "m", nil, t0, 1)
 	raw := storeRaw(s, "ns", "m", nil)
 	raw.MustAppend(t0.Add(time.Hour), 99)
 	if got := storeRaw(s, "ns", "m", nil).Len(); got != 1 {
@@ -194,20 +199,20 @@ func TestAlarmLifecycle(t *testing.T) {
 	}
 
 	// Two minutes below threshold: OK.
-	s.MustPut("ns", "cpu", nil, t0.Add(30*time.Second), 50)
-	s.MustPut("ns", "cpu", nil, t0.Add(90*time.Second), 55)
+	storePut(s, "ns", "cpu", nil, t0.Add(30*time.Second), 50)
+	storePut(s, "ns", "cpu", nil, t0.Add(90*time.Second), 55)
 	if st := s.EvaluateAlarm(a, t0.Add(2*time.Minute)); st != StateOK {
 		t.Fatalf("state = %v, want OK", st)
 	}
 
 	// One breaching minute is not enough (EvalPeriods=2).
-	s.MustPut("ns", "cpu", nil, t0.Add(150*time.Second), 90)
+	storePut(s, "ns", "cpu", nil, t0.Add(150*time.Second), 90)
 	if st := s.EvaluateAlarm(a, t0.Add(3*time.Minute)); st != StateOK {
 		t.Fatalf("state = %v, want OK after single breach", st)
 	}
 
 	// Two consecutive breaching minutes: ALARM.
-	s.MustPut("ns", "cpu", nil, t0.Add(210*time.Second), 95)
+	storePut(s, "ns", "cpu", nil, t0.Add(210*time.Second), 95)
 	if st := s.EvaluateAlarm(a, t0.Add(4*time.Minute)); st != StateAlarm {
 		t.Fatalf("state = %v, want ALARM", st)
 	}
@@ -234,7 +239,7 @@ func TestEvaluateAlarms(t *testing.T) {
 	if err := s.PutAlarm(mk("a-low", 10)); err != nil {
 		t.Fatal(err)
 	}
-	s.MustPut("ns", "m", nil, t0.Add(30*time.Second), 50)
+	storePut(s, "ns", "m", nil, t0.Add(30*time.Second), 50)
 	firing := s.EvaluateAlarms(t0.Add(time.Minute))
 	if len(firing) != 1 || firing[0] != "a-low" {
 		t.Fatalf("firing = %v, want [a-low]", firing)

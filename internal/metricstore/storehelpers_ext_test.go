@@ -1,6 +1,8 @@
 package metricstore_test
 
 import (
+	"time"
+
 	"repro/internal/metricstore"
 	"repro/internal/timeseries"
 )
@@ -24,4 +26,11 @@ func storeRaw(s *metricstore.Store, ns, name string, dims map[string]string) *ti
 		return nil
 	}
 	return h.Window(metricstore.WindowQuery{})
+}
+
+// storePut appends one datapoint the way a per-call writer must: resolve
+// (interning if new) the metric's handle, then append through it. A
+// failure is a test wiring bug.
+func storePut(s *metricstore.Store, ns, name string, dims map[string]string, t time.Time, v float64) {
+	s.MustHandle(ns, name, dims).MustAppend(t, v)
 }

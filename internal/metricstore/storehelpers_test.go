@@ -1,6 +1,10 @@
 package metricstore
 
-import "repro/internal/timeseries"
+import (
+	"time"
+
+	"repro/internal/timeseries"
+)
 
 // storeLatest reads a metric's newest datapoint through the handle tier
 // (the map-keyed Latest wrapper was removed once callers moved to
@@ -21,4 +25,11 @@ func storeRaw(s *Store, ns, name string, dims map[string]string) *timeseries.Ser
 		return nil
 	}
 	return h.Window(WindowQuery{})
+}
+
+// storePut appends one datapoint the way a per-call writer must: resolve
+// (interning if new) the metric's handle, then append through it. A
+// failure is a test wiring bug.
+func storePut(s *Store, ns, name string, dims map[string]string, t time.Time, v float64) {
+	s.MustHandle(ns, name, dims).MustAppend(t, v)
 }

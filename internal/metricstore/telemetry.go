@@ -38,7 +38,13 @@ const SelfScrapeNamespace = "Flower/Telemetry"
 // per-metric monotonicity the store requires holds as long as snapshots
 // are ingested in order.
 func IngestSnapshot(s *Store, snap telemetry.Snapshot) error {
-	at := snap.At
+	put := func(name string, dims map[string]string, v float64) error {
+		e, err := s.entryFor(SelfScrapeNamespace, name, dims)
+		if err != nil {
+			return err
+		}
+		return s.append(e, snap.At, v)
+	}
 	for _, fam := range snap.Families {
 		for _, m := range fam.Metrics {
 			var dims map[string]string
@@ -50,16 +56,16 @@ func IngestSnapshot(s *Store, snap telemetry.Snapshot) error {
 					}
 				}
 			}
+			var err error
 			if fam.Kind == telemetry.KindHistogram && m.Histogram != nil {
-				if err := s.Put(SelfScrapeNamespace, fam.Name+"_count", dims, at, float64(m.Histogram.Count)); err != nil {
-					return fmt.Errorf("metricstore: self-scrape %s: %w", fam.Name, err)
+				err = put(fam.Name+"_count", dims, float64(m.Histogram.Count))
+				if err == nil {
+					err = put(fam.Name+"_sum", dims, float64(m.Histogram.SumNanos)/float64(time.Second))
 				}
-				if err := s.Put(SelfScrapeNamespace, fam.Name+"_sum", dims, at, float64(m.Histogram.SumNanos)/float64(time.Second)); err != nil {
-					return fmt.Errorf("metricstore: self-scrape %s: %w", fam.Name, err)
-				}
-				continue
+			} else {
+				err = put(fam.Name, dims, m.Value)
 			}
-			if err := s.Put(SelfScrapeNamespace, fam.Name, dims, at, m.Value); err != nil {
+			if err != nil {
 				return fmt.Errorf("metricstore: self-scrape %s: %w", fam.Name, err)
 			}
 		}

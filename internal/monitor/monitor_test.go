@@ -17,9 +17,9 @@ func seeded() *metricstore.Store {
 	ms := metricstore.NewStore()
 	for i := 0; i < 30; i++ {
 		now := t0.Add(time.Duration(i) * time.Minute)
-		ms.MustPut("Ingestion/Stream", "IncomingRecords", map[string]string{"StreamName": "c"}, now, float64(100+i*10))
-		ms.MustPut("Analytics/Compute", "CPUUtilization", map[string]string{"Topology": "c"}, now, float64(20+i))
-		ms.MustPut("Storage/KVStore", "ConsumedWriteCapacityUnits", map[string]string{"TableName": "c"}, now, float64(50))
+		storePut(ms, "Ingestion/Stream", "IncomingRecords", map[string]string{"StreamName": "c"}, now, float64(100+i*10))
+		storePut(ms, "Analytics/Compute", "CPUUtilization", map[string]string{"Topology": "c"}, now, float64(20+i))
+		storePut(ms, "Storage/KVStore", "ConsumedWriteCapacityUnits", map[string]string{"TableName": "c"}, now, float64(50))
 	}
 	return ms
 }

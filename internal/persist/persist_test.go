@@ -29,8 +29,8 @@ func fill(s *metricstore.Store) {
 	dims := map[string]string{"StreamName": "clicks"}
 	for i := 0; i < 50; i++ {
 		at := base().Add(time.Duration(i) * 10 * time.Second)
-		s.MustPut("Ingestion/Stream", "IncomingRecords", dims, at, float64(i*100))
-		s.MustPut("Analytics/Compute", "CPUUtilization",
+		storePut(s, "Ingestion/Stream", "IncomingRecords", dims, at, float64(i*100))
+		storePut(s, "Analytics/Compute", "CPUUtilization",
 			map[string]string{"Topology": "clicks"}, at, 4.8+0.1*float64(i))
 	}
 }
@@ -50,7 +50,7 @@ func metricFrames(t *testing.T, n int) [][]byte {
 	f := injectfs.New()
 	s, _ := loggedStore(f)
 	for i := 0; i < n; i++ {
-		s.MustPut("a", "b", nil, base().Add(time.Duration(i)*time.Second), float64(i))
+		storePut(s, "a", "b", nil, base().Add(time.Duration(i)*time.Second), float64(i))
 	}
 	return bytes.SplitAfter(bytes.TrimSuffix(f.Bytes(), []byte{'\n'}), []byte{'\n'})
 }
@@ -121,7 +121,7 @@ func TestFileMetricLogAppendAndReplay(t *testing.T) {
 		s := metricstore.NewStore()
 		w.LogMetrics(s)
 		for i, v := range vals {
-			s.MustPut("NS", "M", nil, base().Add(time.Duration(offset+i)*time.Second), v)
+			storePut(s, "NS", "M", nil, base().Add(time.Duration(offset+i)*time.Second), v)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -185,11 +185,11 @@ func TestReplayRejectsForeignOps(t *testing.T) {
 	// line; the datapoints before it stay applied.
 	f := injectfs.New()
 	s, w := loggedStore(f)
-	s.MustPut("a", "b", nil, base(), 1)
+	storePut(s, "a", "b", nil, base(), 1)
 	if _, err := w.Append(OpFlowDelete, FlowDeleteOp{ID: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustPut("a", "b", nil, base().Add(time.Second), 2)
+	storePut(s, "a", "b", nil, base().Add(time.Second), 2)
 	n, err := Replay(bytes.NewReader(f.Bytes()), metricstore.NewStore())
 	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), OpFlowDelete) {
 		t.Fatalf("foreign op: err = %v", err)
@@ -236,14 +236,14 @@ func TestReplaySkipsBlankLines(t *testing.T) {
 func TestMetricLogStickyError(t *testing.T) {
 	f := injectfs.New()
 	s, w := loggedStore(f)
-	s.MustPut("NS", "M", nil, base(), 1)
+	storePut(s, "NS", "M", nil, base(), 1)
 	// The disk fills: the store keeps accepting datapoints (a failing log
 	// must not interrupt the simulation), the log refuses everything after
 	// the first lost write, and Close reports it.
 	f.FailWritesAfter(0, nil)
-	s.MustPut("NS", "M", nil, base().Add(time.Second), 2)
+	storePut(s, "NS", "M", nil, base().Add(time.Second), 2)
 	f.FailWritesAfter(-1, nil)
-	s.MustPut("NS", "M", nil, base().Add(2*time.Second), 3)
+	storePut(s, "NS", "M", nil, base().Add(2*time.Second), 3)
 	if w.Records() != 1 {
 		t.Errorf("logged %d records, want only the 1 before the failure", w.Records())
 	}
@@ -260,8 +260,8 @@ func TestMetricLogStickyError(t *testing.T) {
 
 func TestMetricLogUnencodableValueIsSticky(t *testing.T) {
 	s, w := loggedStore(injectfs.New())
-	s.MustPut("NS", "M", nil, base(), math.NaN()) // the store takes it; JSON cannot
-	s.MustPut("NS", "M", nil, base().Add(time.Second), 1)
+	storePut(s, "NS", "M", nil, base(), math.NaN()) // the store takes it; JSON cannot
+	storePut(s, "NS", "M", nil, base().Add(time.Second), 1)
 	if w.Records() != 0 {
 		t.Errorf("logged %d records past a hole", w.Records())
 	}
@@ -281,7 +281,7 @@ func TestMetricLogQuickRoundTrip(t *testing.T) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				vals[i] = 0 // JSON cannot carry them; the store never produces one
 			}
-			src.MustPut("NS", "M", dims, base().Add(time.Duration(i)*time.Second), vals[i])
+			storePut(src, "NS", "M", dims, base().Add(time.Duration(i)*time.Second), vals[i])
 		}
 		if err := w.Close(); err != nil {
 			return false

@@ -217,7 +217,7 @@ func TestPlannerUsesFlowMatcher(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0).UTC()
 	flows := testFlows("api", "batch")
 	st := flows["api"].Store
-	st.MustPut("sys", "cpu", nil, now, 0.5)
+	storePut(st, "sys", "cpu", nil, now, 0.5)
 	flows["api"] = StaticFlow{Store: st, Now: now}
 	bus := eventbus.New(0)
 	c := NewPlanCache(&cacheSource{flows: flows}, bus)

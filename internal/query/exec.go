@@ -154,7 +154,7 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 	case fuse != nil:
 		sink.initAgg(fuse.stat)
 	case res != nil:
-		sink.initColumns(bucketEstimate(v, res.period))
+		sink.initColumns(v.BucketHint(res.period))
 	default:
 		sink.initColumns(v.Len())
 	}
@@ -186,7 +186,7 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 		// points through a bucket accumulator (percentile buckets gather
 		// into the entry scratch's sibling buffer).
 		var acc bucketAcc
-		_, isPct := percentileP(res.stat)
+		_, isPct := res.stat.Percentile()
 		per := res.period
 		cur, open := int64(0), false
 		var pctBuf []float64
@@ -241,20 +241,6 @@ func applyOps(ops []chainOp, val float64) (float64, bool) {
 	return val, true
 }
 
-// bucketEstimate presizes resample output: the bucket count the window
-// span implies, capped by the point count (resampling never grows).
-func bucketEstimate(v timeseries.View, period time.Duration) int {
-	n := v.Len()
-	if n > 1 {
-		if span := v.NanoAt(n-1) - v.NanoAt(0); span >= 0 {
-			if b := int(span/int64(period)) + 1; b < n {
-				return b
-			}
-		}
-	}
-	return n
-}
-
 // chainSink terminates a series' stream: either into presized output
 // columns or into a fused aggregation.
 type chainSink struct {
@@ -280,7 +266,7 @@ func (s *chainSink) initColumns(capHint int) {
 func (s *chainSink) initAgg(stat timeseries.Agg) {
 	s.agg = true
 	s.aggStat = stat
-	_, s.aggPct = percentileP(stat)
+	_, s.aggPct = stat.Percentile()
 }
 
 func (s *chainSink) emit(tn int64, val float64) {
@@ -363,19 +349,6 @@ func (b *bucketAcc) value(a timeseries.Agg) float64 {
 	}
 }
 
-// percentileP mirrors Agg.percentile for the compiled chain.
-func percentileP(a timeseries.Agg) (float64, bool) {
-	switch a {
-	case timeseries.AggP50:
-		return 50, true
-	case timeseries.AggP90:
-		return 90, true
-	case timeseries.AggP99:
-		return 99, true
-	}
-	return 0, false
-}
-
 // --- join ---
 
 // mergeJoin pairs left and right series and inner-merges each pair on
@@ -425,7 +398,7 @@ func mergeOne(l, r *Series, js *joinSpec, fuse *postOp, scr *execScratch) (Serie
 	var lastT int64
 	aggPct := false
 	if fuse != nil {
-		_, aggPct = percentileP(fuse.stat)
+		_, aggPct = fuse.stat.Percentile()
 		scr.buf = scr.buf[:0]
 	} else {
 		ser.Ts = make([]int64, 0, n)

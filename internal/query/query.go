@@ -33,6 +33,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/timeseries"
@@ -216,26 +217,28 @@ func (pr *program) resamplePeriod() time.Duration {
 	return 0
 }
 
-// ParseStat maps the statistic names of the HTTP read plane (avg, sum,
-// min, max, count, p50, p90, p99, plus their CloudWatch-flavoured
-// aliases) to the timeseries aggregation.
+// ParseStat maps the statistic names of the whole read plane — pipeline
+// stages, GET .../metrics/query and batchQuery — to the timeseries
+// aggregation: avg, sum, min, max, count, p50, p90, p99 and the
+// CloudWatch-flavoured aliases (mean/average, minimum, maximum,
+// samplecount), in any letter case. The empty name is avg.
 func ParseStat(s string) (timeseries.Agg, bool) {
-	switch s {
-	case "", "avg", "mean", "average", "Average":
+	switch strings.ToLower(s) {
+	case "", "avg", "mean", "average":
 		return timeseries.AggMean, true
-	case "sum", "Sum":
+	case "sum":
 		return timeseries.AggSum, true
-	case "min", "minimum", "Minimum":
+	case "min", "minimum":
 		return timeseries.AggMin, true
-	case "max", "maximum", "Maximum":
+	case "max", "maximum":
 		return timeseries.AggMax, true
-	case "count", "samplecount", "SampleCount":
+	case "count", "samplecount":
 		return timeseries.AggCount, true
-	case "p50", "P50":
+	case "p50":
 		return timeseries.AggP50, true
-	case "p90", "P90":
+	case "p90":
 		return timeseries.AggP90, true
-	case "p99", "P99":
+	case "p99":
 		return timeseries.AggP99, true
 	}
 	return 0, false

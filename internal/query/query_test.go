@@ -22,9 +22,9 @@ func testSource(t testing.TB, nFlows int) (StaticSource, time.Time) {
 		base := now.Add(-599 * time.Second)
 		for i := 0; i < 600; i++ {
 			ts := base.Add(time.Duration(i) * time.Second)
-			st.MustPut("Analytics/Cluster", "RequestLatencyMs", map[string]string{"Cluster": "main"},
+			storePut(st, "Analytics/Cluster", "RequestLatencyMs", map[string]string{"Cluster": "main"},
 				ts, float64(100*(f+1)+i%10))
-			st.MustPut("Analytics/Cluster", "AllocatedVMs", nil, ts, float64(f+2))
+			storePut(st, "Analytics/Cluster", "AllocatedVMs", nil, ts, float64(f+2))
 		}
 		src[flowName(f)] = StaticFlow{Store: st, Now: now}
 	}
@@ -258,7 +258,7 @@ func TestMaxSeriesLimit(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0).UTC()
 	st := metricstore.NewStore()
 	for i := 0; i < MaxSeries+1; i++ {
-		st.MustPut("NS", "m", map[string]string{"i": string(rune('a' + i%26)), "j": string(rune('a' + i/26))}, now, 1)
+		storePut(st, "NS", "m", map[string]string{"i": string(rune('a' + i%26)), "j": string(rune('a' + i/26))}, now, 1)
 	}
 	src := StaticSource{"f": {Store: st, Now: now}}
 	_, err := Prepare(src, "select flow=f ns=NS", nil)

@@ -139,9 +139,8 @@ func TestPercentileScratchMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestViewResampleMatchesSeriesResample: the zero-copy streaming resampler
-// and the legacy-shaped Series.Resample agree bit-for-bit, including the
-// reused-destination path.
+// TestViewResampleMatchesSeriesResample: resampling into a reused
+// destination and scratch agrees bit-for-bit with a fresh Series.Resample.
 func TestViewResampleMatchesSeriesResample(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {

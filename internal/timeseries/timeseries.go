@@ -133,15 +133,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Times returns a copy of the timestamps in order.
-func (s *Series) Times() []time.Time {
-	out := make([]time.Time, s.Len())
-	for i, n := range s.times[s.head:] {
-		out[i] = nanoTime(n)
-	}
-	return out
-}
-
 // Columns exposes the series' backing columns — unix-nano timestamps and
 // values, live region only — without copying. Callers must treat both
 // slices as read-only and must not retain them across a mutation of s;
@@ -264,8 +255,10 @@ func (a Agg) String() string {
 	}
 }
 
-// percentile reports whether the aggregation needs a sorted bucket.
-func (a Agg) percentile() (p float64, ok bool) {
+// Percentile reports whether the aggregation is a percentile, and which
+// one (0..100): percentile buckets need their values gathered and sorted,
+// every other aggregation streams.
+func (a Agg) Percentile() (p float64, ok bool) {
 	switch a {
 	case AggP50:
 		return 50, true
@@ -301,12 +294,11 @@ func (a Agg) ApplyWith(vs []float64, sc *AggScratch) float64 {
 		return Min(vs)
 	case AggMax:
 		return Max(vs)
-	case AggP50, AggP90, AggP99:
-		p, _ := a.percentile()
-		return sc.percentile(vs, p)
-	default:
-		return math.NaN()
 	}
+	if p, ok := a.Percentile(); ok {
+		return sc.percentile(vs, p)
+	}
+	return math.NaN()
 }
 
 // Resample buckets the series into consecutive windows of length period
@@ -314,27 +306,6 @@ func (a Agg) ApplyWith(vs []float64, sc *AggScratch) float64 {
 // buckets are skipped. The resulting point carries the bucket start time.
 func (s *Series) Resample(period time.Duration, agg Agg) *Series {
 	return s.ViewAll().Resample(period, agg)
-}
-
-// EWMA returns the exponentially weighted moving average of the series with
-// smoothing factor alpha in (0, 1]; larger alpha weights recent points more.
-func (s *Series) EWMA(alpha float64) *Series {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("timeseries: EWMA alpha %v out of (0,1]", alpha))
-	}
-	out := New(s.Len())
-	var acc float64
-	for i, n := range s.times[s.head:] {
-		v := s.vals[s.head+i]
-		if i == 0 {
-			acc = v
-		} else {
-			acc = alpha*v + (1-alpha)*acc
-		}
-		out.times = append(out.times, n)
-		out.vals = append(out.vals, acc)
-	}
-	return out
 }
 
 // Mean returns the arithmetic mean of vs, or NaN if empty.
@@ -381,24 +352,6 @@ func Max(vs []float64) float64 {
 	}
 	return m
 }
-
-// Variance returns the population variance of vs, or NaN for fewer than one
-// point.
-func Variance(vs []float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	mu := Mean(vs)
-	var ss float64
-	for _, v := range vs {
-		d := v - mu
-		ss += d * d
-	}
-	return ss / float64(len(vs))
-}
-
-// StdDev returns the population standard deviation of vs.
-func StdDev(vs []float64) float64 { return math.Sqrt(Variance(vs)) }
 
 // Percentile returns the p-th percentile (0..100) of vs using linear
 // interpolation between closest ranks. It copies vs before sorting.

@@ -1,9 +1,6 @@
 package timeseries
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // View is a zero-copy window over a Series' columns. It shares storage with
 // the series it was taken from and is valid only until that series is next
@@ -93,49 +90,19 @@ func (v View) Aggregate(a Agg, sc *AggScratch) float64 {
 	return a.ApplyWith(v.vals, sc)
 }
 
-// bucketAcc accumulates one resample bucket without materialising it, for
-// the streaming (non-percentile) aggregations.
-type bucketAcc struct {
-	n        int
-	sum      float64
-	min, max float64
-}
-
-func (b *bucketAcc) add(v float64) {
-	if b.n == 0 {
-		b.min, b.max = v, v
-	} else {
-		if v < b.min {
-			b.min = v
-		}
-		if v > b.max {
-			b.max = v
+// BucketHint is a capacity hint for bucketing v at period: the bucket
+// count v's time span implies, capped by the point count (bucketing never
+// grows a series). It sizes output columns, never decides contents.
+func (v View) BucketHint(period time.Duration) int {
+	n := len(v.times)
+	if n > 1 {
+		if span := v.times[n-1] - v.times[0]; span >= 0 {
+			if b := int(span/int64(period)) + 1; b < n {
+				return b
+			}
 		}
 	}
-	b.n++
-	b.sum += v
-}
-
-func (b *bucketAcc) result(a Agg) float64 {
-	switch a {
-	case AggCount:
-		return float64(b.n)
-	case AggSum:
-		return b.sum
-	}
-	if b.n == 0 {
-		return math.NaN()
-	}
-	switch a {
-	case AggMean:
-		return b.sum / float64(b.n)
-	case AggMin:
-		return b.min
-	case AggMax:
-		return b.max
-	default:
-		return math.NaN()
-	}
+	return n
 }
 
 // Resample buckets the view into consecutive windows of length period
@@ -148,50 +115,22 @@ func (v View) Resample(period time.Duration, agg Agg) *Series {
 
 // ResampleInto is Resample writing into dst (which is Reset first and
 // returned), with sc reused for percentile buckets — the allocation-free
-// aggregation path for callers that hold both across queries. The
-// streaming aggregations (mean, sum, min, max, count) never touch sc;
-// percentile buckets are gathered into sc and sorted in place.
+// aggregation path for callers that hold both across queries. Each bucket
+// is aggregated in place over its zero-copy sub-view, so the result is
+// exactly Agg.ApplyWith over that bucket's values.
 func (v View) ResampleInto(dst *Series, period time.Duration, agg Agg, sc *AggScratch) *Series {
-	if period <= 0 {
-		panic("timeseries: resample period must be positive")
+	var anchor int64
+	if len(v.times) > 0 {
+		anchor = v.times[0]
 	}
+	it := v.buckets(anchor, period)
 	dst.Reset()
-	if len(v.times) == 0 {
-		return dst
+	for {
+		start, sub, ok := it.Next()
+		if !ok {
+			return dst
+		}
+		dst.times = append(dst.times, start)
+		dst.vals = append(dst.vals, sub.Aggregate(agg, sc))
 	}
-	p, isPct := agg.percentile()
-	anchor := v.times[0]
-	per := int64(period)
-	bucketIdx := int64(0)
-	var acc bucketAcc
-	start := 0 // first index of the current bucket (percentile path)
-	flushAt := func(i int) {
-		if isPct {
-			if i == start {
-				return
-			}
-			dst.times = append(dst.times, anchor+bucketIdx*per)
-			dst.vals = append(dst.vals, sc.percentile(v.vals[start:i], p))
-			start = i
-			return
-		}
-		if acc.n == 0 {
-			return
-		}
-		dst.times = append(dst.times, anchor+bucketIdx*per)
-		dst.vals = append(dst.vals, acc.result(agg))
-		acc = bucketAcc{}
-	}
-	for i, tn := range v.times {
-		idx := (tn - anchor) / per
-		if idx != bucketIdx {
-			flushAt(i)
-			bucketIdx = idx
-		}
-		if !isPct {
-			acc.add(v.vals[i])
-		}
-	}
-	flushAt(len(v.times))
-	return dst
 }
