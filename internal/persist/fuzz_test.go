@@ -19,9 +19,22 @@ func FuzzReadWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadWAL(bytes.NewReader(data))
 
+		// Compaction copies the lines scanWAL hands over: each must be
+		// its input line exactly, and parse back to the same record.
+		lines := bytes.Split(data, []byte{'\n'})
+		_ = scanWAL(bytes.NewReader(data), func(rec WALRecord, line []byte) error {
+			if !bytes.Equal(line, lines[rec.Line-1]) {
+				t.Fatalf("line %d: scanWAL handed over %q, input has %q", rec.Line, line, lines[rec.Line-1])
+			}
+			if back, perr := parseWALLine(line); perr != nil || back.Seq != rec.Seq || back.Op != rec.Op {
+				t.Fatalf("line %d: handed-over line reads back as %+v, %v", rec.Line, back, perr)
+			}
+			return nil
+		})
+
 		// Every returned record re-frames to a line that parses back to
-		// itself: compaction rewrites retained records through
-		// frameRecord, so a record ReadWAL accepts must survive it.
+		// itself: Append frames through frameRecord, so a record ReadWAL
+		// accepts must survive being appended again.
 		for _, rec := range recs {
 			frame, ferr := frameRecord(rec)
 			if ferr != nil {
@@ -42,7 +55,6 @@ func FuzzReadWAL(f *testing.F) {
 		// The verdict: clean when every non-blank line parses, ErrTornTail
 		// only when the first bad line is the last line, a hard error
 		// otherwise — with exactly the records before the bad line.
-		lines := bytes.Split(data, []byte{'\n'})
 		if n := len(lines); len(lines[n-1]) == 0 {
 			lines = lines[:n-1]
 		}

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -314,45 +315,88 @@ func parseWALLine(line []byte) (WALRecord, error) {
 // more records* is mid-file corruption and fails hard, identifying the
 // offending line.
 func ReadWAL(r io.Reader) ([]WALRecord, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: wal read: %w", err)
-	}
-	lines := bytes.Split(data, []byte{'\n'})
-	// A well-formed log ends with '\n', leaving one empty trailing
-	// element; drop it so "last line" means the last frame.
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-	}
 	var recs []WALRecord
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := parseWALLine(line)
-		if err != nil {
-			if i == len(lines)-1 {
-				return recs, fmt.Errorf("persist: wal line %d: %v: %w", i+1, err, ErrTornTail)
-			}
-			return recs, fmt.Errorf("persist: wal line %d: corrupt mid-file: %w", i+1, err)
-		}
-		rec.Line = i + 1
+	err := scanWAL(r, func(rec WALRecord, _ []byte) error {
 		recs = append(recs, rec)
-	}
-	return recs, nil
+		return nil
+	})
+	return recs, err
 }
 
 // ReadWALFile is ReadWAL over a file; a missing file is an empty log.
 func ReadWALFile(path string) ([]WALRecord, error) {
+	var recs []WALRecord
+	err := scanWALFile(path, func(rec WALRecord, _ []byte) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, err
+}
+
+// scanWAL is ReadWAL one record at a time: it calls fn with every
+// well-formed record in log order, together with the line it was parsed
+// from (without the newline; valid only during the call), and returns
+// ReadWAL's verdict or fn's first error. It holds one line at a time, so
+// a log of any length is read in constant memory.
+func scanWAL(r io.Reader, fn func(rec WALRecord, line []byte) error) error {
+	br := bufio.NewReader(r)
+	var long []byte // a line longer than br's buffer, assembled across reads
+	for n := 1; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		atEOF := err == io.EOF
+		if err != nil && !atEOF {
+			return fmt.Errorf("persist: wal read: %w", err)
+		}
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		if len(line) == 0 {
+			if atEOF {
+				return nil
+			}
+			continue
+		}
+		rec, perr := parseWALLine(line)
+		if perr != nil {
+			// The line is the last one when nothing, not even a blank
+			// line, follows its newline.
+			if !atEOF {
+				if _, err := br.Peek(1); err != io.EOF {
+					if err != nil {
+						return fmt.Errorf("persist: wal read: %w", err)
+					}
+					return fmt.Errorf("persist: wal line %d: corrupt mid-file: %w", n, perr)
+				}
+			}
+			return fmt.Errorf("persist: wal line %d: %v: %w", n, perr, ErrTornTail)
+		}
+		rec.Line = n
+		if err := fn(rec, line); err != nil {
+			return err
+		}
+		if atEOF {
+			return nil
+		}
+	}
+}
+
+// scanWALFile is scanWAL over a file; a missing file is an empty log.
+func scanWALFile(path string, fn func(rec WALRecord, line []byte) error) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("persist: open wal: %w", err)
+		return fmt.Errorf("persist: open wal: %w", err)
 	}
 	defer f.Close()
-	return ReadWAL(f)
+	return scanWAL(f, fn)
 }
 
 // --- checkpoint ---
@@ -628,8 +672,21 @@ func (l *ControlLog) compact(ckpt *ControlCheckpoint) error {
 	if err := l.wal.Err(); err != nil {
 		return err
 	}
+	// Only the records past the watermark survive: the few appended while
+	// the capture ran. The log is streamed and just those lines are held,
+	// so a compaction's memory does not grow with the number of records
+	// since the last one.
 	walPath := filepath.Join(l.dir, WALFileName)
-	recs, err := ReadWALFile(walPath)
+	var tail bytes.Buffer
+	kept := 0
+	err := scanWALFile(walPath, func(rec WALRecord, line []byte) error {
+		if rec.Seq > ckpt.LastSeq {
+			tail.Write(line)
+			tail.WriteByte('\n')
+			kept++
+		}
+		return nil
+	})
 	if err != nil && !errors.Is(err, ErrTornTail) {
 		return err
 	}
@@ -637,25 +694,12 @@ func (l *ControlLog) compact(ckpt *ControlCheckpoint) error {
 		return err
 	}
 	// Rewrite the tail atomically, then swing the append handle to the
-	// new file. Retained records are rewritten verbatim — original
+	// new file. Retained records are copied byte for byte — original
 	// sequence numbers and timestamps — so the checkpoint watermark
 	// still partitions them correctly on the next recovery.
-	kept := 0
 	err = atomicReplace(walPath, func(w io.Writer) error {
-		for _, rec := range recs {
-			if rec.Seq <= ckpt.LastSeq {
-				continue
-			}
-			frame, err := frameRecord(rec)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(frame); err != nil {
-				return err
-			}
-			kept++
-		}
-		return nil
+		_, err := w.Write(tail.Bytes())
+		return err
 	})
 	if err != nil {
 		return err

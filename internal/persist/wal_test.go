@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/injectfs"
@@ -253,6 +254,59 @@ func TestControlLogCompaction(t *testing.T) {
 	}
 	if len(state.Tail) != 1 || state.Tail[0].Op != OpFlowDelete || state.Tail[0].Seq != 4 {
 		t.Fatalf("recovered tail: %+v", state.Tail)
+	}
+}
+
+// Records appended while the capture runs outlive the compaction byte for
+// byte, among them one longer than the reader's buffer.
+func TestControlLogCompactionKeepsTailVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, WALFileName)
+	l, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 50 {
+		if err := l.Append(OpFlowCreate, FlowCreateOp{ID: "before"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long := strings.Repeat("x", 10000)
+	var want []byte
+	err = l.CompactWith(func() *ControlCheckpoint {
+		for _, id := range []string{"during", long} {
+			if err := l.Append(OpFlowCreate, FlowCreateOp{ID: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte{'\n'})
+		want = bytes.Join(lines[len(lines)-3:], nil) // the two records and the empty split after the final newline
+		return &ControlCheckpoint{}
+	})
+	if err != nil {
+		t.Fatalf("CompactWith: %v", err)
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rotated WAL (err %v):\n%.200s\nwant:\n%.200s", err, got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, state, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.Checkpoint == nil || state.Checkpoint.LastSeq != 50 || len(state.Tail) != 2 {
+		t.Fatalf("recovered checkpoint %+v, tail of %d records", state.Checkpoint, len(state.Tail))
+	}
+	var op FlowCreateOp
+	if err := state.Tail[1].Decode(&op); err != nil || op.ID != long || state.Tail[1].Seq != 52 {
+		t.Fatalf("long record: seq %d, id of %d bytes, err %v", state.Tail[1].Seq, len(op.ID), err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +73,35 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
 				t.Errorf("%.1f allocs/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestScrapeAllocs budgets WriteProm at its bufio.Writer's own two
+// allocations, however many families, samples and escaped labels the
+// snapshot holds: escaping and number formatting write into the buffer.
+func TestScrapeAllocs(t *testing.T) {
+	for _, families := range []int{1, 40} {
+		r := NewRegistry()
+		for i := 0; i < families; i++ {
+			r.Counter(fmt.Sprintf("c%d_total", i), "help with a back\\slash\nand a newline").Add(uint64(i))
+			cv := r.CounterVec(fmt.Sprintf("v%d_total", i), "by route", "route", "code")
+			cv.With(`/v1/"quoted"\path`, "200").Add(1e15)
+			cv.With("line\nbreak", "500").Inc()
+			r.GaugeVec(fmt.Sprintf("g%d", i), "", "kind").With("ünïcødé").Set(-7)
+			h := r.HistogramVec(fmt.Sprintf("h%d_seconds", i), "latency", nil, "route").With("/v1/query")
+			h.Observe(time.Duration(i) * 333 * time.Microsecond)
+		}
+		snap := r.Snapshot()
+		t.Run(fmt.Sprintf("families_%d", 4*families), func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := snap.WriteProm(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("%.1f allocs per scrape, want ≤ 2 (the bufio.Writer)", allocs)
 			}
 		})
 	}
