@@ -100,18 +100,20 @@
 // # Metric pipeline
 //
 // The metric store at the centre of every flow (internal/metricstore, the
-// CloudWatch analogue of Fig. 3) is columnar and handle-based: series are
-// stored as parallel int64 unix-nano / float64 columns, and hot-path
-// callers — per-tick publishers in the simulated substrates, control-loop
-// sensors, SLO accounting — resolve a *metricstore.Handle once at build
-// time and then append or aggregate through it allocation-free, under a
-// per-metric lock. Windowed statistics are answered by binary search plus
-// a single streaming pass over a zero-copy view; retention pruning is an
-// amortised head drop, never a copy of the surviving points. Callers whose
-// metric identity is per-request (HTTP queries, alarms) resolve with
-// Store.Lookup and read through the same handle. Every period statistic,
-// whether its buckets start at the epoch or at the window's first point,
-// is one bucket walker over zero-copy sub-views.
+// CloudWatch analogue of Fig. 3) is columnar and handle-based: a series is
+// a float64 value column beside a time column that stays cadence-encoded
+// as (t0, step) while appends keep one step, and stores int64 unix nanos
+// only once they do not. Hot-path callers — per-tick publishers in the
+// simulated substrates, control-loop sensors, SLO accounting — resolve a
+// *metricstore.Handle once at build time and then append or aggregate
+// through it allocation-free, under a per-metric lock. Windowed statistics
+// are answered by window arithmetic (binary search on an explicit time
+// column) plus a single streaming pass over a zero-copy view; retention
+// pruning is an amortised head drop, never a copy of the surviving points.
+// Callers whose metric identity is per-request (HTTP queries, alarms)
+// resolve with Store.Lookup and read through the same handle. Every period
+// statistic, whether its buckets start at the epoch or at the window's
+// first point, is one bucket walker over contiguous index ranges of a view.
 // See API.md ("Metric store: handle-based hot path") for the performance
 // model. TestColumnarStoreMatchesLegacyRandomised holds the store
 // bit-for-bit to the pre-rebuild implementation, kept as a test oracle,

@@ -46,10 +46,51 @@ func genMetrics(rng *rand.Rand) []equivMetric {
 
 // driveBoth feeds an identical randomised workload into both stores,
 // appending through Put on the legacy side and on the new side through a
-// mix of per-call resolution (storePut) and build-time handles.
-func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, metrics []equivMetric, points int) time.Time {
+// mix of per-call resolution (storePut) and build-time handles. Gaps are
+// random 1–20 s, so series almost never keep a cadence.
+func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, metrics []equivMetric, points int) {
 	t.Helper()
 	now := simtime.Epoch
+	handles := internHandles(t, st, metrics)
+	for i := 0; i < points; i++ {
+		now = now.Add(time.Duration(1+rng.Intn(20)) * time.Second)
+		mi := rng.Intn(len(metrics))
+		appendBoth(t, rng, st, legacy, metrics[mi], handles[mi], now)
+	}
+}
+
+// driveCadence is driveBoth with the workload the simulation produces:
+// each metric advances on its own fixed step (occasionally 0, equal
+// timestamps being legal), so its series stays cadence-encoded. About half
+// the metrics keep it throughout; in the others, an off-cadence append
+// sprinkled after the third point materialises the timestamps mid-stream.
+func driveCadence(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, metrics []equivMetric, points int) {
+	t.Helper()
+	handles := internHandles(t, st, metrics)
+	steps := make([]time.Duration, len(metrics))
+	next := make([]time.Time, len(metrics))
+	appended := make([]int, len(metrics))
+	offCadence := make([]bool, len(metrics))
+	for i := range metrics {
+		if rng.Intn(10) > 0 {
+			steps[i] = time.Duration(5*(1+rng.Intn(20))) * time.Second
+		}
+		next[i] = simtime.Epoch.Add(time.Duration(rng.Intn(600)) * time.Second)
+		offCadence[i] = rng.Intn(2) == 0
+	}
+	for i := 0; i < points; i++ {
+		mi := rng.Intn(len(metrics))
+		appendBoth(t, rng, st, legacy, metrics[mi], handles[mi], next[mi])
+		appended[mi]++
+		next[mi] = next[mi].Add(steps[mi])
+		if offCadence[mi] && appended[mi] >= 3 && rng.Intn(150) == 0 {
+			next[mi] = next[mi].Add(time.Duration(1+rng.Intn(30)) * time.Second)
+		}
+	}
+}
+
+func internHandles(t *testing.T, st *metricstore.Store, metrics []equivMetric) []*metricstore.Handle {
+	t.Helper()
 	handles := make([]*metricstore.Handle, len(metrics))
 	for i, m := range metrics {
 		h, err := st.Handle(m.ns, m.name, m.dims)
@@ -58,21 +99,22 @@ func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *lega
 		}
 		handles[i] = h
 	}
-	for i := 0; i < points; i++ {
-		now = now.Add(time.Duration(1+rng.Intn(20)) * time.Second)
-		mi := rng.Intn(len(metrics))
-		m := metrics[mi]
-		v := math.Round(rng.NormFloat64()*1e6) / 1e3 // finite, varied, exact
-		if err := legacy.Put(m.ns, m.name, m.dims, now, v); err != nil {
-			t.Fatal(err)
-		}
-		if rng.Intn(2) == 0 {
-			storePut(st, m.ns, m.name, m.dims, now, v)
-		} else if err := handles[mi].Append(now, v); err != nil {
-			t.Fatal(err)
-		}
+	return handles
+}
+
+// appendBoth appends one random value at now to both stores: Put on the
+// legacy side, per-call resolution or the handle at random on the new.
+func appendBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, m equivMetric, h *metricstore.Handle, now time.Time) {
+	t.Helper()
+	v := math.Round(rng.NormFloat64()*1e6) / 1e3 // finite, varied, exact
+	if err := legacy.Put(m.ns, m.name, m.dims, now, v); err != nil {
+		t.Fatal(err)
 	}
-	return now
+	if rng.Intn(2) == 0 {
+		storePut(st, m.ns, m.name, m.dims, now, v)
+	} else if err := h.Append(now, v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // assertSeriesEqual requires the new series to match the legacy one
@@ -102,7 +144,10 @@ func statsList() []timeseries.Agg {
 }
 
 func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
+	// Seeds 0–7 draw random gaps (explicit time columns); seeds 8–15 keep
+	// each metric on a cadence, so the store's reads run on cadence-encoded
+	// columns and across the switch to explicit ones.
+	for seed := int64(0); seed < 16; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := metricstore.NewStore()
@@ -115,7 +160,11 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 				legacy.SetRetention(30 * time.Minute)
 			}
 			metrics := genMetrics(rng)
-			end := driveBoth(t, rng, st, legacy, metrics, 2000)
+			if seed < 8 {
+				driveBoth(t, rng, st, legacy, metrics, 2000)
+			} else {
+				driveCadence(t, rng, st, legacy, metrics, 2000)
+			}
 
 			for qi := 0; qi < 50; qi++ {
 				m := metrics[rng.Intn(len(metrics))]
@@ -181,7 +230,6 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 					t.Fatalf("latest %s/%s: %v/%v vs legacy %v/%v", m.ns, m.name, got.T, got.V, want.T, want.V)
 				}
 			}
-			_ = end
 		})
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // Execution. A plan runs as one pass per matched series inside
-// Handle.ViewWindow — window slicing by binary search, then the compiled
-// chain streaming point by point (filters, maps, epoch-aligned bucket
-// accumulation) straight into presized output columns. Only each chain's
-// final output is materialised; with a fused agg sink not even that. The
+// Handle.ViewWindow — window slicing by the view's time column, then the
+// compiled chain streaming point by point (filters, maps, epoch-aligned
+// bucket accumulation) straight into presized output columns. Only each
+// chain's final output is materialised; with a fused agg sink not even
+// that, and a fused agg over a bare window is one Aggregate call. The
 // join then merge-scans the (already small, already aligned) bucketed
 // columns of both sides. Nothing in the executor holds two flows' locks
 // at once: sides evaluate sequentially, flow by flow.
@@ -148,6 +149,16 @@ func splitChain(chain []chainOp) (pre []chainOp, res *chainOp, post []chainOp) {
 // sc are only valid here, and everything returned is freshly owned.
 func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *postOp) ([]int64, []float64) {
 	pre, res, post := splitChain(pr.chain)
+	if fuse != nil && res == nil && len(pre) == 0 {
+		// A raw window straight into an agg: Aggregate is the sink's
+		// arithmetic (same left-to-right sum, same strict comparisons,
+		// same percentile sort) over the view's value column in place.
+		n := v.Len()
+		if n == 0 {
+			return nil, nil
+		}
+		return []int64{v.NanoAt(n - 1)}, []float64{v.Aggregate(fuse.stat, sc)}
+	}
 
 	var sink chainSink
 	switch {
@@ -163,23 +174,24 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 	switch {
 	case res == nil:
 		// No resample: filters and maps stream straight into the sink.
-		for i, n := 0, v.Len(); i < n; i++ {
-			val, keep := applyOps(pre, v.ValueAt(i))
+		times, vals := v.Times(), v.Values()
+		for i, x := range vals {
+			val, keep := applyOps(pre, x)
 			if keep {
-				sink.emit(v.NanoAt(i), val)
+				sink.emit(times.At(i), val)
 			}
 		}
 	case len(pre) == 0:
 		// Resample with a clean prefix: the Align fast path aggregates
-		// each epoch bucket over a zero-copy sub-view, percentiles
-		// sorting into the entry's reusable scratch.
-		it := v.Align(res.period)
+		// each epoch bucket over its slice of the value column in place,
+		// percentiles sorting into the entry's reusable scratch.
+		it, vals := v.Align(res.period), v.Values()
 		for {
-			start, sub, ok := it.Next()
+			start, lo, hi, ok := it.Next()
 			if !ok {
 				break
 			}
-			sink.emit(start, sub.Aggregate(res.stat, sc))
+			sink.emit(start, res.stat.ApplyWith(vals[lo:hi], sc))
 		}
 	default:
 		// Filters or maps precede the resample: stream the transformed
@@ -206,12 +218,13 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 				acc = bucketAcc{}
 			}
 		}
-		for i, n := 0, v.Len(); i < n; i++ {
-			val, keep := applyOps(pre, v.ValueAt(i))
+		times, vals := v.Times(), v.Values()
+		for i, x := range vals {
+			val, keep := applyOps(pre, x)
 			if !keep {
 				continue
 			}
-			b := timeseries.BucketStart(v.NanoAt(i), per)
+			b := timeseries.BucketStart(times.At(i), per)
 			if !open || b != cur {
 				flush()
 				cur, open = b, true

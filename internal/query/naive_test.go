@@ -24,6 +24,8 @@ const (
 	naiveNS     = "Analytics/Cluster"
 	naiveLeft   = "RequestLatencyMs"
 	naiveRight  = "AllocatedVMs"
+	naiveGappy  = "QueueDepth" // NaN on every 7th point, in 3 of 4 flows
+	naiveStale  = "ErrorRate"  // first 100 s only: empty in any 5m window
 )
 
 // The two shapes. Scan+agg is the cheapest useful query (the engine
@@ -51,10 +53,20 @@ func naiveSource(t *testing.T) StaticSource {
 		s := metricstore.NewStore()
 		lat := s.MustHandle(naiveNS, naiveLeft, nil)
 		vms := s.MustHandle(naiveNS, naiveRight, nil)
+		gappy := s.MustHandle(naiveNS, naiveGappy, nil)
+		stale := s.MustHandle(naiveNS, naiveStale, nil)
 		for i := 0; i < naivePoints; i++ {
 			ts := base.Add(time.Duration(i) * time.Second)
 			lat.MustAppend(ts, 100+float64(f)+float64(i%60))
 			vms.MustAppend(ts, float64(2+(f+i/200)%3))
+			q := float64((i*7+f*13)%50) - 10
+			if f%4 != 3 && (i+f)%7 == 0 { // some flows open on a NaN
+				q = math.NaN()
+			}
+			gappy.MustAppend(ts, q)
+			if i < 100 {
+				stale.MustAppend(ts, float64(i%5))
+			}
 		}
 		src[fmt.Sprintf("qb-%02d", f)] = StaticFlow{Store: s, Now: now}
 	}
@@ -103,29 +115,39 @@ func naiveResample(s *timeseries.Series, period time.Duration, stat timeseries.A
 // window per flow, copied again into a values slice, one aggregate point
 // at the window's last timestamp.
 func naiveScanAgg(src StaticSource) []naiveSeries {
-	var out []naiveSeries
-	for _, id := range src.FlowIDs() {
-		src.WithFlow(id, func(store *metricstore.Store, now time.Time) {
-			h, ok := store.Lookup(naiveNS, naiveLeft, nil)
-			if !ok {
-				return
-			}
-			raw := naiveWindow(h, now, 10*time.Minute)
-			if raw.Len() == 0 {
-				return
-			}
-			vals := make([]float64, raw.Len())
-			for i := range vals {
-				vals[i] = raw.At(i).V
-			}
-			out = append(out, naiveSeries{
-				Flow: id,
-				Ts:   []int64{raw.At(raw.Len() - 1).T.UnixNano()},
-				Vs:   []float64{timeseries.AggMean.Apply(vals)},
+	return naiveScanAggOf(naiveLeft, 10*time.Minute, timeseries.AggMean)(src)
+}
+
+// naiveScanAggOf is naiveScanAgg for any metric, window and statistic; a
+// flow whose window holds no points yields an empty series, as the engine
+// keeps it.
+func naiveScanAggOf(name string, window time.Duration, stat timeseries.Agg) func(StaticSource) []naiveSeries {
+	return func(src StaticSource) []naiveSeries {
+		var out []naiveSeries
+		for _, id := range src.FlowIDs() {
+			src.WithFlow(id, func(store *metricstore.Store, now time.Time) {
+				h, ok := store.Lookup(naiveNS, name, nil)
+				if !ok {
+					return
+				}
+				raw := naiveWindow(h, now, window)
+				if raw.Len() == 0 {
+					out = append(out, naiveSeries{Flow: id})
+					return
+				}
+				vals := make([]float64, raw.Len())
+				for i := range vals {
+					vals[i] = raw.At(i).V
+				}
+				out = append(out, naiveSeries{
+					Flow: id,
+					Ts:   []int64{raw.At(raw.Len() - 1).T.UnixNano()},
+					Vs:   []float64{stat.Apply(vals)},
+				})
 			})
-		})
+		}
+		return out
 	}
-	return out
 }
 
 // naiveJoinAgg evaluates naiveJoinAggQ by materialisation: both raw
@@ -167,19 +189,45 @@ func naiveJoinAgg(src StaticSource) []naiveSeries {
 	return out
 }
 
-// TestQueryEngineMatchesNaive: for both shapes, the streaming engine and
+// scanAggCases extends the scan+agg shape to every statistic, over a
+// NaN-sprinkled metric and over windows that hold no points.
+func scanAggCases() (cases []naiveCase) {
+	for _, stat := range []string{"avg", "sum", "min", "max", "count", "p50", "p90", "p99"} {
+		agg, _ := ParseStat(stat)
+		for _, m := range []struct {
+			tag, name string
+			window    time.Duration
+		}{
+			{"", naiveLeft, 10 * time.Minute},
+			{"nan_", naiveGappy, 10 * time.Minute},
+			{"empty_", naiveStale, 5 * time.Minute},
+		} {
+			cases = append(cases, naiveCase{
+				name:  "scan_agg_" + m.tag + stat,
+				q:     fmt.Sprintf("select flow=qb-* ns=%s name=%s | window %v | agg %s", naiveNS, m.name, m.window, stat),
+				naive: naiveScanAggOf(m.name, m.window, agg),
+			})
+		}
+	}
+	return cases
+}
+
+// naiveCase is one query shape and its materialising evaluator.
+type naiveCase struct {
+	name  string
+	q     string
+	naive func(StaticSource) []naiveSeries
+}
+
+// TestQueryEngineMatchesNaive: for every shape, the streaming engine and
 // the materialize-everything evaluator must produce bit-for-bit identical
 // series — same flows, same timestamps, same float64 bit patterns.
 func TestQueryEngineMatchesNaive(t *testing.T) {
 	src := naiveSource(t)
-	for _, tc := range []struct {
-		name  string
-		q     string
-		naive func(StaticSource) []naiveSeries
-	}{
+	for _, tc := range append([]naiveCase{
 		{"scan_agg", naiveScanAggQ, naiveScanAgg},
 		{"join_agg", naiveJoinAggQ, naiveJoinAgg},
-	} {
+	}, scanAggCases()...) {
 		t.Run(tc.name, func(t *testing.T) {
 			pl, err := Prepare(src, tc.q, nil)
 			if err != nil {

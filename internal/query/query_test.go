@@ -118,7 +118,7 @@ func TestResampleP99MatchesScratchlessPercentile(t *testing.T) {
 		t.Fatal("lookup failed")
 	}
 	w := h.Window(metricstore.WindowQuery{From: now.Add(-100 * time.Second), To: now.Add(time.Nanosecond)})
-	ts, vs := w.Columns()
+	ts, vs := w.ViewAll().CopyColumns(nil, nil)
 	var bucket []float64
 	for i := range ts {
 		if timeseries.BucketStart(ts[i], 20*time.Second) == s.Ts[0] {

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/metricstore"
+	"repro/internal/timeseries"
 )
 
 // What one more flow costs a running manager, as absolute budgets: a flow
@@ -71,4 +74,59 @@ func TestFlowFootprint(t *testing.T) {
 			t.Errorf("%s makes %d allocations per flow, budget %d", tc.name, got, tc.maxAllocs)
 		}
 	}
+}
+
+// historyPerPointBudget caps the live heap a running flow grows by per
+// stored datapoint. Every series of a default flow advances on the
+// simulation step, so the metric store keeps its values (8 B each) and
+// derives their timestamps from the cadence; the rest of the budget is
+// slice growth headroom and the per-tick state that is not metric history.
+// Storing a 16-byte (timestamp, value) pair per datapoint measures about
+// 20 B per point and overshoots it.
+const historyPerPointBudget = 13.0
+
+// TestFlowHistoryFootprint measures live-heap growth per datapoint across a
+// 6 h advance of a default flow, after a full GC on both sides.
+func TestFlowHistoryFootprint(t *testing.T) {
+	spec, err := flow.DefaultClickstream(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(spec, Options{})
+	if err == nil {
+		err = h.Advance(10 * time.Second)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap0, points0 := liveHeap(), storedPoints(h)
+	if err := h.Advance(6 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	heap1, points1 := liveHeap(), storedPoints(h)
+	runtime.KeepAlive(h)
+	grown := points1 - points0
+	if grown <= 0 {
+		t.Fatalf("advance stored %d datapoints", grown)
+	}
+	perPoint := (float64(heap1) - float64(heap0)) / float64(grown)
+	t.Logf("6h advance: %d datapoints, live heap %+d B, %.2f B per datapoint", grown, int64(heap1)-int64(heap0), perPoint)
+	if perPoint > historyPerPointBudget {
+		t.Errorf("live heap grows %.2f B per datapoint, budget %.0f B", perPoint, historyPerPointBudget)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// storedPoints counts the datapoints h's metric store holds.
+func storedPoints(h *Harness) int {
+	n := 0
+	h.Store.Each(func(_ metricstore.MetricID, v timeseries.View) { n += v.Len() })
+	return n
 }

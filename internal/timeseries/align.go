@@ -4,7 +4,7 @@ import "time"
 
 // Bucket walking. Every period bucketing in the package — Align for
 // cross-series joins and Resample for single-series statistics — is one
-// walker over contiguous sub-views; they differ only in where bucket 0
+// walker over contiguous index ranges; they differ only in where bucket 0
 // starts. Resample anchors buckets at a view's first point (CloudWatch's
 // period statistics), which is right for one series but useless for
 // joining two: each side's anchor differs, so "the 10:00:00–10:00:10
@@ -35,19 +35,25 @@ func BucketStart(tn int64, period time.Duration) int64 {
 }
 
 // AlignIter walks a view's period buckets in time order, yielding each
-// non-empty bucket as a zero-copy sub-view. It shares the view's storage
-// and validity window (use it only under the owning entry's lock, like the
-// view itself) and allocates nothing.
+// non-empty bucket as an index range of the view — a caller aggregates
+// the bucket over the view's value column in place. It shares the view's
+// storage and validity window (use it only under the owning entry's lock,
+// like the view itself) and allocates nothing.
 type AlignIter struct {
-	v      View
+	tc     TimeColumn
+	vals   []float64
 	anchor int64 // unix nanos where bucket 0 starts
 	per    int64
 	i      int // index of the first point not yet yielded
+	// byCadence is set for a cadence-encoded column whose timestamps all
+	// lie within int64 range of the anchor: each bucket's end index then
+	// follows from the step instead of a division per point.
+	byCadence bool
 }
 
 // Align returns an iterator over v's non-empty epoch-aligned buckets of
 // length period. Points are assumed time-ordered (the store guarantees
-// it), so each bucket is a contiguous sub-view.
+// it), so each bucket is a contiguous index range.
 func (v View) Align(period time.Duration) AlignIter {
 	return v.buckets(0, period)
 }
@@ -58,23 +64,46 @@ func (v View) buckets(anchor int64, period time.Duration) AlignIter {
 	if period <= 0 {
 		panic("timeseries: bucket period must be positive")
 	}
-	return AlignIter{v: v, anchor: anchor, per: int64(period)}
+	it := AlignIter{tc: v.tc, vals: v.vals, anchor: anchor, per: int64(period)}
+	if n := len(v.vals); n > 0 && v.tc.times == nil {
+		it.byCadence = subExact(v.tc.At(0), anchor) && subExact(v.tc.At(n-1), anchor)
+	}
+	return it
 }
 
+// subExact reports whether a-b does not overflow int64.
+func subExact(a, b int64) bool { return (a >= b) == (a-b >= 0) }
+
 // Next returns the next non-empty bucket: its start time in unix
-// nanoseconds and the zero-copy sub-view of its points. ok is false when
-// the view is exhausted.
-func (it *AlignIter) Next() (start int64, sub View, ok bool) {
-	n := it.v.Len()
-	if it.i >= n {
-		return 0, View{}, false
+// nanoseconds and its points as the index range [lo, hi) of the walked
+// view. ok is false when the view is exhausted.
+func (it *AlignIter) Next() (start int64, lo, hi int, ok bool) {
+	n, i := len(it.vals), it.i
+	if i >= n {
+		return 0, 0, 0, false
 	}
-	bucket := floorDivInt64(it.v.times[it.i]-it.anchor, it.per)
-	j := it.i + 1
-	for j < n && floorDivInt64(it.v.times[j]-it.anchor, it.per) == bucket {
-		j++
+	rel := it.tc.At(i) - it.anchor
+	bucket := floorDivInt64(rel, it.per)
+	j := i + 1
+	if it.byCadence {
+		// rel is exact, so the next bucket boundary is dist in (0, per]
+		// past point i, and point i+k reaches it once k·step >= dist.
+		j = n
+		if step := uint64(it.tc.step); step > 0 {
+			m := rel % it.per
+			if m < 0 {
+				m += it.per
+			}
+			dist := uint64(it.per - m)
+			if k := (dist-1)/step + 1; k < uint64(n-i) {
+				j = i + int(k)
+			}
+		}
+	} else {
+		for j < n && floorDivInt64(it.tc.At(j)-it.anchor, it.per) == bucket {
+			j++
+		}
 	}
-	sub = View{times: it.v.times[it.i:j], vals: it.v.vals[it.i:j]}
 	it.i = j
-	return it.anchor + bucket*it.per, sub, true
+	return it.anchor + bucket*it.per, i, j, true
 }

@@ -53,10 +53,11 @@ func TestAlignMatchesNaive(t *testing.T) {
 		it := v.Align(period)
 		got := 0
 		for {
-			start, sub, ok := it.Next()
+			start, lo, hi, ok := it.Next()
 			if !ok {
 				break
 			}
+			sub := v.sub(lo, hi)
 			if got >= len(want) {
 				t.Fatalf("trial %d: iterator yielded more than %d buckets", trial, len(want))
 			}
@@ -97,7 +98,7 @@ func TestAlignBucketBoundaries(t *testing.T) {
 		var out []int64
 		it := s.ViewAll().Align(10 * time.Second)
 		for {
-			start, _, ok := it.Next()
+			start, _, _, ok := it.Next()
 			if !ok {
 				return out
 			}
@@ -120,7 +121,7 @@ func TestAlignBucketBoundaries(t *testing.T) {
 
 func TestAlignEmptyView(t *testing.T) {
 	it := New(0).ViewAll().Align(time.Second)
-	if _, _, ok := it.Next(); ok {
+	if _, _, _, ok := it.Next(); ok {
 		t.Fatal("empty view yielded a bucket")
 	}
 }

@@ -170,7 +170,7 @@ func TestViewResampleMatchesSeriesResample(t *testing.T) {
 	}
 }
 
-// TestViewZeroCopyWindow: views found by binary search agree with Between.
+// TestViewZeroCopyWindow: zero-copy views agree with Between.
 func TestViewZeroCopyWindow(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 500; i++ {
@@ -200,7 +200,7 @@ func TestViewZeroCopyWindow(t *testing.T) {
 // TestGrownFromEmptyEqualsPresized: the capacity hint changes when a series
 // allocates, never what it holds. Under a random interleaving of appends
 // and retention drops, a series grown from New(0) and one given a hint
-// larger than it will ever need agree on every read: Columns, windowed
+// larger than it will ever need agree on every read: the copied columns, windowed
 // View, DropBefore's return, compaction work, and Resample.
 func TestGrownFromEmptyEqualsPresized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -222,8 +222,8 @@ func TestGrownFromEmptyEqualsPresized(t *testing.T) {
 			if i%257 != 0 && i != n-1 {
 				continue
 			}
-			gt, gv := grown.Columns()
-			st, sv := sized.Columns()
+			gt, gv := grown.ViewAll().CopyColumns(nil, nil)
+			st, sv := sized.ViewAll().CopyColumns(nil, nil)
 			if !equalColumns(gt, gv, st, sv) {
 				t.Fatalf("trial %d after %d appends: Columns differ", trial, i+1)
 			}
@@ -240,8 +240,8 @@ func TestGrownFromEmptyEqualsPresized(t *testing.T) {
 			t.Fatalf("trial %d: compaction copied %d grown vs %d presized", trial, a, b)
 		}
 		for _, agg := range []Agg{AggMean, AggMax, AggCount, AggP90} {
-			gt, gv := grown.Resample(time.Minute, agg).Columns()
-			st, sv := sized.Resample(time.Minute, agg).Columns()
+			gt, gv := grown.Resample(time.Minute, agg).ViewAll().CopyColumns(nil, nil)
+			st, sv := sized.Resample(time.Minute, agg).ViewAll().CopyColumns(nil, nil)
 			if !equalColumns(gt, gv, st, sv) {
 				t.Fatalf("trial %d: Resample(%v) differs", trial, agg)
 			}

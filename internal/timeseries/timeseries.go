@@ -3,12 +3,18 @@
 // period-statistic queries, by the dependency analyzer to align layer
 // measurements, and by the experiment harness to summarise runs.
 //
-// Storage is columnar — one int64 slice of unix-nano timestamps and one
-// float64 slice of values — so the per-tick append path writes two machine
-// words, window lookups are a binary search over a flat int64 slice, and
-// retention pruning is an amortised-O(1) head drop instead of a copy of the
-// surviving points. Read paths that do not need an owned copy use View, a
-// zero-copy window over the columns.
+// Storage is columnar — a float64 slice of values beside a time column —
+// and the time column stores nothing it can compute. A series appended on
+// one cadence (every metric a flow publishes advances on the simulation
+// step) keeps only its first timestamp and step, point i sitting at
+// t0 + i·step, so a datapoint costs 8 bytes and a window lookup is
+// arithmetic. The first off-cadence append materialises one int64 slice of
+// unix-nano timestamps, after which the series behaves as an explicit
+// column: 16 bytes per datapoint and window lookups by binary search.
+// Either way the per-tick append writes at most two machine words, and
+// retention pruning is an amortised-O(1) head drop instead of a copy of
+// the surviving points. Read paths that do not need an owned copy use
+// View, a zero-copy window over the columns.
 //
 // Columns grow on demand: a series holds no storage until its first Append
 // and then grows by append's amortised doubling, so an empty series costs
@@ -36,13 +42,16 @@ type Point struct {
 // the simulation produces observations in clock order by construction and a
 // violation indicates a wiring bug.
 //
-// Internally the series is columnar: timestamps as unix nanoseconds and
-// values as float64s, with a head offset so DropBefore can discard old
-// points without copying the survivors on every call.
+// Internally the series is columnar: values as float64s beside a
+// TimeColumn that is cadence-encoded until an append breaks the cadence,
+// with a head offset so DropBefore can discard old points without copying
+// the survivors on every call.
 type Series struct {
-	times []int64 // unix nanos, ascending; live region is [head:len]
-	vals  []float64
-	head  int
+	vals []float64 // live region is [head:len]
+	// tc is indexed like vals. Cadence-encoded, its step is meaningful
+	// once vals holds two points; with fewer, the next append sets it.
+	tc   TimeColumn
+	head int
 	// copied counts points moved by compaction; the amortised-truncation
 	// regression test reads it to assert bounded total copy work.
 	copied int64
@@ -55,7 +64,7 @@ const compactMin = 32
 // New returns an empty series with capacity hint n; New(0) allocates no
 // column storage.
 func New(n int) *Series {
-	return &Series{times: make([]int64, 0, n), vals: make([]float64, 0, n)}
+	return &Series{vals: make([]float64, 0, n)}
 }
 
 // FromValues builds a series from evenly spaced values starting at start
@@ -64,8 +73,7 @@ func FromValues(start time.Time, step time.Duration, values []float64) *Series {
 	s := New(len(values))
 	base := start.UnixNano()
 	for i, v := range values {
-		s.times = append(s.times, base+int64(i)*int64(step))
-		s.vals = append(s.vals, v)
+		s.push(base+int64(i)*int64(step), v)
 	}
 	return s
 }
@@ -92,12 +100,41 @@ func unixNano(t time.Time) int64 {
 // appended timestamp.
 func (s *Series) Append(t time.Time, v float64) error {
 	tn := t.UnixNano()
-	if n := len(s.times); n > s.head && tn < s.times[n-1] {
-		return fmt.Errorf("timeseries: append at %v precedes last point %v", t, nanoTime(s.times[n-1]))
+	if n := len(s.vals); n > s.head {
+		if last := s.tc.At(n - 1); tn < last {
+			return fmt.Errorf("timeseries: append at %v precedes last point %v", t, nanoTime(last))
+		}
 	}
-	s.times = append(s.times, tn)
-	s.vals = append(s.vals, v)
+	s.push(tn, v)
 	return nil
+}
+
+// push appends (tn, v) without the ordering check, keeping the time column
+// cadence-encoded while tn continues the cadence and materialising it on
+// the first point that does not.
+func (s *Series) push(tn int64, v float64) {
+	n := len(s.vals)
+	if n == s.head {
+		// No live points: whatever the column held, it restarts at tn.
+		s.vals, s.head = s.vals[:0], 0
+		s.tc = TimeColumn{t0: tn}
+	} else if s.tc.times == nil && !s.tc.extend(n, tn) {
+		s.materialize()
+	}
+	if s.tc.times != nil {
+		s.tc.times = append(s.tc.times, tn)
+	}
+	s.vals = append(s.vals, v)
+}
+
+// materialize switches the time column to explicit timestamps, once, with
+// room for as many points as the value column.
+func (s *Series) materialize() {
+	times := make([]int64, len(s.vals), cap(s.vals))
+	for i := range times {
+		times[i] = s.tc.At(i)
+	}
+	s.tc = TimeColumn{times: times}
 }
 
 // MustAppend is Append for callers that control the clock and treat
@@ -109,11 +146,11 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 }
 
 // Len reports the number of points.
-func (s *Series) Len() int { return len(s.times) - s.head }
+func (s *Series) Len() int { return len(s.vals) - s.head }
 
 // At returns the i-th point.
 func (s *Series) At(i int) Point {
-	return Point{T: nanoTime(s.times[s.head+i]), V: s.vals[s.head+i]}
+	return Point{T: nanoTime(s.tc.At(s.head + i)), V: s.vals[s.head+i]}
 }
 
 // Last returns the most recent point and true, or a zero point and false if
@@ -122,8 +159,8 @@ func (s *Series) Last() (Point, bool) {
 	if s.Len() == 0 {
 		return Point{}, false
 	}
-	n := len(s.times) - 1
-	return Point{T: nanoTime(s.times[n]), V: s.vals[n]}, true
+	n := len(s.vals) - 1
+	return Point{T: nanoTime(s.tc.At(n)), V: s.vals[n]}, true
 }
 
 // Values returns a copy of the observation values in time order.
@@ -133,25 +170,24 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Columns exposes the series' backing columns — unix-nano timestamps and
-// values, live region only — without copying. Callers must treat both
-// slices as read-only and must not retain them across a mutation of s;
-// the batch query wire path serializes them directly.
-func (s *Series) Columns() (ts []int64, vs []float64) {
-	return s.times[s.head:], s.vals[s.head:]
+// Reset empties the series in place, keeping its value column's capacity
+// for reuse; the time column starts cadence-encoded again.
+func (s *Series) Reset() {
+	s.vals = s.vals[:0]
+	s.tc = TimeColumn{}
+	s.head = 0
 }
 
-// Reset empties the series in place, keeping its capacity for reuse.
-func (s *Series) Reset() {
-	s.times = s.times[:0]
-	s.vals = s.vals[:0]
-	s.head = 0
+// view returns the zero-copy view of the points at absolute indices
+// [lo, hi).
+func (s *Series) view(lo, hi int) View {
+	return View{tc: s.tc, vals: s.vals}.sub(lo, hi)
 }
 
 // search returns the absolute index of the first live point with
 // timestamp >= tn.
 func (s *Series) search(tn int64) int {
-	return s.head + searchNanos(s.times[s.head:], tn)
+	return s.tc.search(s.head, len(s.vals), tn)
 }
 
 // View returns a zero-copy window over the points p with from <= p.T < to.
@@ -163,13 +199,13 @@ func (s *Series) View(from, to time.Time) View {
 	if hi < lo { // inverted window selects nothing
 		hi = lo
 	}
-	return View{times: s.times[lo:hi], vals: s.vals[lo:hi]}
+	return s.view(lo, hi)
 }
 
 // ViewAll returns a zero-copy view of the whole series (same validity
 // caveats as View).
 func (s *Series) ViewAll() View {
-	return View{times: s.times[s.head:], vals: s.vals[s.head:]}
+	return s.view(s.head, len(s.vals))
 }
 
 // Between returns the sub-series of points p with from <= p.T < to. The
@@ -183,8 +219,7 @@ func (s *Series) TailN(n int) *Series {
 	if n > s.Len() {
 		n = s.Len()
 	}
-	lo := len(s.times) - n
-	return View{times: s.times[lo:], vals: s.vals[lo:]}.Materialize()
+	return s.view(len(s.vals)-n, len(s.vals)).Materialize()
 }
 
 // DropBefore discards every point with timestamp earlier than t and reports
@@ -200,11 +235,15 @@ func (s *Series) DropBefore(t time.Time) int {
 		return 0
 	}
 	s.head = lo
-	if s.head >= compactMin && 2*s.head >= len(s.times) {
-		live := len(s.times) - s.head
-		copy(s.times, s.times[s.head:])
+	if s.head >= compactMin && 2*s.head >= len(s.vals) {
+		live := len(s.vals) - s.head
+		if s.tc.times != nil {
+			copy(s.tc.times, s.tc.times[s.head:])
+			s.tc.times = s.tc.times[:live]
+		} else {
+			s.tc.t0 += int64(s.head) * s.tc.step
+		}
 		copy(s.vals, s.vals[s.head:])
-		s.times = s.times[:live]
 		s.vals = s.vals[:live]
 		s.copied += int64(live)
 		s.head = 0

@@ -2,63 +2,74 @@ package timeseries
 
 import "time"
 
-// View is a zero-copy window over a Series' columns. It shares storage with
-// the series it was taken from and is valid only until that series is next
-// mutated (Append, DropBefore, Reset); the metric store therefore only
-// exposes views under the owning entry's lock. A View is a value — slicing
-// and passing it copies two slice headers, never the data.
-type View struct {
-	times []int64
-	vals  []float64
+// TimeColumn is a read-only column of unix-nano timestamps. It is either
+// explicit — one stored int64 per point — or cadence-encoded as (t0, step)
+// with point i at t0 + i·step, which stores nothing per point. A
+// cadence-encoded column is non-decreasing and every t0 + i·step it
+// encodes is a real, in-range timestamp; only an explicit column can hold
+// whatever a caller appended.
+//
+// Per-point loops should take a view's column once (View.Times) and index
+// it with At, which inlines to one predictable branch, rather than call
+// View.NanoAt per point.
+type TimeColumn struct {
+	times    []int64 // explicit timestamps; nil when cadence-encoded
+	t0, step int64
 }
 
-// Len reports the number of points in the view.
-func (v View) Len() int { return len(v.times) }
-
-// At returns the i-th point.
-func (v View) At(i int) Point { return Point{T: nanoTime(v.times[i]), V: v.vals[i]} }
-
-// NanoAt returns the i-th timestamp in unix nanoseconds without
-// reconstructing a time.Time.
-func (v View) NanoAt(i int) int64 { return v.times[i] }
-
-// ValueAt returns the i-th value.
-func (v View) ValueAt(i int) float64 { return v.vals[i] }
-
-// Last returns the most recent point and true, or a zero point and false
-// for an empty view.
-func (v View) Last() (Point, bool) {
-	if len(v.times) == 0 {
-		return Point{}, false
+// At returns the i-th timestamp.
+func (c TimeColumn) At(i int) int64 {
+	if c.times != nil {
+		return c.times[i]
 	}
-	return v.At(len(v.times) - 1), true
+	return c.t0 + int64(i)*c.step
 }
 
-// Values exposes the underlying value column. The slice is shared with the
-// series — callers must treat it as read-only and must not retain it past
-// the view's validity window; use CopyValues or Materialize for an owned
-// copy.
-func (v View) Values() []float64 { return v.vals }
-
-// CopyValues appends the view's values to dst and returns the extended
-// slice, so a caller-held buffer is reused across windows.
-func (v View) CopyValues(dst []float64) []float64 { return append(dst, v.vals...) }
-
-// CopyColumns appends the view's raw columns to ts and vs and returns the
-// extended slices — the allocation-light export path used by snapshots.
-func (v View) CopyColumns(ts []int64, vs []float64) ([]int64, []float64) {
-	return append(ts, v.times...), append(vs, v.vals...)
-}
-
-// Slice narrows the view to points p with from <= p.T < to by binary
-// search, still without copying.
-func (v View) Slice(from, to time.Time) View {
-	lo := searchNanos(v.times, unixNano(from))
-	hi := searchNanos(v.times, unixNano(to))
-	if hi < lo { // inverted window selects nothing
-		hi = lo
+// slice returns the column of points [lo, hi).
+func (c TimeColumn) slice(lo, hi int) TimeColumn {
+	if c.times != nil {
+		return TimeColumn{times: c.times[lo:hi]}
 	}
-	return View{times: v.times[lo:hi], vals: v.vals[lo:hi]}
+	return TimeColumn{t0: c.At(lo), step: c.step}
+}
+
+// search returns the first index in [lo, hi) whose timestamp is >= tn, or
+// hi: a binary search over an explicit column, one division over a
+// cadence-encoded one.
+func (c TimeColumn) search(lo, hi int, tn int64) int {
+	if c.times != nil {
+		return lo + searchNanos(c.times[lo:hi], tn)
+	}
+	first := c.At(lo)
+	if tn <= first {
+		return lo
+	}
+	if c.step == 0 {
+		return hi
+	}
+	// tn > first, so the distance is exact as a uint64 even when it
+	// exceeds the int64 range.
+	k := (uint64(tn)-uint64(first)-1)/uint64(c.step) + 1
+	if k >= uint64(hi-lo) {
+		return hi
+	}
+	return lo + int(k)
+}
+
+// extend reports whether tn can be cadence-encoded as point n (n >= 1) of
+// the column, fixing the step when tn is the second point. A timestamp
+// before the last point, or one too far past it for an int64 step, cannot.
+func (c *TimeColumn) extend(n int, tn int64) bool {
+	last := c.t0 + int64(n-1)*c.step
+	d := tn - last
+	if tn < last || d < 0 {
+		return false
+	}
+	if n == 1 {
+		c.step = d
+		return true
+	}
+	return d == c.step
 }
 
 func searchNanos(times []int64, tn int64) int {
@@ -74,11 +85,93 @@ func searchNanos(times []int64, tn int64) int {
 	return lo
 }
 
-// Materialize copies the view into an independent Series.
+// View is a zero-copy window over a Series' columns. It shares storage with
+// the series it was taken from and is valid only until that series is next
+// mutated (Append, DropBefore, Reset); the metric store therefore only
+// exposes views under the owning entry's lock. A View is a value — slicing
+// and passing it copies two slice headers and the cadence, never the data.
+type View struct {
+	tc   TimeColumn
+	vals []float64
+}
+
+// Len reports the number of points in the view.
+func (v View) Len() int { return len(v.vals) }
+
+// At returns the i-th point.
+func (v View) At(i int) Point { return Point{T: nanoTime(v.tc.At(i)), V: v.vals[i]} }
+
+// NanoAt returns the i-th timestamp in unix nanoseconds without
+// reconstructing a time.Time.
+func (v View) NanoAt(i int) int64 { return v.tc.At(i) }
+
+// Times returns the view's time column, the accessor per-point loops
+// hoist out of the loop.
+func (v View) Times() TimeColumn { return v.tc }
+
+// ValueAt returns the i-th value.
+func (v View) ValueAt(i int) float64 { return v.vals[i] }
+
+// Last returns the most recent point and true, or a zero point and false
+// for an empty view.
+func (v View) Last() (Point, bool) {
+	if len(v.vals) == 0 {
+		return Point{}, false
+	}
+	return v.At(len(v.vals) - 1), true
+}
+
+// Values exposes the underlying value column. The slice is shared with the
+// series — callers must treat it as read-only and must not retain it past
+// the view's validity window; use CopyValues or Materialize for an owned
+// copy.
+func (v View) Values() []float64 { return v.vals }
+
+// CopyValues appends the view's values to dst and returns the extended
+// slice, so a caller-held buffer is reused across windows.
+func (v View) CopyValues(dst []float64) []float64 { return append(dst, v.vals...) }
+
+// CopyColumns appends the view's timestamps and values to ts and vs and
+// returns the extended slices — the allocation-light export path used by
+// snapshots. A cadence-encoded column is expanded here.
+func (v View) CopyColumns(ts []int64, vs []float64) ([]int64, []float64) {
+	if v.tc.times != nil {
+		ts = append(ts, v.tc.times...)
+	} else {
+		for i := range v.vals {
+			ts = append(ts, v.tc.At(i))
+		}
+	}
+	return ts, append(vs, v.vals...)
+}
+
+// Slice narrows the view to points p with from <= p.T < to, still without
+// copying.
+func (v View) Slice(from, to time.Time) View {
+	n := len(v.vals)
+	lo := v.tc.search(0, n, unixNano(from))
+	hi := v.tc.search(0, n, unixNano(to))
+	if hi < lo { // inverted window selects nothing
+		hi = lo
+	}
+	return v.sub(lo, hi)
+}
+
+// sub returns the view of points [lo, hi).
+func (v View) sub(lo, hi int) View {
+	return View{tc: v.tc.slice(lo, hi), vals: v.vals[lo:hi]}
+}
+
+// Materialize copies the view into an independent Series, keeping a
+// cadence-encoded column encoded.
 func (v View) Materialize() *Series {
-	s := New(len(v.times))
-	s.times = append(s.times, v.times...)
+	s := New(len(v.vals))
 	s.vals = append(s.vals, v.vals...)
+	if v.tc.times != nil {
+		s.tc.times = append(make([]int64, 0, len(v.vals)), v.tc.times...)
+	} else {
+		s.tc = v.tc
+	}
 	return s
 }
 
@@ -94,9 +187,9 @@ func (v View) Aggregate(a Agg, sc *AggScratch) float64 {
 // count v's time span implies, capped by the point count (bucketing never
 // grows a series). It sizes output columns, never decides contents.
 func (v View) BucketHint(period time.Duration) int {
-	n := len(v.times)
+	n := len(v.vals)
 	if n > 1 {
-		if span := v.times[n-1] - v.times[0]; span >= 0 {
+		if span := v.tc.At(n-1) - v.tc.At(0); span >= 0 {
 			if b := int(span/int64(period)) + 1; b < n {
 				return b
 			}
@@ -116,21 +209,21 @@ func (v View) Resample(period time.Duration, agg Agg) *Series {
 // ResampleInto is Resample writing into dst (which is Reset first and
 // returned), with sc reused for percentile buckets — the allocation-free
 // aggregation path for callers that hold both across queries. Each bucket
-// is aggregated in place over its zero-copy sub-view, so the result is
-// exactly Agg.ApplyWith over that bucket's values.
+// is aggregated in place over its values, so the result is exactly
+// Agg.ApplyWith over that bucket's values. Bucket starts are on the
+// period's cadence until an empty bucket is skipped.
 func (v View) ResampleInto(dst *Series, period time.Duration, agg Agg, sc *AggScratch) *Series {
 	var anchor int64
-	if len(v.times) > 0 {
-		anchor = v.times[0]
+	if len(v.vals) > 0 {
+		anchor = v.tc.At(0)
 	}
 	it := v.buckets(anchor, period)
 	dst.Reset()
 	for {
-		start, sub, ok := it.Next()
+		start, lo, hi, ok := it.Next()
 		if !ok {
 			return dst
 		}
-		dst.times = append(dst.times, start)
-		dst.vals = append(dst.vals, sub.Aggregate(agg, sc))
+		dst.push(start, agg.ApplyWith(v.vals[lo:hi], sc))
 	}
 }
