@@ -10,8 +10,7 @@
 // and Watch are auto-reconnecting event-stream iterators (resume via
 // opaque cursors, explicit dropped-event markers), BatchQueryMetrics
 // fetches many series across many flows in one columnar round trip, and
-// WaitExperiment waits on a watch stream — zero steady-state polls —
-// with a polling fallback for servers without watch support.
+// WaitExperiment waits on a watch stream — zero steady-state polls.
 //
 // Every non-streaming request carries a User-Agent and a default
 // deadline (DefaultTimeout; WithTimeout tunes or disables it); watch
@@ -596,14 +595,13 @@ func (c *Client) DeleteExperiment(ctx context.Context, id string) error {
 // (completed or cancelled) or ctx expires, then returns its final
 // summary.
 //
-// Against a server with watch support it opens one
-// GET /v1/experiments/{id}/watch stream (replaying the retained ring, so
-// an experiment that settled before the call is seen immediately) and
-// issues zero polls while waiting — one final GetExperiment fetches the
-// authoritative summary once the terminal state event arrives. Against an
-// older server without watch endpoints it falls back to polling the
-// collection listing every poll (<= 0 selects 100ms).
-func (c *Client) WaitExperiment(ctx context.Context, id string, poll time.Duration) (apiv1.ExperimentSummary, error) {
+// It opens one GET /v1/experiments/{id}/watch stream (replaying the
+// retained ring, so an experiment that settled before the call is seen
+// immediately) and issues zero polls while waiting — one final
+// GetExperiment fetches the authoritative summary once the terminal state
+// event arrives. An unknown experiment returns the server's not-found
+// *APIError.
+func (c *Client) WaitExperiment(ctx context.Context, id string) (apiv1.ExperimentSummary, error) {
 	w := c.WatchExperiment(id, WatchOptions{
 		After: "0", // replay: a terminal state recorded before the call still arrives
 		Types: []string{
@@ -619,15 +617,6 @@ func (c *Client) WaitExperiment(ctx context.Context, id string, poll time.Durati
 		case err == nil:
 		case ctx.Err() != nil:
 			return apiv1.ExperimentSummary{}, ctx.Err()
-		case permanentWatchError(err):
-			ae, _ := err.(*APIError)
-			if ae.Code == apiv1.CodeNotFound && strings.Contains(ae.Message, "no experiment") {
-				// The experiment does not exist; falling back would only
-				// reproduce the same answer one poll later.
-				return apiv1.ExperimentSummary{}, err
-			}
-			// No watch endpoint (an older control plane): poll instead.
-			return c.waitExperimentPoll(ctx, id, poll)
 		default:
 			return apiv1.ExperimentSummary{}, err
 		}
@@ -656,46 +645,6 @@ func (c *Client) WaitExperiment(ctx context.Context, id string, poll time.Durati
 			if detail.Status != lab.StatusRunning {
 				return detail.ExperimentSummary, nil
 			}
-		}
-	}
-}
-
-// waitExperimentPoll is the pre-watch waiting strategy: poll the
-// collection listing, which carries only summaries — not the per-trial
-// grid the detail route serialises — so waiting on a large farm stays
-// cheap for both sides.
-func (c *Client) waitExperimentPoll(ctx context.Context, id string, poll time.Duration) (apiv1.ExperimentSummary, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	t := time.NewTicker(poll) //flowervet:allow wallclock(client-side polling of a remote server runs in real time)
-	defer t.Stop()
-	for {
-		exps, err := c.ListExperiments(ctx)
-		if err != nil {
-			return apiv1.ExperimentSummary{}, err
-		}
-		var sum *apiv1.ExperimentSummary
-		for i := range exps {
-			if exps[i].ID == id {
-				sum = &exps[i]
-				break
-			}
-		}
-		if sum == nil {
-			return apiv1.ExperimentSummary{}, &APIError{
-				StatusCode: http.StatusNotFound,
-				Code:       apiv1.CodeNotFound,
-				Message:    fmt.Sprintf("no experiment %q", id),
-			}
-		}
-		if sum.Status != lab.StatusRunning {
-			return *sum, nil
-		}
-		select {
-		case <-ctx.Done():
-			return *sum, ctx.Err()
-		case <-t.C:
 		}
 	}
 }

@@ -444,7 +444,7 @@ func TestSDKExperimentFarmEndToEnd(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 
-	final, err := c.WaitExperiment(ctx, "farm", 5*time.Millisecond)
+	final, err := c.WaitExperiment(ctx, "farm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestSDKExperimentCancelMidRun(t *testing.T) {
 	if _, err := c.CancelExperiment(ctx, "slow"); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.WaitExperiment(ctx, "slow", 5*time.Millisecond)
+	final, err := c.WaitExperiment(ctx, "slow")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,8 +183,7 @@ func (w *Watch) connect(ctx context.Context) error {
 }
 
 // permanentWatchError reports whether reconnecting cannot help: the
-// resource does not exist or the server has no watch endpoint at all (an
-// older control plane), in which case callers fall back to polling.
+// resource does not exist or the server has no watch endpoint at all.
 func permanentWatchError(err error) bool {
 	ae, ok := err.(*APIError)
 	if !ok {

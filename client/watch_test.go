@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -153,9 +154,7 @@ func TestWaitExperimentZeroSteadyStatePolls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A poll interval of an hour: if WaitExperiment fell back to polling,
-	// it could not observe completion inside the test deadline.
-	sum, err := c.WaitExperiment(ctx, "zero-poll", time.Hour)
+	sum, err := c.WaitExperiment(ctx, "zero-poll")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,43 +170,10 @@ func TestWaitExperimentZeroSteadyStatePolls(t *testing.T) {
 	if watches.Load() == 0 {
 		t.Error("WaitExperiment never opened a watch stream")
 	}
-}
 
-// TestWaitExperimentFallsBackToPolling simulates an older control plane
-// with no watch endpoints: WaitExperiment must degrade to the polling
-// strategy and still return the settled summary.
-func TestWaitExperimentFallsBackToPolling(t *testing.T) {
-	var polls atomic.Int32
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case strings.HasSuffix(r.URL.Path, "/watch"):
-			http.NotFound(w, r) // pre-watch server: plain 404, no envelope
-		case r.URL.Path == "/v1/experiments":
-			n := polls.Add(1)
-			status := lab.StatusRunning
-			if n >= 3 {
-				status = lab.StatusCompleted
-			}
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, `{"experiments": [{"id": "old", "name": "old", "status": %q, "trials": 1}], "count": 1}`, status)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer stub.Close()
-
-	c := New(stub.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	sum, err := c.WaitExperiment(ctx, "old", 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Status != lab.StatusCompleted {
-		t.Fatalf("status = %q, want completed", sum.Status)
-	}
-	if polls.Load() < 3 {
-		t.Fatalf("fallback issued %d polls, want >= 3", polls.Load())
+	var ae *APIError
+	if _, err := c.WaitExperiment(ctx, "no-such-experiment"); !errors.As(err, &ae) || ae.Code != apiv1.CodeNotFound {
+		t.Fatalf("WaitExperiment on an unknown experiment = %v, want not-found *APIError", err)
 	}
 }
 

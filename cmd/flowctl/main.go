@@ -547,8 +547,7 @@ func cmdExperimentsCreate(args []string) {
 	fs, url := remoteFlags("experiments create")
 	id := fs.String("id", "", "experiment id (default: the spec's name)")
 	specPath := fs.String("spec", "", "JSON experiment definition (lab.Spec) to submit (required)")
-	wait := fs.Bool("wait", false, "poll until the experiment settles, then print its results")
-	poll := fs.Duration("poll", 500*time.Millisecond, "poll interval with -wait")
+	wait := fs.Bool("wait", false, "wait until the experiment settles, then print its results")
 	fs.Parse(args)
 	if *specPath == "" {
 		log.Fatal("-spec is required (a JSON lab.Spec experiment definition)")
@@ -576,7 +575,7 @@ func cmdExperimentsCreate(args []string) {
 		fmt.Printf("follow it with: flowctl experiments get -url %s -id %s\n", *url, sum.ID)
 		return
 	}
-	final, err := c.WaitExperiment(ctx, sum.ID, *poll)
+	final, err := c.WaitExperiment(ctx, sum.ID)
 	if err != nil {
 		log.Fatal(err)
 	}

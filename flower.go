@@ -136,7 +136,7 @@
 // series in one round trip instead of one per-point query each. The SDK's
 // WatchFlow/WatchExperiment/Watch iterators reconnect and resume on
 // their own, WaitExperiment waits on a watch stream with zero
-// steady-state polls (falling back to polling on pre-watch servers), and
+// steady-state polls, and
 // `flowctl watch` / `flowctl dashboard -follow` bring the streams to the
 // terminal. See API.md ("Read plane").
 //

@@ -61,13 +61,12 @@ type Event struct {
 // Bus is a concurrency-safe pub/sub bus with bounded fan-out and a replay
 // ring. The zero value is not usable; construct with New.
 type Bus struct {
-	mu    sync.Mutex
-	seq   uint64
-	ring  []Event // fixed-capacity circular buffer of the latest events
-	next  int     // ring index the next event is written at
-	n     int     // number of live ring entries (<= cap(ring))
-	subs  map[*Subscription]struct{}
-	flags map[*Flag]struct{} // the coalescing subscribers (see Flag)
+	mu   sync.Mutex
+	seq  uint64
+	ring []Event // fixed-capacity circular buffer of the latest events
+	next int     // ring index the next event is written at
+	n    int     // number of live ring entries (<= cap(ring))
+	subs map[*Subscription]struct{}
 
 	// pubs and drops are this bus's lifetime aggregates. Unlike
 	// Subscription.Dropped they never reset, so total loss is observable:
@@ -85,9 +84,8 @@ func New(ringSize int) *Bus {
 		ringSize = DefaultRing
 	}
 	return &Bus{
-		ring:  make([]Event, ringSize),
-		subs:  make(map[*Subscription]struct{}),
-		flags: make(map[*Flag]struct{}),
+		ring: make([]Event, ringSize),
+		subs: make(map[*Subscription]struct{}),
 	}
 }
 
@@ -107,11 +105,6 @@ func (b *Bus) Publish(typ, topic string, data any) uint64 {
 	}
 	for sub := range b.subs {
 		sub.offerLocked(ev)
-	}
-	for f := range b.flags {
-		if f.match == nil || f.match(ev) {
-			f.set.Store(true)
-		}
 	}
 	seq := b.seq
 	b.mu.Unlock()
@@ -252,45 +245,5 @@ func (s *Subscription) Close() {
 	s.closed = true
 	delete(s.bus.subs, s)
 	close(s.ch)
-	telSubscribers.Dec()
-}
-
-// Flag is a coalescing subscription for a consumer that only needs to know
-// that something matching was published since it last looked, not what or
-// how many: a cache invalidator. It holds one bit instead of a buffer, so
-// it cannot overflow however rarely it is read, and it never counts a drop
-// — nothing a Flag consumer needs is lost by coalescing.
-type Flag struct {
-	bus   *Bus
-	match func(Event) bool // set once at SubscribeFlag; nil matches everything
-	set   atomic.Bool
-}
-
-// SubscribeFlag registers a coalescing subscriber whose flag is raised by
-// every later event match accepts (nil accepts all). There is no replay: it
-// starts clear.
-func (b *Bus) SubscribeFlag(match func(Event) bool) *Flag {
-	f := &Flag{bus: b, match: match}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.flags[f] = struct{}{}
-	telSubscribers.Inc()
-	return f
-}
-
-// Take reports whether a matching event was published since the previous
-// Take (or since SubscribeFlag) and clears the flag. An event published
-// while Take runs is seen by this call or the next, never by neither.
-func (f *Flag) Take() bool { return f.set.Swap(false) }
-
-// Close unregisters the flag; it is never raised again. Double-Close is a
-// no-op.
-func (f *Flag) Close() {
-	f.bus.mu.Lock()
-	defer f.bus.mu.Unlock()
-	if _, ok := f.bus.flags[f]; !ok {
-		return
-	}
-	delete(f.bus.flags, f)
 	telSubscribers.Dec()
 }

@@ -208,71 +208,3 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		t.Fatalf("final seq = %d, want 800", got)
 	}
 }
-
-// TestFlagCoalescesWithoutDrops: any number of matching events between two
-// Takes reads as one raised flag, non-matching events and history leave it
-// clear, nothing is counted as dropped, and a closed flag stays clear.
-func TestFlagCoalescesWithoutDrops(t *testing.T) {
-	b := New(8)
-	b.Publish("hit", "t", nil) // before the subscription: no replay
-	f := b.SubscribeFlag(func(ev Event) bool { return ev.Type == "hit" })
-	if f.Take() {
-		t.Fatal("flag raised by history")
-	}
-	b.Publish("miss", "t", nil)
-	if f.Take() {
-		t.Fatal("flag raised by a filtered-out event")
-	}
-	for i := 0; i < 10000; i++ {
-		b.Publish("hit", "t", i)
-	}
-	if !f.Take() {
-		t.Fatal("flag not raised by matching events")
-	}
-	if f.Take() {
-		t.Fatal("Take did not clear the flag")
-	}
-	if n := b.TotalDropped(); n != 0 {
-		t.Fatalf("coalescing subscriber counted %d drops", n)
-	}
-	f.Close()
-	f.Close() // double Close is a no-op
-	b.Publish("hit", "t", nil)
-	if f.Take() {
-		t.Fatal("closed flag was raised")
-	}
-}
-
-// TestFlagConcurrentPublishTake: with publishers and a taker racing, every
-// publish is observed by some Take — the one concurrent with it or the one
-// after — so a final Take after the publishers finish accounts for the rest.
-func TestFlagConcurrentPublishTake(t *testing.T) {
-	b := New(8)
-	f := b.SubscribeFlag(nil)
-	defer f.Close()
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				b.Publish("e", "t", nil)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	seen := false
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			if f.Take() {
-				seen = true
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if !seen && !f.Take() {
-		t.Fatal("2000 publishes raised the flag for no Take")
-	}
-}

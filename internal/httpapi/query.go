@@ -28,7 +28,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	planStart := telemetry.Now()
-	pl, err := query.Prepare(s.planCache, req.Q, req.Plan)
+	pl, err := query.Prepare(query.FromRegistry(s.reg), req.Q, req.Plan)
 	planNanos := telemetry.SinceNanos(planStart)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "%v", err)

@@ -53,16 +53,15 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryPlanCacheTracksFlows pins the plan cache's invalidation
-// end-to-end: the server memoises flow-glob resolution across requests,
-// and registry create/delete events (not request-time re-walks) are what
-// keep repeated queries in sync with the flow set.
-func TestQueryPlanCacheTracksFlows(t *testing.T) {
+// TestQueryTracksFlowLifecycle: a repeated glob query follows the flow
+// set end-to-end — a created flow joins its results on the next request
+// and a deleted one leaves them.
+func TestQueryTracksFlowLifecycle(t *testing.T) {
 	s, reg := newTestServer(t)
 	const q = `{"q": "select flow=* ns=Ingestion/Stream name=IncomingRecords | window 10m"}`
 
 	var resp apiv1.QueryResponse
-	for i := 0; i < 2; i++ { // second request plans from cache
+	for i := 0; i < 2; i++ {
 		postQuery(t, s, "/v1/query", q, &resp)
 		if len(resp.Results) != 1 || resp.Results[0].Flow != "clicks" {
 			t.Fatalf("request %d: results = %+v, want clicks only", i, resp.Results)
@@ -83,7 +82,7 @@ func TestQueryPlanCacheTracksFlows(t *testing.T) {
 	}
 	postQuery(t, s, "/v1/query", q, &resp)
 	if len(resp.Results) != 2 {
-		t.Fatalf("after create: %d series, want 2 (stale plan cache?)", len(resp.Results))
+		t.Fatalf("after create: %d series, want 2", len(resp.Results))
 	}
 
 	if err := reg.Delete("clicks2"); err != nil {

@@ -38,7 +38,6 @@ import (
 
 	apiv1 "repro/api/v1"
 	"repro/internal/lab"
-	"repro/internal/query"
 	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -59,10 +58,6 @@ type Server struct {
 	pprof           bool          // expose net/http/pprof under /debug/pprof/
 	selfScrapeEvery time.Duration // WithSelfScrape interval (0: off)
 	selfScrape      *sched.Ticket // live self-scrape job, nil when off
-
-	// planCache memoises the query planner's flow-glob resolution across
-	// requests, invalidated by the registry's flow lifecycle events.
-	planCache *query.PlanCache
 }
 
 // Option configures a Server.
@@ -119,7 +114,6 @@ func NewServer(reg *registry.Registry, opts ...Option) *Server {
 		// capacity knob (and one /v1/scheduler view) governs both.
 		s.lab = lab.NewEngineOn(reg.Scheduler())
 	}
-	s.planCache = query.NewPlanCache(query.FromRegistry(reg), reg.Events())
 	s.routes()
 	s.h = s.withMiddleware(s.mux)
 	if s.selfScrapeEvery > 0 {
@@ -131,13 +125,10 @@ func NewServer(reg *registry.Registry, opts ...Option) *Server {
 }
 
 // Close releases server-held resources that outlive individual requests:
-// the self-scrape job (if running) and the query plan cache's event
-// subscription. The server itself remains usable for in-flight requests —
-// the plan cache degrades to a pass-through — so Close can run while the
-// HTTP listener drains.
+// the self-scrape job, if running. The server itself remains usable for
+// in-flight requests, so Close can run while the HTTP listener drains.
 func (s *Server) Close() {
 	s.StopSelfScrape()
-	s.planCache.Close()
 }
 
 // Registry returns the registry the server fronts.

@@ -337,7 +337,7 @@ func (t *Table) Tick(now time.Time, step time.Duration) {
 		t.mReadThrottles.MustAppend(now, float64(t.tickReadThrottle))
 		t.mWriteUtil.MustAppend(now, writeUtil)
 		t.mReadUtil.MustAppend(now, readUtil)
-		t.mItemCount.MustAppend(now, float64(len(t.items)))
+		t.mItemCount.MustAppend(now, float64(t.ItemCount()))
 	}
 
 	// Bank unused capacity, capped at BurstSeconds worth of provision.

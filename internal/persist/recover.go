@@ -123,7 +123,8 @@ func (l *ControlLog) ExperimentDeleted(id string) error {
 
 // CaptureControlState snapshots the live control plane as a checkpoint
 // document: every flow's definition, sim options, pacer state and
-// controller tunings, plus every *unfinished* experiment. It takes
+// controller tunings, plus every *unfinished* experiment. A flow whose
+// delete is already logged is left out (see Flow.ViewLive). It takes
 // registry and engine locks flow-by-flow (never the ControlLog's), so
 // it is safe to call from CompactWith's capture callback.
 func CaptureControlState(reg *registry.Registry, eng *lab.Engine) *ControlCheckpoint {
@@ -133,7 +134,7 @@ func CaptureControlState(reg *registry.Registry, eng *lab.Engine) *ControlCheckp
 			fc := FlowCheckpoint{ID: f.ID()}
 			opts := f.Options()
 			fc.StepNS, fc.Seed = int64(opts.Step), opts.Seed
-			f.View(func(m *core.Manager) {
+			live := f.ViewLive(func(m *core.Manager) {
 				if data, err := json.Marshal(m.Spec()); err == nil {
 					fc.Spec = data
 				}
@@ -147,6 +148,9 @@ func CaptureControlState(reg *registry.Registry, eng *lab.Engine) *ControlCheckp
 					}
 				}
 			})
+			if !live {
+				continue // its delete is logged, possibly below this checkpoint's watermark
+			}
 			if pace, wallTick, running := f.Pacing(); running {
 				fc.Pace, fc.WallTickNS = pace, int64(wallTick)
 			}

@@ -135,6 +135,96 @@ func TestRecoverFromWALTail(t *testing.T) {
 	}
 }
 
+// compactingWAL is the control log with a compaction forced into
+// Registry.Delete: after the delete record is appended, FlowDeleted runs
+// CompactWith from another goroutine and gives it a bounded wait to
+// finish, so the compaction lands between the append and the flow's
+// removal from the registry. (With the fix the capture waits for the
+// flow lock Delete holds, so it finishes only after Delete returns; the
+// bound keeps that from hanging.)
+type compactingWAL struct {
+	*ControlLog
+	reg      *registry.Registry
+	finished chan struct{}
+	err      error
+}
+
+func (w *compactingWAL) FlowDeleted(id string) error {
+	if err := w.ControlLog.FlowDeleted(id); err != nil {
+		return err
+	}
+	w.finished = make(chan struct{})
+	go func() {
+		defer close(w.finished)
+		w.err = w.CompactWith(func() *ControlCheckpoint { return CaptureControlState(w.reg, nil) })
+	}()
+	select {
+	case <-w.finished:
+	case <-time.After(500 * time.Millisecond):
+	}
+	return nil
+}
+
+// TestDeleteSurvivesConcurrentCompaction: an acknowledged delete must not
+// come back after a restart when a WAL compaction ran while the delete
+// was in flight. The checkpoint's watermark covers the delete record, so
+// rotation drops that record; the checkpoint must therefore not hold the
+// flow either.
+func TestDeleteSurvivesConcurrentCompaction(t *testing.T) {
+	dir := t.TempDir()
+	clog, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := newPlane(t)
+	w := &compactingWAL{ControlLog: clog, reg: reg}
+	reg.SetWAL(w)
+
+	spec, err := flow.DefaultClickstream(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"keep", "gone"} {
+		if _, err := reg.Create(id, spec, sim.Options{Step: 10 * time.Second, Seed: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w.finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("compaction did not finish after Delete returned")
+	}
+	if w.err != nil {
+		t.Fatalf("CompactWith: %v", w.err)
+	}
+	reg.SetWAL(nil)
+	if err := clog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	clog2, state, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clog2.Close()
+	if state.Checkpoint == nil {
+		t.Fatal("no checkpoint written")
+	}
+	reg2, eng2 := newPlane(t)
+	if rep := RecoverControlPlane(state, reg2, eng2, false); len(rep.Errors) != 0 {
+		t.Fatalf("recovery errors: %v", rep.Errors)
+	}
+	if _, ok := reg2.Get("gone"); ok {
+		t.Fatal("acknowledged delete lost: flow came back after recovery")
+	}
+	if _, ok := reg2.Get("keep"); !ok {
+		t.Fatal("flow keep not recovered")
+	}
+}
+
 // TestRecoverCheckpointRoundTrip captures a live plane (including an
 // interrupted experiment) as a checkpoint and recovers a fresh plane from
 // the checkpoint alone.

@@ -122,21 +122,19 @@ func (p *Plan) Explain() *Explain {
 
 // resolveSelect matches one select stage against the source: flows by
 // glob, then each flow's published metrics by ns/name glob and dimension
-// subset, interning one handle per matched series. A source that
-// implements flowMatcher (the PlanCache) answers the flow-glob step
-// directly — memoised across queries — so only the per-flow series
-// resolution runs per request.
+// subset, interning one handle per matched series. A flow selector with
+// no '*' names at most one flow, so it is resolved by that flow's lookup
+// alone (an absent id matches nothing); a glob filters one walk of the
+// source's flow list.
 func resolveSelect(src Source, sel selectSpec) (side, error) {
 	var sd side
 	exactNS := sel.ns != "" && !strings.ContainsRune(sel.ns, '*')
-	flowIDs, prefiltered := []string(nil), false
-	if fm, ok := src.(flowMatcher); ok {
-		flowIDs, prefiltered = fm.FlowsMatching(sel.flow), true
-	} else {
+	flowIDs := []string{sel.flow}
+	if sel.flow == "" || strings.ContainsRune(sel.flow, '*') {
 		flowIDs = src.FlowIDs()
 	}
 	for _, flowID := range flowIDs {
-		if !prefiltered && !matchGlob(sel.flow, flowID) {
+		if !matchGlob(sel.flow, flowID) {
 			continue
 		}
 		var g flowGroup

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -34,7 +33,6 @@ func (s registrySource) FlowIDs() []string {
 	for i, f := range flows {
 		ids[i] = f.ID()
 	}
-	sort.Strings(ids)
 	return ids
 }
 

@@ -15,8 +15,4 @@ var (
 		"Query parse+compile+plan latency.", telemetry.DefLatencyBounds)
 	telExecSeconds = telemetry.Default().Histogram("flower_query_exec_seconds",
 		"Query execution latency.", telemetry.DefLatencyBounds)
-	telPlanCacheHits = telemetry.Default().Counter("flower_query_plan_cache_hits_total",
-		"Plan-time flow-glob resolutions served from the plan cache.")
-	telPlanCacheMisses = telemetry.Default().Counter("flower_query_plan_cache_misses_total",
-		"Plan-time flow-glob resolutions that walked the flow set (cold, invalidated, or uncached source).")
 )

@@ -16,7 +16,8 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,9 +100,9 @@ type Flow struct {
 
 	// mu serialises every touch of mgr (the simulation harness is
 	// single-threaded by design). deleting rides under it so Delete can
-	// fence event publication: once set, Advance stops publishing and
-	// StartPacing refuses, which is what lets Delete guarantee that no
-	// flow event follows flow.deleted on the bus.
+	// fence the flow: once set, Advance stops publishing, StartPacing
+	// refuses (so no flow event follows flow.deleted on the bus) and a
+	// checkpoint capture leaves the flow out (ViewLive).
 	mu       sync.Mutex
 	mgr      *core.Manager
 	deleting bool
@@ -143,6 +144,19 @@ func (f *Flow) View(fn func(m *core.Manager)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	fn(f.mgr)
+}
+
+// ViewLive is View unless Delete has logged the flow's removal, in which
+// case it returns false without calling fn: what a checkpoint capture
+// needs to leave out a flow whose delete its watermark covers.
+func (f *Flow) ViewLive(fn func(m *core.Manager)) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.deleting {
+		return false
+	}
+	fn(f.mgr)
+	return true
 }
 
 // Advance runs the flow's simulation forward by d under the flow lock and
@@ -407,6 +421,7 @@ func (f *Flow) Tune(kind flow.LayerKind, ref, deadBand *float64, window *time.Du
 type Registry struct {
 	mu       sync.RWMutex
 	flows    map[string]*Flow
+	ordered  []*Flow // flows' values in id order, updated with flows under mu
 	bus      *eventbus.Bus
 	sched    *sched.Scheduler
 	ownSched bool // New created the scheduler, so Close releases it
@@ -496,6 +511,7 @@ func (r *Registry) Create(id string, spec flow.Spec, opts sim.Options) (*Flow, e
 		}
 	}
 	r.flows[id] = f
+	r.ordered = slices.Insert(r.ordered, r.orderedIndex(id), f)
 	telFlows.Inc()
 	telFlowsCreated.Inc()
 	// Published under r.mu, like Delete's event: watch consumers must
@@ -515,13 +531,15 @@ func (r *Registry) Get(id string) (*Flow, bool) {
 // List returns all flows sorted by id.
 func (r *Registry) List() []*Flow {
 	r.mu.RLock()
-	out := make([]*Flow, 0, len(r.flows))
-	for _, f := range r.flows {
-		out = append(out, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	defer r.mu.RUnlock()
+	return append(make([]*Flow, 0, len(r.ordered)), r.ordered...)
+}
+
+// orderedIndex returns where id sits, or would be inserted, in r.ordered;
+// r.mu must be held.
+func (r *Registry) orderedIndex(id string) int {
+	i, _ := slices.BinarySearchFunc(r.ordered, id, func(f *Flow, id string) int { return strings.Compare(f.id, id) })
+	return i
 }
 
 // Len returns the number of registered flows.
@@ -549,16 +567,18 @@ func (r *Registry) Delete(id string) error {
 	// Durable before destructive: the delete is WAL-appended before the
 	// fence lands, so a WAL failure refuses the delete with the flow
 	// fully intact. (Two racing Deletes may both append; replaying a
-	// delete of an absent flow is a no-op.)
+	// delete of an absent flow is a no-op.) Append and fence share one
+	// f.mu section, so a checkpoint capture, which reads the fence under
+	// f.mu after taking its watermark, leaves out any flow whose delete
+	// that watermark covers. Any Advance already holding f.mu publishes
+	// before the fence; every later one sees it.
+	f.mu.Lock()
 	if w := r.walHook(); w != nil {
 		if err := w.FlowDeleted(id); err != nil {
+			f.mu.Unlock()
 			return fmt.Errorf("flow %q: %w", id, err)
 		}
 	}
-
-	// Fence under f.mu: any Advance that already holds the flow lock
-	// publishes before this acquires it; every later one sees the flag.
-	f.mu.Lock()
 	f.deleting = true
 	f.mu.Unlock()
 
@@ -572,6 +592,8 @@ func (r *Registry) Delete(id string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	delete(r.flows, id)
+	i := r.orderedIndex(id)
+	r.ordered = slices.Delete(r.ordered, i, i+1)
 	telFlows.Dec()
 	telFlowsDeleted.Inc()
 	// Under r.mu, so the lifecycle order matches the map's: created before

@@ -3,7 +3,10 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +56,39 @@ func TestCreateGetListDelete(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Fatalf("len after delete = %d, want 1", r.Len())
+	}
+
+	// A random create/delete sequence over a small id pool: after every
+	// step List is exactly the live ids, in id order.
+	rng := rand.New(rand.NewPCG(11, 0))
+	r2 := New()
+	t.Cleanup(r2.Close)
+	live := map[string]bool{}
+	for step := 0; step < 80; step++ {
+		id := fmt.Sprintf("f%d", rng.IntN(12))
+		if live[id] {
+			if err := r2.Delete(id); err != nil {
+				t.Fatalf("step %d: Delete(%s): %v", step, id, err)
+			}
+			delete(live, id)
+		} else {
+			if _, err := r2.Create(id, testSpec(t, id), sim.Options{}); err != nil {
+				t.Fatalf("step %d: Create(%s): %v", step, id, err)
+			}
+			live[id] = true
+		}
+		want := make([]string, 0, len(live))
+		for id := range live {
+			want = append(want, id)
+		}
+		sort.Strings(want)
+		var got []string
+		for _, f := range r2.List() {
+			got = append(got, f.ID())
+		}
+		if !slices.Equal(got, want) || r2.Len() != len(want) {
+			t.Fatalf("step %d: List = %v (Len %d), want %v", step, got, r2.Len(), want)
+		}
 	}
 }
 

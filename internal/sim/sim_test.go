@@ -8,6 +8,7 @@ import (
 	"repro/internal/compute"
 	"repro/internal/flow"
 	"repro/internal/kvstore"
+	"repro/internal/metricstore"
 	"repro/internal/regress"
 	"repro/internal/stream"
 	"repro/internal/timeseries"
@@ -77,6 +78,35 @@ func TestDataFlowsEndToEnd(t *testing.T) {
 		if !found {
 			t.Fatalf("namespace %s missing from store", ns)
 		}
+	}
+}
+
+// TestItemCountMetricMatchesTable: the published Storage/KVStore
+// ItemCount is the table's item count on the default (aggregate) write
+// path, not just the per-record items, which that path never fills.
+func TestItemCountMetricMatchesTable(t *testing.T) {
+	spec, err := flow.DefaultClickstream(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(spec, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(10 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	last := math.NaN()
+	h.Store.Each(func(id metricstore.MetricID, v timeseries.View) {
+		if id.Namespace == kvstore.Namespace && id.Name == kvstore.MetricItemCount && v.Len() > 0 {
+			points += v.Len()
+			last = v.ValueAt(v.Len() - 1)
+		}
+	})
+	want := h.Table.ItemCount()
+	if points == 0 || want <= 0 || last != float64(want) {
+		t.Fatalf("last ItemCount datapoint = %v (%d points), Table.ItemCount() = %d; want equal and > 0", last, points, want)
 	}
 }
 
