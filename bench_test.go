@@ -1,8 +1,8 @@
-// Repository-level benchmarks: one per paper artefact (see DESIGN.md §4
-// and EXPERIMENTS.md), each delegating to internal/exper, plus
-// micro-benchmarks of the simulation's hot paths. cmd/flowerbench farms
-// out the same package's Scenario Lab grids; latency, throughput and CPU
-// of the running daemon are measured by cmd/e2ebench, not here.
+// Repository-level benchmarks: one per paper artefact, each delegating
+// to internal/exper, plus micro-benchmarks of the simulation's hot paths.
+// cmd/flowerbench farms out the same package's Scenario Lab grids;
+// latency, throughput and CPU of the running daemon are measured by
+// cmd/e2ebench, not here.
 //
 // The experiment benchmarks report domain metrics (correlation, settling
 // minutes, saving percentages) via b.ReportMetric; wall-clock ns/op is the
@@ -92,7 +92,7 @@ func BenchmarkControllerComparison(b *testing.B) {
 // BenchmarkGainMemoryAblation isolates the paper's "memory of recent
 // controller decisions": the adaptive controller with and without gain
 // carry-over across windows, on a sustained ramp with the plant guard off
-// so the raw Eq. 6–7 dynamics are visible (DESIGN.md §5).
+// so the raw Eq. 6–7 dynamics are visible.
 func BenchmarkGainMemoryAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := exper.GainMemory(benchSeed)
@@ -180,7 +180,7 @@ func BenchmarkGammaSweep(b *testing.B) {
 }
 
 // BenchmarkAggregateVsPerRecord compares the two data paths of the
-// simulation (DESIGN.md §5): the count-based aggregate path used by all
+// simulation: the count-based aggregate path used by all
 // experiments against the faithful per-record path, on the same 30-minute
 // managed run. The ratio of their ns/op is the fast path's speedup.
 func BenchmarkAggregateVsPerRecord(b *testing.B) {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -11,31 +10,20 @@ import (
 
 	apiv1 "repro/api/v1"
 	"repro/client"
-	"repro/internal/metricstore"
 	"repro/internal/monitor"
-	"repro/internal/persist"
-	"repro/internal/timeseries"
 )
 
 // cmdDashboard renders Flower's all-in-one-place monitoring view (§3.4):
-// one consolidated text dashboard over every platform of a flow — fetched
-// from a running flowerd (-url -flow), or replayed from a metric log that
-// `flowerd -journal` recorded (-replay), monitoring a run after the fact.
+// one consolidated text dashboard over every platform of a flow, fetched
+// from a running flowerd (-url -flow). -follow re-renders it live.
 func cmdDashboard(args []string) {
 	fs, url := remoteFlags("dashboard")
 	id := fs.String("flow", "", "with -url: flow id (required)")
 	window := fs.Duration("window", 30*time.Minute, "dashboard window")
 	follow := fs.Bool("follow", false, "with -url: stream the flow's watch events and re-render on every advance")
 	refresh := fs.Duration("refresh", time.Second, "with -follow: minimum interval between renders")
-	replay := fs.String("replay", "", "render from this metric log instead of a running flowerd")
 	fs.Parse(args)
 
-	if *replay != "" {
-		if err := replayDashboard(os.Stdout, *replay, *window); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	c, ctx := dial(*url), context.Background()
 	needFlow(*id)
 	if !*follow {
@@ -92,33 +80,6 @@ func remoteDashboard(ctx context.Context, w io.Writer, c *client.Client, url, id
 	}
 	fmt.Fprintf(w, "flow %q on %s\n\n", id, url)
 	if err := monitor.Render(w, snap); err != nil {
-		return fmt.Errorf("dashboard: %w", err)
-	}
-	return nil
-}
-
-// replayDashboard replays a metric log into a fresh store and writes its
-// dashboard, anchored at the log's last observation.
-func replayDashboard(w io.Writer, path string, window time.Duration) error {
-	store := metricstore.NewStore()
-	n, err := persist.ReplayFile(path, store)
-	switch {
-	case err == nil:
-	case errors.Is(err, persist.ErrTornTail):
-		// A crash mid-append leaves a truncated final line; every
-		// complete record before it replayed fine.
-		log.Printf("replay: %v (replayed the %d complete records)", err, n)
-	default:
-		return fmt.Errorf("replay: %w", err)
-	}
-	var last time.Time
-	store.Each(func(id metricstore.MetricID, v timeseries.View) {
-		if p, ok := v.Last(); ok && p.T.After(last) {
-			last = p.T
-		}
-	})
-	fmt.Fprintf(w, "replayed %d datapoints from %s\n\n", n, path)
-	if err := monitor.Render(w, monitor.Collect(store, last, window)); err != nil {
 		return fmt.Errorf("dashboard: %w", err)
 	}
 	return nil

@@ -24,7 +24,6 @@
 //	flowctl sched -url http://host:8080 [-json]    execution-plane stats (GET /v1/scheduler)
 //	flowctl top -url http://host:8080 [-interval 2s] [-once]   live self-telemetry view
 //	flowctl dashboard -url http://host:8080 -flow web [-window 30m] [-follow] [-refresh 1s]
-//	flowctl dashboard -replay metrics.wal [-window 30m]   render from a `flowerd -journal` metric log
 //
 // Experiment farm (Scenario Lab, /v1/experiments):
 //
@@ -145,7 +144,7 @@ remote (against flowerd -http; all take -url):
   query       run one streaming pipeline query across every flow (-explain, -json)
   sched       execution-plane stats: shards, capacity, queues, tick latency
   top         live self-telemetry view: HTTP, scheduler, bus, store, lab
-  dashboard   one flow's all-in-one-place monitor (-follow: live; -replay FILE: from a metric log)
+  dashboard   one flow's all-in-one-place monitor (-follow: live)
 
 experiment farm (Scenario Lab; all take -url):
   experiments create     submit an experiment grid (-spec exp.json)

@@ -23,7 +23,7 @@
 // flows are paced, and a weighted-fairness policy keeps big experiment
 // grids from starving live flows. On SIGINT/SIGTERM the daemon shuts
 // down in order: HTTP drained, experiments settled, pacers stopped,
-// scheduler drained, metric log synced. The streaming read plane rides
+// scheduler drained, control WAL synced. The streaming read plane rides
 // along: SSE/NDJSON watch endpoints (/v1/flows/{id}/watch,
 // /v1/experiments/{id}/watch, /v1/watch) and the columnar
 // POST /v1/metrics:batchQuery — see API.md ("Read plane"), `flowctl
@@ -47,9 +47,9 @@
 // watch streams keep serving. See API.md, "Durability & recovery".
 //
 // Without -http, flowerd performs a single-flow batch run and prints the
-// summary and dashboard. flowerd exits non-zero when a durability
-// boundary fails at shutdown — a metric log or WAL that cannot be synced
-// is an error, not a log line.
+// summary and dashboard; -csv exports the run's full metric history.
+// flowerd exits non-zero when a durability boundary fails at shutdown — a
+// control WAL that cannot be synced is an error, not a log line.
 package main
 
 import (
@@ -92,7 +92,6 @@ func main() {
 	replicas := flag.Int("flows", 1, "with -http and no -spec: serve this many independently-seeded replicas of the built-in flow")
 	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler (0: GOMAXPROCS, max 64)")
 	schedWorkers := flag.Int("sched-workers", 0, "with -http: workers per scheduler shard (0: 1); shards x workers is the whole server's execution capacity")
-	journalPath := flag.String("journal", "", "append the default flow's metric datapoints to this metric log (replayable with flowctl dashboard -replay)")
 	pprofOn := flag.Bool("pprof", false, "with -http: expose net/http/pprof under /debug/pprof/ on the same listener")
 	selfScrape := flag.Duration("selfscrape", 0, "with -http: ingest flowerd's own telemetry into the reserved "+httpapi.SelfScrapeFlow+" flow every interval (0 = off)")
 	dataDir := flag.String("data-dir", "", "with -http: durable control-plane directory (write-ahead log + checkpoint); flows, pacers and experiments survive restarts")
@@ -116,7 +115,7 @@ func main() {
 			specPaths: specPaths, loadSpec: loadSpec,
 			peak: *peak, step: *step, seed: *seed, pace: *pace,
 			replicas: *replicas, schedShards: *schedShards, schedWorkers: *schedWorkers,
-			journalPath: *journalPath, pprof: *pprofOn, selfScrape: *selfScrape,
+			pprof: *pprofOn, selfScrape: *selfScrape,
 			dataDir: *dataDir, resumeExperiments: *resumeExperiments,
 		}))
 	}
@@ -139,14 +138,6 @@ func main() {
 	mgr, err := flower.New(spec, sim.Options{Step: *step, Seed: *seed})
 	if err != nil {
 		log.Fatalf("manager: %v", err)
-	}
-
-	var journal *persist.WAL
-	if *journalPath != "" {
-		if journal, err = persist.OpenFileWAL(*journalPath, metricLog); err != nil {
-			log.Fatalf("journal: %v", err)
-		}
-		journal.LogMetrics(mgr.Store())
 	}
 
 	fmt.Printf("flower: managing flow %q for %v (step %v, seed %d)\n", spec.Name, *duration, *step, *seed)
@@ -188,21 +179,7 @@ func main() {
 		}
 		fmt.Printf("\nmetric history written to %s\n", *csvPath)
 	}
-
-	// A metric log that cannot be synced means datapoints were lost: that
-	// is a failed run, not a footnote.
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Fatalf("journal close: %v", err)
-		}
-		fmt.Printf("\n%d datapoints logged to %s\n", journal.Records(), *journalPath)
-	}
 }
-
-// metricLog is how -journal's file is opened: a datapoint of a seeded
-// simulation is reproducible, so records are written through to the OS
-// one by one and fsynced once, at Close.
-var metricLog = persist.WALOptions{NoSync: true}
 
 type serveConfig struct {
 	specPaths         []string
@@ -214,7 +191,6 @@ type serveConfig struct {
 	replicas          int
 	schedShards       int
 	schedWorkers      int
-	journalPath       string
 	pprof             bool
 	selfScrape        time.Duration
 	dataDir           string
@@ -319,17 +295,6 @@ func serveHTTP(addr string, cfg serveConfig) int {
 		}
 	}
 
-	var journal *persist.WAL
-	if cfg.journalPath != "" {
-		var err error
-		if journal, err = persist.OpenFileWAL(cfg.journalPath, metricLog); err != nil {
-			log.Fatalf("journal: %v", err)
-		}
-		if f, ok := reg.Get(defaultID); ok {
-			f.View(func(m *flower.Manager) { journal.LogMetrics(m.Store()) })
-		}
-	}
-
 	// Background compaction: fold the WAL into a checkpoint once it has
 	// accumulated enough records. Runs as a batch-class periodic job on
 	// the same execution plane as everything else.
@@ -395,9 +360,9 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	// stop accepting HTTP (bounded drain of in-flight requests — watch
 	// streams are force-closed when the deadline lapses), settle the lab's
 	// experiments while workers still run, stop every pacer, and only then
-	// drain the scheduler. The metric log and WAL close after all of it, so
-	// every datapoint and mutation recorded by the final ticks is synced
-	// — and a close that fails is a non-zero exit, not a log line.
+	// drain the scheduler. The control WAL closes after all of it, so every
+	// mutation recorded by the final ticks is synced — and a close that
+	// fails is a non-zero exit, not a log line.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -406,8 +371,7 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	fmt.Println("flower: http drained")
 	// The final self-scrape runs after the drain so its snapshot counts
 	// every served request, and before the registry closes so the reserved
-	// flow's store is still writable. Close also releases the query plan
-	// cache's event subscription.
+	// flow's store is still writable.
 	srv.Close()
 	// Checkpoint the final state while mutations are quiesced but pacers
 	// and experiments are still live: a graceful restart then replays
@@ -428,20 +392,11 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	plane.Close()
 	fmt.Println("flower: scheduler drained")
 
-	exit := 0
 	if clog != nil {
 		if err := clog.Close(); err != nil {
 			log.Printf("wal close: %v", err)
-			exit = 1
+			return 1
 		}
 	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Printf("journal close: %v", err)
-			exit = 1
-		} else {
-			fmt.Printf("\n%d datapoints logged to %s\n", journal.Records(), cfg.journalPath)
-		}
-	}
-	return exit
+	return 0
 }

@@ -199,10 +199,10 @@
 // streams keep serving) rather than acknowledge anything it cannot
 // make durable. The kill -9 crash-recovery integration test in
 // cmd/flowerd and the fault-injection filesystem (internal/injectfs)
-// keep the contract honest. `flowerd -journal` logs the default flow's
-// datapoints in the same framing, through the same writer and reader;
-// `flowctl dashboard -replay` renders such a metric log after the fact.
-// See API.md ("Durability & recovery").
+// keep the contract honest. Metric datapoints are not logged: every run
+// is a seeded simulation, so a batch run's history is recomputed by
+// running it again (flowerd -csv exports it). See API.md ("Durability &
+// recovery").
 //
 // # Static analysis
 //

@@ -15,9 +15,7 @@ import (
 // out in struct comments until now:
 //
 //   - metricstore: the store lock is only ever taken to create or look up
-//     entries, never while a metric's entry lock is held (SetOnPut
-//     observers run under the entry lock and must not call back into the
-//     store).
+//     entries, never while a metric's entry lock is held.
 //   - registry: pacerMu is acquired before the flow lock when both are
 //     needed — pacer lifecycle calls wait on scheduler tickets whose tick
 //     functions take the flow lock through Advance, so the reverse
@@ -605,7 +603,7 @@ func (a *lockOrder) Finish(fset *token.FileSet, report func(pos token.Pos, forma
 	var rules []rule
 	rules = append(rules,
 		rule{"repro/internal/metricstore.entry.mu", "repro/internal/metricstore.Store.mu",
-			"the metric store's order is store-lock before entry-lock; code under an entry lock (including SetOnPut observers) must never call back into the store"},
+			"the metric store's order is store-lock before entry-lock; code under an entry lock must never call back into the store"},
 		rule{"repro/internal/registry.Flow.mu", "repro/internal/registry.Flow.pacerMu",
 			"the registry's order is pacerMu before the flow lock; pacer lifecycle calls wait on scheduler tickets whose tick functions take the flow lock through Advance"},
 	)

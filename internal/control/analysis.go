@@ -7,7 +7,7 @@ import (
 
 // StepMetrics summarises a closed-loop step response — the measures the
 // companion paper [9] uses to compare controllers, and the ones
-// EXPERIMENTS.md reports for E4.
+// experiment E4 (internal/exper) reports.
 type StepMetrics struct {
 	// SettleIndex is the first sample index (relative to the step) from
 	// which the signal stays within the tolerance band around the

@@ -5,9 +5,6 @@
 // call these functions, so the printed rows and the benchmark metrics
 // always agree; cmd/flowerbench farms out the Scenario Lab grids in
 // lab.go.
-//
-// The experiment index lives in DESIGN.md §4; paper-vs-measured numbers
-// are recorded in EXPERIMENTS.md.
 package exper
 
 import (

@@ -74,6 +74,25 @@ func TestControllerSpecFor(t *testing.T) {
 	if cs := controllerSpecFor("bogus", 60, 120e9, 4); cs.Type != flow.ControllerNone {
 		t.Fatal("unknown kind should degrade to none")
 	}
+
+	// The farm's shoot-out runs the controllers experiment E4 compares:
+	// every trial's per-layer controller is E4's for that kind and layer.
+	trials := ControllerShootoutSpec(1).Controllers
+	if len(trials) != len(kinds) {
+		t.Fatalf("shoot-out has %d controller trials, want %d", len(trials), len(kinds))
+	}
+	for _, v := range trials {
+		kind := flow.ControllerType(v.Name)
+		spec, err := stepSpec(kind, 1, 40*60e9)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for _, l := range spec.Layers {
+			if got := v.Layers[l.Kind]; got != l.Controller {
+				t.Errorf("%s %s: shoot-out controller %+v, E4 uses %+v", kind, l.Kind, got, l.Controller)
+			}
+		}
+	}
 }
 
 func TestResultTables(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // per-window errors stay moderate, so the response is shaped by how fast
 // the gain grows — exactly the mechanism the paper credits. (On a single
 // large step both variants immediately command past the actuator guard and
-// look identical; see DESIGN.md §5.)
+// look identical.)
 type GainMemoryResult struct {
 	WithMemory GainMemoryRow
 	Memoryless GainMemoryRow

@@ -16,38 +16,18 @@ import (
 // grids so cmd/flowerbench (whose five suites are exactly these grids),
 // the examples and any API caller can fan them out over the worker pool.
 
-// shootoutController builds one controller type's per-layer specs, with
-// gains scaled to each layer's allocation magnitude (the storage layer
-// holds hundreds of WCU where the others hold units).
-func shootoutController(kind flow.ControllerType, ref float64, window time.Duration, scale float64) flow.ControllerSpec {
-	base := flow.ControllerSpec{Type: kind, Ref: ref, Window: flow.Duration(window), DeadBand: 5}
-	switch kind {
-	case flow.ControllerAdaptive, flow.ControllerMemoryless:
-		cs := flow.DefaultAdaptive(ref, window, scale)
-		cs.Type = kind
-		return cs
-	case flow.ControllerFixedGain:
-		base.L = 0.02 * scale
-	case flow.ControllerQuasiAdaptive:
-		base.Forgetting = 0.95
-	case flow.ControllerRule:
-		base.High, base.Low = 80, 35
-		base.UpFactor, base.DownFactor = 1.5, 0.8
-		base.Cooldown = 2
-	}
-	return base
-}
-
-// controllerVariant spans all three layers (plus scaled storage gains)
-// with one controller type.
+// controllerVariant spans all three layers with one controller type, built
+// exactly as experiment E4 (Controllers) builds it: gains scaled to each
+// layer's allocation magnitude (the storage layer holds hundreds of WCU
+// where the others hold units).
 func controllerVariant(kind flow.ControllerType) lab.ControllerVariant {
 	window := 2 * time.Minute
 	return lab.ControllerVariant{
 		Name: string(kind),
 		Layers: map[flow.LayerKind]flow.ControllerSpec{
-			flow.Ingestion: shootoutController(kind, 60, window, 4),
-			flow.Analytics: shootoutController(kind, 60, window, 4),
-			flow.Storage:   shootoutController(kind, 60, window, 400),
+			flow.Ingestion: controllerSpecFor(kind, 60, window, 4),
+			flow.Analytics: controllerSpecFor(kind, 60, window, 4),
+			flow.Storage:   controllerSpecFor(kind, 60, window, 400),
 		},
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"time"
 
+	apiv1 "repro/api/v1"
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/registry"
 	"repro/internal/timeseries"
 )
@@ -50,9 +50,9 @@ cost ${{printf "%.4f" .TotalCost}} · violation rate {{printf "%.2f" .ViolationP
 {{range .Layers}}
   <div class="card">
     <h2>{{.Kind}} <span class="muted">({{.System}})</span></h2>
-    <div class="big">{{.Allocation}} {{.Resource}}</div>
+    <div class="big">{{printf "%.0f" .Allocation}} {{.Resource}}</div>
     <div>utilisation {{printf "%.1f" .Utilization}}% {{.Spark}}</div>
-    {{if .Controller}}<div class="muted">controller {{.Controller}} · ref {{printf "%.0f" .Ref}}% ·
+    {{with .Controller}}<div class="muted">controller {{.Type}} · ref {{printf "%.0f" .Ref}}% ·
       window {{.Window}} · {{.Actions}} actions</div>{{end}}
     {{if .Violations}}<div class="viol">{{.Violations}} violation ticks</div>{{end}}
   </div>
@@ -103,18 +103,11 @@ var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
 </html>
 `))
 
+// dashboardLayer is one card: the layer's /layers view plus its
+// utilisation sparkline.
 type dashboardLayer struct {
-	Kind        flow.LayerKind
-	System      string
-	Resource    string
-	Allocation  string
-	Utilization float64
-	Spark       template.HTML
-	Controller  string
-	Ref         float64
-	Window      string
-	Actions     int
-	Violations  int
+	apiv1.Layer
+	Spark template.HTML
 }
 
 type dashboardRow struct {
@@ -239,60 +232,14 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request, f *regi
 		// no sparkline). The row sparklines follow in section order.
 		var sels []selector
 		var layerSpark []int
-		for _, l := range spec.Layers {
-			dl := dashboardLayer{
-				Kind: l.Kind, System: l.System, Resource: l.Resource,
-				Violations: res.Violations[l.Kind],
-			}
-			switch l.Kind {
-			case flow.Ingestion:
-				dl.Allocation = fmt.Sprintf("%d", h.Stream.ShardCount())
-			case flow.Analytics:
-				dl.Allocation = fmt.Sprintf("%d", h.Cluster.VMCount())
-			case flow.Storage:
-				dl.Allocation = fmt.Sprintf("%.0f", h.Table.WCU())
-			}
+		for _, l := range layerViews(m) {
 			spark := -1
 			if ns, metric, dims := layerMetric(l.Kind, spec.Name); ns != "" {
-				if mh, ok := h.Store.Lookup(ns, metric, dims); ok {
-					if p, ok := mh.Latest(); ok {
-						dl.Utilization = p.V
-					}
-				}
 				spark = len(sels)
 				sels = append(sels, sparkSelector(ns, metric, dims, window))
 			}
-			if loop, ok := h.Loops[l.Kind]; ok {
-				dl.Controller = loop.Controller().Name()
-				dl.Ref = loop.Ref()
-				dl.Window = loop.Window().String()
-				dl.Actions = loop.Actions()
-			}
-			data.Layers = append(data.Layers, dl)
+			data.Layers = append(data.Layers, dashboardLayer{Layer: l})
 			layerSpark = append(layerSpark, spark)
-		}
-		if spec.Dashboard.Enabled {
-			dl := dashboardLayer{
-				Kind: flow.StorageReads, System: "dynamodb-sim", Resource: "rcu",
-				Allocation: fmt.Sprintf("%.0f", h.Table.RCU()),
-				Violations: res.Violations[flow.StorageReads],
-			}
-			ns, metric, dims := layerMetric(flow.StorageReads, spec.Name)
-			if mh, ok := h.Store.Lookup(ns, metric, dims); ok {
-				if p, ok := mh.Latest(); ok {
-					dl.Utilization = p.V
-				}
-			}
-			data.Layers = append(data.Layers, dl)
-			layerSpark = append(layerSpark, len(sels))
-			sels = append(sels, sparkSelector(ns, metric, dims, window))
-			if loop, ok := h.Loops[flow.StorageReads]; ok {
-				i := len(data.Layers) - 1
-				data.Layers[i].Controller = loop.Controller().Name()
-				data.Layers[i].Ref = loop.Ref()
-				data.Layers[i].Window = loop.Window().String()
-				data.Layers[i].Actions = loop.Actions()
-			}
 		}
 		for _, section := range snap.Sections {
 			for _, sm := range section.Metrics {

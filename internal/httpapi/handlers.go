@@ -200,66 +200,60 @@ func layerMetric(kind flow.LayerKind, name string) (ns, metric string, dims map[
 
 func (s *Server) handleLayers(w http.ResponseWriter, r *http.Request, f *registry.Flow) {
 	var out []apiv1.Layer
-	f.View(func(m *core.Manager) {
-		h := m.Harness()
-		spec := m.Spec()
-		res := h.Result()
+	f.View(func(m *core.Manager) { out = layerViews(m) })
+	writeJSON(w, http.StatusOK, out)
+}
 
-		for _, l := range spec.Layers {
-			lr := apiv1.Layer{
-				Kind:       l.Kind,
-				System:     l.System,
-				Resource:   l.Resource,
-				Min:        l.Min,
-				Max:        l.Max,
-				MeanUtil:   res.MeanUtil[l.Kind],
-				Violations: res.Violations[l.Kind],
-			}
-			switch l.Kind {
-			case flow.Ingestion:
-				lr.Allocation = float64(h.Stream.ShardCount())
-			case flow.Analytics:
-				lr.Allocation = float64(h.Cluster.VMCount())
-			case flow.Storage:
-				lr.Allocation = h.Table.WCU()
-			}
-			if ns, metric, dims := layerMetric(l.Kind, spec.Name); ns != "" {
-				if mh, ok := h.Store.Lookup(ns, metric, dims); ok {
-					if p, ok := mh.Latest(); ok {
-						lr.Utilization = p.V
-					}
-				}
-			}
-			if loop, ok := h.Loops[l.Kind]; ok {
-				lr.Controller = controllerJSON(loop)
-			}
-			out = append(out, lr)
+// layerViews builds a flow's per-layer view — allocation, latest and mean
+// utilisation, violations, controller state — with the dashboard's read
+// capacity, when enabled, as the virtual StorageReads layer. GET
+// .../layers serves it as JSON and the HTML dashboard renders it as
+// cards. Call it inside Flow.View.
+func layerViews(m *core.Manager) []apiv1.Layer {
+	h := m.Harness()
+	spec := m.Spec()
+	res := h.Result()
+	layers := spec.Layers
+	if spec.Dashboard.Enabled {
+		layers = append(layers[:len(layers):len(layers)], flow.LayerSpec{
+			Kind: flow.StorageReads, System: "dynamodb-sim", Resource: "rcu",
+			Min: spec.Dashboard.MinRCU, Max: spec.Dashboard.MaxRCU,
+		})
+	}
+	var out []apiv1.Layer
+	for _, l := range layers {
+		lr := apiv1.Layer{
+			Kind:       l.Kind,
+			System:     l.System,
+			Resource:   l.Resource,
+			Min:        l.Min,
+			Max:        l.Max,
+			MeanUtil:   res.MeanUtil[l.Kind],
+			Violations: res.Violations[l.Kind],
 		}
-		// The dashboard's read-capacity resource reports as a virtual layer.
-		if spec.Dashboard.Enabled {
-			lr := apiv1.Layer{
-				Kind:       flow.StorageReads,
-				System:     "dynamodb-sim",
-				Resource:   "rcu",
-				Allocation: h.Table.RCU(),
-				Min:        spec.Dashboard.MinRCU,
-				Max:        spec.Dashboard.MaxRCU,
-				MeanUtil:   res.MeanUtil[flow.StorageReads],
-				Violations: res.Violations[flow.StorageReads],
-			}
-			if mh, ok := h.Store.Lookup(kvstore.Namespace, kvstore.MetricReadUtilization,
-				map[string]string{"TableName": spec.Name}); ok {
+		switch l.Kind {
+		case flow.Ingestion:
+			lr.Allocation = float64(h.Stream.ShardCount())
+		case flow.Analytics:
+			lr.Allocation = float64(h.Cluster.VMCount())
+		case flow.Storage:
+			lr.Allocation = h.Table.WCU()
+		case flow.StorageReads:
+			lr.Allocation = h.Table.RCU()
+		}
+		if ns, metric, dims := layerMetric(l.Kind, spec.Name); ns != "" {
+			if mh, ok := h.Store.Lookup(ns, metric, dims); ok {
 				if p, ok := mh.Latest(); ok {
 					lr.Utilization = p.V
 				}
 			}
-			if loop, ok := h.Loops[flow.StorageReads]; ok {
-				lr.Controller = controllerJSON(loop)
-			}
-			out = append(out, lr)
 		}
-	})
-	writeJSON(w, http.StatusOK, out)
+		if loop, ok := h.Loops[l.Kind]; ok {
+			lr.Controller = controllerJSON(loop)
+		}
+		out = append(out, lr)
+	}
+	return out
 }
 
 // controllerJSON renders a loop's controller state.

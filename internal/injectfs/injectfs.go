@@ -1,6 +1,6 @@
 // Package injectfs is the fault-injection half of the durability story:
-// an in-memory file that fails on command. Tests point a WAL (control
-// log or metric log) at one of these and script the storage failures a
+// an in-memory file that fails on command. Tests point the control
+// log's WAL at one of these and script the storage failures a
 // real deployment meets — short writes when a disk fills, fsync errors
 // when a device drops, torn tails when power dies mid-append — without
 // touching the filesystem or depending on OS-specific error behaviour.

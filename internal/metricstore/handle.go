@@ -56,8 +56,8 @@ func (s *Store) Lookup(namespace, name string, dims map[string]string) (*Handle,
 func (h *Handle) ID() MetricID { return h.e.id }
 
 // Append records one observation; the timestamp must not precede the
-// metric's newest datapoint. Retention pruning and the metric-log hook run
-// under the metric's lock.
+// metric's newest datapoint. Retention pruning runs under the metric's
+// lock.
 func (h *Handle) Append(t time.Time, v float64) error {
 	return h.s.append(h.e, t, v)
 }

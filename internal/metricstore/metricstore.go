@@ -112,8 +112,6 @@ type Store struct {
 	// retention is the pruning window in nanoseconds (0 keeps everything);
 	// atomic so the per-append read does not touch the store lock.
 	retention atomic.Int64
-	// onPut is the metric-log observer; atomic for the same reason.
-	onPut atomic.Pointer[func(id MetricID, t time.Time, v float64)]
 
 	keyPool sync.Pool // *keyScratch
 }
@@ -153,19 +151,6 @@ func NewStore() *Store {
 // dropped lazily on insert. Zero disables pruning.
 func (s *Store) SetRetention(d time.Duration) {
 	s.retention.Store(int64(d))
-}
-
-// SetOnPut installs an observer invoked after every successful append with
-// the stored metric's canonical ID — the hook internal/persist uses to
-// log the metric stream durably. The observer runs under the metric's
-// entry lock, so appends of one metric reach it in order; it must not call
-// back into the store. Pass nil to remove it.
-func (s *Store) SetOnPut(fn func(id MetricID, t time.Time, v float64)) {
-	if fn == nil {
-		s.onPut.Store(nil)
-		return
-	}
-	s.onPut.Store(&fn)
 }
 
 // lookup finds the entry for the metric without creating it, building the
@@ -212,10 +197,10 @@ func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error
 	return e, nil
 }
 
-// append records one observation under the entry's lock: ordered append,
-// amortised retention pruning, and the metric-log hook. The telemetry at the
-// bottom is hot-path safe: an atomic counter add, and trace timing only
-// when a sampled tick trace is live (one atomic pointer load otherwise).
+// append records one observation under the entry's lock: ordered append
+// and amortised retention pruning. The telemetry at the bottom is
+// hot-path safe: an atomic counter add, and trace timing only when a
+// sampled tick trace is live (one atomic pointer load otherwise).
 func (s *Store) append(e *entry, t time.Time, v float64) error {
 	var traceStart time.Time
 	tr := telemetry.Traces.Active()
@@ -235,9 +220,6 @@ func (s *Store) append(e *entry, t time.Time, v float64) error {
 				telCompactionCopied.Add(uint64(d))
 			}
 		}
-	}
-	if fn := s.onPut.Load(); fn != nil {
-		(*fn)(e.id, t, v)
 	}
 	e.mu.Unlock()
 	telAppends.Inc()

@@ -1,6 +1,9 @@
 package persist
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +135,107 @@ func TestRecoverFromWALTail(t *testing.T) {
 	}
 	if opts := a2.Options(); opts.Seed != 7 || opts.Step != 10*time.Second {
 		t.Fatalf("recovered options = %+v", opts)
+	}
+}
+
+// TestReplayToleratesTornTail: a control WAL cut off mid-record by a
+// crash recovers every complete record — standard write-ahead-log
+// semantics. The torn record was never acknowledged: recovery drops it,
+// flags it in the report and counts it in telemetry.
+func TestReplayToleratesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	clog, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := newPlane(t)
+	reg.SetWAL(clog)
+	spec, err := flow.DefaultClickstream(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"alpha", "beta"} {
+		if _, err := reg.Create(id, spec, sim.Options{Step: 10 * time.Second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg.SetWAL(nil)
+	if err := clog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, WALFileName)
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, data[:len(data)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := telWALTornTails.Value()
+	clog2, state, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatalf("open over a torn tail: %v", err)
+	}
+	defer clog2.Close()
+	if got := telWALTornTails.Value() - before; got != 1 {
+		t.Errorf("flower_persist_wal_torn_tails_total moved by %d, want 1", got)
+	}
+	reg2, eng2 := newPlane(t)
+	rep := RecoverControlPlane(state, reg2, eng2, false)
+	if !rep.TornTail || rep.ReplayedRecords != 1 || rep.FlowsRestored != 1 || len(rep.Errors) != 0 {
+		t.Fatalf("report = %+v, want the torn tail flagged and the 1 complete record restored", rep)
+	}
+	if _, ok := reg2.Get("alpha"); !ok {
+		t.Fatal("flow alpha, the complete record, not recovered")
+	}
+	if _, ok := reg2.Get("beta"); ok {
+		t.Fatal("flow beta, the torn record, was recovered")
+	}
+}
+
+// TestReplayRejectsForeignOps: a record whose op the control plane does
+// not know — written by another version, or a line from another log — is
+// not applied. Recovery names its sequence number and op in the report
+// and restores every mutation around it.
+func TestReplayRejectsForeignOps(t *testing.T) {
+	dir := t.TempDir()
+	clog, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := newPlane(t)
+	reg.SetWAL(clog)
+	spec, err := flow.DefaultClickstream(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("alpha", spec, sim.Options{Step: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if err := clog.Append("flow.rename", FlowDeleteOp{ID: "alpha"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("beta", spec, sim.Options{Step: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	reg.SetWAL(nil)
+	if err := clog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	clog2, state, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clog2.Close()
+	reg2, eng2 := newPlane(t)
+	rep := RecoverControlPlane(state, reg2, eng2, false)
+	if len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], "seq 2") || !strings.Contains(rep.Errors[0], `"flow.rename"`) {
+		t.Fatalf("recovery errors = %q, want one naming seq 2 and its op", rep.Errors)
+	}
+	if rep.FlowsRestored != 2 || reg2.Len() != 2 {
+		t.Fatalf("restored %d flows, want both around the foreign record", rep.FlowsRestored)
 	}
 }
 

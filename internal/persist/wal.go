@@ -1,3 +1,17 @@
+// Package persist is the control plane's durability layer: one on-disk
+// log format with one writer and one reader, plus one checkpoint.
+//
+// The real Flower reads CloudWatch, whose data outlives any one process;
+// this reproduction's state is in-memory, so whatever must survive a
+// restart goes through the log in this file — CRC32C-framed,
+// line-delimited records, WAL the only writer, ReadWAL the only reader
+// and the only place that decides what a torn tail is. Its one use is
+// flowerd -data-dir's control log: every mutation is appended and fsynced
+// before it is acknowledged, compaction folds the log into a
+// ControlCheckpoint, and recovery (recover.go) replays checkpoint + tail.
+//
+// Metric datapoints are not logged: a flow's history is a deterministic
+// function of its definition, seed, step and how far it was advanced.
 package persist
 
 import (
@@ -27,14 +41,9 @@ import (
 // watermark), a wall-clock timestamp and the op payload. Everything is
 // plain JSON: debuggable with grep and jq, forward-extensible by adding
 // fields.
-//
-// The control plane logs its mutations here, each appended (and fsynced)
-// before it is acknowledged to the caller, with a periodic checkpoint
-// bounding the replay; the metric log (persist.go) logs datapoints.
 
-// Durability telemetry, shared by every WAL instance: records are
-// mutations on a control WAL and datapoints on a metric log. The
-// recovery-side counters are the ones the crashtest asserts on.
+// Durability telemetry, shared by every WAL instance. The recovery-side
+// counters are the ones the crashtest asserts on.
 var (
 	telWALRecords = telemetry.Default().Counter("flower_persist_wal_records_total",
 		"Control-plane WAL records appended.")
@@ -81,8 +90,7 @@ const walMagic = "w1"
 // platforms that matter.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Op codes: one per control-plane mutation, plus the metric log's
-// datapoint.
+// Op codes: one per control-plane mutation.
 const (
 	OpFlowCreate       = "flow.create"
 	OpFlowPace         = "flow.pace" // pace 0 records a stop
@@ -92,7 +100,6 @@ const (
 	OpExperimentCancel = "experiment.cancel"
 	OpExperimentFinish = "experiment.finish"
 	OpExperimentDelete = "experiment.delete"
-	OpMetricPut        = "metric.put"
 )
 
 // WALRecord is the envelope every WAL line carries.
@@ -134,9 +141,8 @@ type SyncWriter interface {
 type WALOptions struct {
 	// NoSync skips the per-append fsync. Appends are still unbuffered
 	// single writes; only the durability barrier is elided (Close still
-	// syncs). For metric logs, tests and benchmarks — a production
-	// control plane wants every mutation synced before it is
-	// acknowledged.
+	// syncs). For tests and benchmarks — a production control plane
+	// wants every mutation synced before it is acknowledged.
 	NoSync bool
 	// NextSeq seeds the sequence counter when continuing an existing
 	// log: the last sequence number already used. The first record
@@ -155,7 +161,6 @@ type WAL struct {
 	w      SyncWriter
 	noSync bool
 	seq    uint64 // last sequence number assigned
-	n      int    // records appended by this instance
 	err    error  // sticky, wraps ErrDegraded
 }
 
@@ -219,7 +224,6 @@ func (w *WAL) Append(op string, payload any) (uint64, error) {
 	}
 	telWALSyncSeconds.Observe(time.Duration(telemetry.SinceNanos(start)))
 	w.seq = rec.Seq
-	w.n++
 	telWALRecords.Inc()
 	telWALBytes.Add(uint64(len(frame)))
 	return rec.Seq, nil
@@ -230,13 +234,6 @@ func (w *WAL) Seq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
-}
-
-// Records reports how many records this instance appended.
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
 }
 
 // Err returns the sticky degradation error, if any.

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -353,5 +354,169 @@ func TestControlLogToleratesTornTailOnOpen(t *testing.T) {
 	}
 	if got := l2.Seq(); got != 3 {
 		t.Fatalf("seq after torn-tail recovery = %d, want 3", got)
+	}
+}
+
+// appendCreates writes one flow.create record per id to a fresh control
+// log under dir and returns the log file's bytes.
+func appendCreates(t *testing.T, dir string, ids ...string) []byte {
+	t.Helper()
+	l, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if err := l.Append(OpFlowCreate, FlowCreateOp{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestReplayRejectsMidFileCorruption: a bad record followed by good ones
+// is corruption, not the residue of a crash. Recovery refuses the data
+// dir and names the line rather than replay around a hole in the
+// acknowledged mutations. The line-delimited JSON journal that earlier
+// versions wrote is refused the same way, as bad magic.
+func TestReplayRejectsMidFileCorruption(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, WALFileName)
+	full := appendCreates(t, dir, "a", "b", "c")
+	lines := bytes.SplitAfter(full, []byte{'\n'})
+	mut := append([]byte(nil), full...)
+	mut[len(lines[0])+len(lines[1])/2] ^= 0x01
+	if err := os.WriteFile(walPath, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err == nil || errors.Is(err, ErrTornTail) || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("mid-file corruption: err = %v, want a hard error naming line 2", err)
+	}
+
+	old := `{"v":1,"ns":"a","name":"b","t":1,"val":2}` + "\n" + `{"v":1,"ns":"a","name":"b","t":2,"val":3}` + "\n"
+	if err := os.WriteFile(walPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err == nil || !strings.Contains(err.Error(), "line 1: corrupt mid-file: bad magic") {
+		t.Fatalf("old-format journal: err = %v", err)
+	}
+}
+
+// TestReplaySkipsBlankLines: blank lines in a control WAL — leading,
+// between records, trailing — are neither records nor corruption.
+// Recovery reads every record around them and the sequence continues
+// after the last.
+func TestReplaySkipsBlankLines(t *testing.T) {
+	dir := t.TempDir()
+	lines := bytes.SplitAfter(appendCreates(t, dir, "a", "b"), []byte{'\n'})
+	in := bytes.Join([][]byte{{'\n'}, lines[0], {'\n', '\n'}, lines[1], {'\n'}}, nil)
+	if err := os.WriteFile(filepath.Join(dir, WALFileName), in, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, state, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if state.TornTail || len(state.Tail) != 2 || state.Tail[0].Line != 2 || state.Tail[1].Line != 5 {
+		t.Fatalf("recovered tail %+v (torn %v), want records at lines 2 and 5", state.Tail, state.TornTail)
+	}
+	if err := l.Append(OpFlowCreate, FlowCreateOp{ID: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Seq(); got != 3 {
+		t.Fatalf("seq after blank-line recovery = %d, want 3", got)
+	}
+}
+
+// TestCheckpointAtomicWrite pins atomicReplace's contract on the
+// checkpoint: a successful write leaves exactly the destination, and a
+// failed one leaves the previous checkpoint whole — never a torn file,
+// never temp litter.
+func TestCheckpointAtomicWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, CheckpointFileName)
+	good := &ControlCheckpoint{LastSeq: 7, Flows: []FlowCheckpoint{{ID: "a"}}}
+	if err := WriteControlCheckpoint(path, good); err != nil {
+		t.Fatal(err)
+	}
+	// An unencodable document fails mid-write, after the temp file exists.
+	bad := &ControlCheckpoint{LastSeq: 9, Flows: []FlowCheckpoint{{ID: "b", Spec: json.RawMessage("{")}}}
+	if err := WriteControlCheckpoint(path, bad); err == nil {
+		t.Fatal("unencodable checkpoint written")
+	}
+	got, err := ReadControlCheckpoint(path)
+	if err != nil || got.LastSeq != 7 || len(got.Flows) != 1 || got.Flows[0].ID != "a" {
+		t.Fatalf("checkpoint after failed replace: %+v, err %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory not clean: %v", names)
+	}
+}
+
+// TestCompactSyncsCheckpointDirBeforeRotatingWAL pins the power-loss
+// order: the checkpoint's rename is made durable (directory fsync) before
+// the WAL rotation that drops the records it covers even begins.
+func TestCompactSyncsCheckpointDirBeforeRotatingWAL(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := OpenControlLog(dir, ControlLogOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(OpFlowCreate, FlowCreateOp{ID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// At each directory sync, record which files exist.
+	var atSync [][]string
+	real := syncDir
+	syncDir = func(d string) error {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			return err
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		atSync = append(atSync, names)
+		return real(d)
+	}
+	defer func() { syncDir = real }()
+
+	if err := l.CompactWith(func() *ControlCheckpoint { return &ControlCheckpoint{} }); err != nil {
+		t.Fatal(err)
+	}
+	if len(atSync) != 2 {
+		t.Fatalf("compaction synced the directory %d times, want 2 (checkpoint, WAL)", len(atSync))
+	}
+	hasCkpt := false
+	for _, name := range atSync[0] {
+		if name == CheckpointFileName {
+			hasCkpt = true
+		}
+		if strings.HasPrefix(name, "."+WALFileName) {
+			t.Errorf("WAL temp file %s exists before the checkpoint's directory sync", name)
+		}
+	}
+	if !hasCkpt {
+		t.Errorf("first directory sync ran before the checkpoint rename: %v", atSync[0])
 	}
 }

@@ -4,7 +4,7 @@
 // a Flower control loop onto each layer, meters cost, and accounts SLO
 // violations — the runtime behind the demo's "observe how different
 // controllers change the cloud services capacities dynamically" (§4
-// step 3) and behind every experiment in EXPERIMENTS.md.
+// step 3) and behind every experiment in internal/exper.
 package sim
 
 import (
