@@ -148,8 +148,9 @@
 // resample, cross-flow/cross-metric join on bucket starts, topk, limit
 // and agg — written in a pipe syntax or the equivalent JSON AST.
 // Operator chains iterate zero-copy views of the columnar store under
-// each flow's lock (timeseries.View.Align yields per-bucket sub-views
-// without copying), a terminal aggregate fuses into the streaming pass,
+// each flow's lock (timeseries.View.Align yields each bucket as an index
+// range, aggregated in place over explicit values or over runs without
+// expanding them), a terminal aggregate fuses into the streaming pass,
 // and a greedy planner resolves selects once, pushes window/resample
 // down to the View layer and evaluates the more selective join side
 // first — ?explain=1 reports every decision without running. The

@@ -89,6 +89,44 @@ func driveCadence(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *l
 	}
 }
 
+// driveRuns is driveCadence with the values a flow's step-shaped metrics
+// publish: each metric repeats its last value most of the time and
+// otherwise draws from a small set, so its series stays run-encoded. In
+// about half the metrics the values turn varied after a random point in
+// the first half of the metric's points, so runs stop paying and the
+// column switches to explicit values mid-stream.
+func driveRuns(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, metrics []equivMetric, points int) {
+	t.Helper()
+	handles := internHandles(t, st, metrics)
+	steps := make([]time.Duration, len(metrics))
+	next := make([]time.Time, len(metrics))
+	last := make([]float64, len(metrics))
+	turnsDense := make([]int, len(metrics))
+	appended := make([]int, len(metrics))
+	levels := []float64{0, 1, 2.5, 40, -3, 0.1}
+	for i := range metrics {
+		steps[i] = time.Duration(5*(1+rng.Intn(20))) * time.Second
+		next[i] = simtime.Epoch.Add(time.Duration(rng.Intn(600)) * time.Second)
+		last[i] = levels[rng.Intn(len(levels))]
+		turnsDense[i] = -1
+		if rng.Intn(2) == 0 {
+			turnsDense[i] = rng.Intn(points / (2 * len(metrics)))
+		}
+	}
+	for i := 0; i < points; i++ {
+		mi := rng.Intn(len(metrics))
+		switch {
+		case turnsDense[mi] >= 0 && appended[mi] >= turnsDense[mi]:
+			last[mi] = math.Round(rng.NormFloat64()*1e6) / 1e3
+		case rng.Intn(10) == 0:
+			last[mi] = levels[rng.Intn(len(levels))]
+		}
+		appendValue(t, rng, st, legacy, metrics[mi], handles[mi], next[mi], last[mi])
+		appended[mi]++
+		next[mi] = next[mi].Add(steps[mi])
+	}
+}
+
 func internHandles(t *testing.T, st *metricstore.Store, metrics []equivMetric) []*metricstore.Handle {
 	t.Helper()
 	handles := make([]*metricstore.Handle, len(metrics))
@@ -107,6 +145,12 @@ func internHandles(t *testing.T, st *metricstore.Store, metrics []equivMetric) [
 func appendBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, m equivMetric, h *metricstore.Handle, now time.Time) {
 	t.Helper()
 	v := math.Round(rng.NormFloat64()*1e6) / 1e3 // finite, varied, exact
+	appendValue(t, rng, st, legacy, m, h, now, v)
+}
+
+// appendValue is appendBoth with the value given.
+func appendValue(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *legacyStore, m equivMetric, h *metricstore.Handle, now time.Time, v float64) {
+	t.Helper()
 	if err := legacy.Put(m.ns, m.name, m.dims, now, v); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +190,10 @@ func statsList() []timeseries.Agg {
 func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 	// Seeds 0–7 draw random gaps (explicit time columns); seeds 8–15 keep
 	// each metric on a cadence, so the store's reads run on cadence-encoded
-	// columns and across the switch to explicit ones.
-	for seed := int64(0); seed < 16; seed++ {
+	// columns and across the switch to explicit ones; seeds 16–23 also
+	// repeat values, so reads run on run-encoded value columns and across
+	// their switch to explicit values.
+	for seed := int64(0); seed < 24; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := metricstore.NewStore()
@@ -160,10 +206,13 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 				legacy.SetRetention(30 * time.Minute)
 			}
 			metrics := genMetrics(rng)
-			if seed < 8 {
+			switch {
+			case seed < 8:
 				driveBoth(t, rng, st, legacy, metrics, 2000)
-			} else {
+			case seed < 16:
 				driveCadence(t, rng, st, legacy, metrics, 2000)
+			default:
+				driveRuns(t, rng, st, legacy, metrics, 2000)
 			}
 
 			for qi := 0; qi < 50; qi++ {

@@ -132,21 +132,34 @@ func TestRetention(t *testing.T) {
 // retention window, so every append is lock + column write + retention
 // drop + telemetry. Query-plane reads share the entry lock with this
 // path, so the budget also guards against read-side changes pushing
-// allocations into the writer.
+// allocations into the writer. It holds for each value encoding: a
+// changing series (explicit values), a constant one (one run) and a
+// piecewise-constant one (runs that start, get dropped and compacted).
 func TestHandleAppendSteadyStateAllocs(t *testing.T) {
-	s := NewStore()
-	s.SetRetention(10 * time.Minute)
-	h := s.MustHandle("Ingestion/Stream", "IncomingRecords", dims("StreamName", "bench", "Shard", "s-01"))
-	i := 0
-	appendNext := func() {
-		h.MustAppend(t0.Add(time.Duration(i)*time.Second), float64(i))
-		i++
-	}
-	for i < 2048 { // > retention at 1 Hz: pruning is in steady state
-		appendNext()
-	}
-	if allocs := testing.AllocsPerRun(1000, appendNext); allocs != 0 {
-		t.Fatalf("steady-state Handle.Append allocated %.1f/op, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		value func(i int) float64
+	}{
+		{"changing", func(i int) float64 { return float64(i) }},
+		{"constant", func(int) float64 { return 100 }},
+		{"piecewise", func(i int) float64 { return float64(i / 45 % 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			s.SetRetention(10 * time.Minute)
+			h := s.MustHandle("Ingestion/Stream", "IncomingRecords", dims("StreamName", "bench", "Shard", "s-01"))
+			i := 0
+			appendNext := func() {
+				h.MustAppend(t0.Add(time.Duration(i)*time.Second), tc.value(i))
+				i++
+			}
+			for i < 2048 { // > retention at 1 Hz: pruning is in steady state
+				appendNext()
+			}
+			if allocs := testing.AllocsPerRun(1000, appendNext); allocs != 0 {
+				t.Fatalf("steady-state Handle.Append allocated %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }
 

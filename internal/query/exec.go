@@ -173,25 +173,47 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 
 	switch {
 	case res == nil:
-		// No resample: filters and maps stream straight into the sink.
-		times, vals := v.Times(), v.Values()
-		for i, x := range vals {
-			val, keep := applyOps(pre, x)
-			if keep {
-				sink.emit(times.At(i), val)
+		// No resample: filters and maps stream straight into the sink,
+		// once per explicit value or once per run.
+		times, col := v.Times(), v.Values()
+		if vals, ok := col.Explicit(); ok {
+			for i, x := range vals {
+				if val, keep := applyOps(pre, x); keep {
+					sink.emit(times.At(i), val)
+				}
+			}
+			break
+		}
+		spans := col.Spans()
+		for sp, ok := spans.Next(); ok; sp, ok = spans.Next() {
+			if val, keep := applyOps(pre, sp.V); keep {
+				for i := sp.Lo; i < sp.Hi; i++ {
+					sink.emit(times.At(i), val)
+				}
 			}
 		}
 	case len(pre) == 0:
 		// Resample with a clean prefix: the Align fast path aggregates
-		// each epoch bucket over its slice of the value column in place,
-		// percentiles sorting into the entry's reusable scratch.
-		it, vals := v.Align(res.period), v.Values()
+		// each epoch bucket over its slice of the value column in place
+		// (over its runs, when run-encoded), percentiles sorting into the
+		// entry's reusable scratch.
+		it := v.Align(res.period)
+		if vals, ok := v.Values().Explicit(); ok {
+			for {
+				start, lo, hi, ok := it.Next()
+				if !ok {
+					break
+				}
+				sink.emit(start, res.stat.ApplyWith(vals[lo:hi], sc))
+			}
+			break
+		}
 		for {
-			start, lo, hi, ok := it.Next()
+			start, val, ok := it.NextStat(res.stat, sc)
 			if !ok {
 				break
 			}
-			sink.emit(start, res.stat.ApplyWith(vals[lo:hi], sc))
+			sink.emit(start, val)
 		}
 	default:
 		// Filters or maps precede the resample: stream the transformed
@@ -218,13 +240,8 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 				acc = bucketAcc{}
 			}
 		}
-		times, vals := v.Times(), v.Values()
-		for i, x := range vals {
-			val, keep := applyOps(pre, x)
-			if !keep {
-				continue
-			}
-			b := timeseries.BucketStart(times.At(i), per)
+		add := func(tn int64, val float64) {
+			b := timeseries.BucketStart(tn, per)
 			if !open || b != cur {
 				flush()
 				cur, open = b, true
@@ -233,6 +250,23 @@ func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *p
 				pctBuf = append(pctBuf, val)
 			} else {
 				acc.add(val)
+			}
+		}
+		times, col := v.Times(), v.Values()
+		if vals, ok := col.Explicit(); ok {
+			for i, x := range vals {
+				if val, keep := applyOps(pre, x); keep {
+					add(times.At(i), val)
+				}
+			}
+		} else {
+			spans := col.Spans()
+			for sp, ok := spans.Next(); ok; sp, ok = spans.Next() {
+				if val, keep := applyOps(pre, sp.V); keep {
+					for i := sp.Lo; i < sp.Hi; i++ {
+						add(times.At(i), val)
+					}
+				}
 			}
 		}
 		flush()

@@ -24,8 +24,9 @@ const (
 	naiveNS     = "Analytics/Cluster"
 	naiveLeft   = "RequestLatencyMs"
 	naiveRight  = "AllocatedVMs"
-	naiveGappy  = "QueueDepth" // NaN on every 7th point, in 3 of 4 flows
-	naiveStale  = "ErrorRate"  // first 100 s only: empty in any 5m window
+	naiveGappy  = "QueueDepth"   // NaN on every 7th point, in 3 of 4 flows
+	naiveStale  = "ErrorRate"    // first 100 s only: empty in any 5m window
+	naiveRuns   = "ReplicaCount" // piecewise constant: run-encoded in the store
 )
 
 // The two shapes. Scan+agg is the cheapest useful query (the engine
@@ -55,6 +56,7 @@ func naiveSource(t *testing.T) StaticSource {
 		vms := s.MustHandle(naiveNS, naiveRight, nil)
 		gappy := s.MustHandle(naiveNS, naiveGappy, nil)
 		stale := s.MustHandle(naiveNS, naiveStale, nil)
+		runs := s.MustHandle(naiveNS, naiveRuns, nil)
 		for i := 0; i < naivePoints; i++ {
 			ts := base.Add(time.Duration(i) * time.Second)
 			lat.MustAppend(ts, 100+float64(f)+float64(i%60))
@@ -67,11 +69,18 @@ func naiveSource(t *testing.T) StaticSource {
 			if i < 100 {
 				stale.MustAppend(ts, float64(i%5))
 			}
+			runs.MustAppend(ts, naiveLevels[(i/(17+f)+f)%len(naiveLevels)])
 		}
 		src[fmt.Sprintf("qb-%02d", f)] = StaticFlow{Store: s, Now: now}
 	}
 	return src
 }
+
+// naiveLevels are the values naiveRuns steps between, held for 17–32
+// points at a time: a NaN run, both zeros (adjacent, so a percentile
+// bucket can hold both), and decimals whose repeated sum is not their
+// product.
+var naiveLevels = []float64{3, 0.1, math.NaN(), 0, math.Copysign(0, -1), 0.7, 12}
 
 // naiveSeries is one series of a naive evaluation, in the engine's
 // column shape so equivalence checks compare directly.
@@ -212,6 +221,73 @@ func scanAggCases() (cases []naiveCase) {
 	return cases
 }
 
+// runsCases runs every statistic over the piecewise-constant metric
+// through each streaming path: a fused agg over the raw window, a resample
+// with no prefix (the Align path), and a filter before the raw window and
+// before a resample (the per-span paths).
+func runsCases() (cases []naiveCase) {
+	sel := fmt.Sprintf("select flow=qb-* ns=%s name=%s | window 10m", naiveNS, naiveRuns)
+	for _, stat := range []string{"avg", "sum", "min", "max", "count", "p50", "p90", "p99"} {
+		agg, _ := ParseStat(stat)
+		cases = append(cases,
+			naiveCase{
+				name:  "scan_agg_runs_" + stat,
+				q:     sel + " | agg " + stat,
+				naive: naiveScanAggOf(naiveRuns, 10*time.Minute, agg),
+			},
+			naiveCase{
+				name:  "resample_runs_" + stat,
+				q:     sel + " | resample 1m " + stat,
+				naive: naiveRunsOf(nil, time.Minute, agg),
+			},
+			naiveCase{
+				name:  "filter_resample_runs_" + stat,
+				q:     sel + " | filter v < 5 | resample 1m " + stat,
+				naive: naiveRunsOf(func(v float64) bool { return v < 5 }, time.Minute, agg),
+			})
+	}
+	return append(cases, naiveCase{
+		name:  "filter_runs",
+		q:     sel + " | filter v < 5",
+		naive: naiveRunsOf(func(v float64) bool { return v < 5 }, 0, 0),
+	})
+}
+
+// naiveRunsOf evaluates naiveRuns' raw 10m window by materialisation:
+// copy the points the filter keeps (keep nil keeps all), then bucket them
+// with naiveResample when period is positive.
+func naiveRunsOf(keep func(float64) bool, period time.Duration, stat timeseries.Agg) func(StaticSource) []naiveSeries {
+	return func(src StaticSource) []naiveSeries {
+		var out []naiveSeries
+		for _, id := range src.FlowIDs() {
+			src.WithFlow(id, func(store *metricstore.Store, now time.Time) {
+				h, ok := store.Lookup(naiveNS, naiveRuns, nil)
+				if !ok {
+					return
+				}
+				raw := naiveWindow(h, now, 10*time.Minute)
+				kept := timeseries.New(raw.Len())
+				for i := 0; i < raw.Len(); i++ {
+					if p := raw.At(i); keep == nil || keep(p.V) {
+						kept.MustAppend(p.T, p.V)
+					}
+				}
+				ser := naiveSeries{Flow: id}
+				if period > 0 {
+					ser.Ts, ser.Vs = naiveResample(kept, period, stat)
+				} else {
+					for i := 0; i < kept.Len(); i++ {
+						p := kept.At(i)
+						ser.Ts, ser.Vs = append(ser.Ts, p.T.UnixNano()), append(ser.Vs, p.V)
+					}
+				}
+				out = append(out, ser)
+			})
+		}
+		return out
+	}
+}
+
 // naiveCase is one query shape and its materialising evaluator.
 type naiveCase struct {
 	name  string
@@ -227,7 +303,7 @@ func TestQueryEngineMatchesNaive(t *testing.T) {
 	for _, tc := range append([]naiveCase{
 		{"scan_agg", naiveScanAggQ, naiveScanAgg},
 		{"join_agg", naiveJoinAggQ, naiveJoinAgg},
-	}, scanAggCases()...) {
+	}, append(scanAggCases(), runsCases()...)...) {
 		t.Run(tc.name, func(t *testing.T) {
 			pl, err := Prepare(src, tc.q, nil)
 			if err != nil {

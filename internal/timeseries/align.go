@@ -35,16 +35,17 @@ func BucketStart(tn int64, period time.Duration) int64 {
 }
 
 // AlignIter walks a view's period buckets in time order, yielding each
-// non-empty bucket as an index range of the view — a caller aggregates
-// the bucket over the view's value column in place. It shares the view's
-// storage and validity window (use it only under the owning entry's lock,
-// like the view itself) and allocates nothing.
+// non-empty bucket as an index range of the view (Next) or, over a
+// run-encoded value column, as its statistic computed in place (NextStat).
+// It shares the view's storage and validity window (use it only under the
+// owning entry's lock, like the view itself) and allocates nothing.
 type AlignIter struct {
 	tc     TimeColumn
-	vals   []float64
+	vc     ValueColumn
 	anchor int64 // unix nanos where bucket 0 starts
 	per    int64
 	i      int // index of the first point not yet yielded
+	k      int // NextStat's cursor: the run holding point i
 	// byCadence is set for a cadence-encoded column whose timestamps all
 	// lie within int64 range of the anchor: each bucket's end index then
 	// follows from the step instead of a division per point.
@@ -64,8 +65,8 @@ func (v View) buckets(anchor int64, period time.Duration) AlignIter {
 	if period <= 0 {
 		panic("timeseries: bucket period must be positive")
 	}
-	it := AlignIter{tc: v.tc, vals: v.vals, anchor: anchor, per: int64(period)}
-	if n := len(v.vals); n > 0 && v.tc.times == nil {
+	it := AlignIter{tc: v.tc, vc: v.vc, anchor: anchor, per: int64(period)}
+	if n := v.vc.n; n > 0 && v.tc.times == nil {
 		it.byCadence = subExact(v.tc.At(0), anchor) && subExact(v.tc.At(n-1), anchor)
 	}
 	return it
@@ -78,7 +79,7 @@ func subExact(a, b int64) bool { return (a >= b) == (a-b >= 0) }
 // nanoseconds and its points as the index range [lo, hi) of the walked
 // view. ok is false when the view is exhausted.
 func (it *AlignIter) Next() (start int64, lo, hi int, ok bool) {
-	n, i := len(it.vals), it.i
+	n, i := it.vc.n, it.i
 	if i >= n {
 		return 0, 0, 0, false
 	}
@@ -106,4 +107,34 @@ func (it *AlignIter) Next() (start int64, lo, hi int, ok bool) {
 	}
 	it.i = j
 	return it.anchor + bucket*it.per, i, j, true
+}
+
+// NextStat returns the next non-empty bucket's start time in unix
+// nanoseconds and statistic a over its values, exactly Agg.ApplyWith over
+// them; percentiles over several runs sort into sc. ok is false when the
+// view is exhausted. It walks a run-encoded column only, aggregating each
+// bucket over the runs it overlaps, found by moving a cursor forward; over
+// an explicit column (see ValueColumn.Explicit) walk with Next and
+// aggregate each bucket's slice with Agg.ApplyWith.
+func (it *AlignIter) NextStat(a Agg, sc *AggScratch) (start int64, v float64, ok bool) {
+	start, lo, hi, ok := it.Next()
+	if !ok {
+		return 0, 0, false
+	}
+	runs, first, end := it.vc.runs, it.vc.off+lo, it.vc.off+hi
+	k := it.k
+	for k+1 < len(runs) && runs[k+1].start <= first {
+		k++
+	}
+	it.k = k
+	e := k + 1
+	for e < len(runs) && runs[e].start < end {
+		e++
+	}
+	if e == k+1 {
+		return start, runStat(runs[k].v, hi-lo, a), true
+	}
+	var bucket ValueColumn // built field by field: a composite literal is copied
+	bucket.runs, bucket.off, bucket.n = runs[k:e], first, hi-lo
+	return start, bucket.aggregateRuns(a, sc), true
 }

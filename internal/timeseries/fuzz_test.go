@@ -30,27 +30,7 @@ func FuzzSeriesCadence(f *testing.F) {
 		if len(tape) > maxFuzzOps {
 			tape = tape[:maxFuzzOps]
 		}
-		s := New(0)
-		var m explicitModel
-		last, appended := t0, false
-		// appendBoth appends to both sides; a rejected append must leave
-		// both unchanged.
-		appendBoth := func(tn int64, v float64) {
-			err := s.Append(time.Unix(0, tn), v)
-			if want := m.accepts(tn); (err == nil) != want {
-				t.Fatalf("append %d after %v: err %v, model accepts %v", tn, m.ts, err, want)
-			}
-			if err == nil {
-				m.ts, m.vs = append(m.ts, tn), append(m.vs, v)
-				last, appended = tn, true
-			}
-		}
-		next := func() int64 {
-			if !appended {
-				return t0
-			}
-			return last + step
-		}
+		p := newFuzzPair(t0, step)
 		for i := 0; i < len(tape); i++ {
 			op := tape[i] & 7
 			var arg byte
@@ -60,26 +40,143 @@ func FuzzSeriesCadence(f *testing.F) {
 			}
 			switch op {
 			case 4:
-				appendBoth(last+int64(int8(arg))*(step/7+1), fuzzValue(i))
+				p.append(t, time.Unix(0, p.last+int64(int8(arg))*(step/7+1)), fuzzValue(i))
 			case 5:
-				cut := m.bound(int(arg))
-				want := m.dropBefore(unixNano(cut))
-				if got := s.DropBefore(cut); got != want {
-					t.Fatalf("DropBefore(%d) dropped %d, model %d", unixNano(cut), got, want)
-				}
+				p.dropBefore(t, int(arg))
 			case 6:
-				s.Reset()
-				m = explicitModel{}
+				p.reset()
 			case 7:
-				for k := 0; k < int(arg&63) && len(m.ts) < maxFuzzPoints; k++ {
-					appendBoth(next(), fuzzValue(i+k))
+				for k := 0; k < int(arg&63) && len(p.m.ts) < maxFuzzPoints; k++ {
+					p.append(t, p.next(), fuzzValue(i+k))
 				}
 			default:
-				appendBoth(next(), fuzzValue(i))
+				p.append(t, p.next(), fuzzValue(i))
 			}
-			checkSeries(t, s, &m, i, step)
+			checkSeries(t, p.s, &p.m, i, step)
 		}
 	})
+}
+
+// FuzzSeriesValues is FuzzSeriesCadence for the value column: values come
+// from a small palette of awkward values (NaNs with distinct payloads,
+// both zeros, infinities, subnormals), so runs form, and the model is a
+// plain []float64. Runs extend, break, get dropped and compacted across
+// their boundaries, and the column materialises wherever enough fresh
+// values arrive; every read is rechecked after every op, aggregates bit
+// for bit.
+//
+// Each op byte selects by its low three bits, its high five bits being a
+// parameter p: 0–1 append palette value p on cadence; 2 appends p+1 fresh
+// values; 3 repeats the last value p+1 times; 4 appends palette value p
+// off cadence, jumping by the next byte; 5 drops before a bound picked by
+// the next byte and p; 6 resets; 7 appends a time outside the
+// int64-nanosecond range, picked by p and the next byte, which Append
+// must reject. The committed corpus (testdata/fuzz/FuzzSeriesValues)
+// seeds a constant series, NaN-payload and signed-zero runs, the switch to
+// explicit values mid-stream, compaction across run boundaries, and
+// out-of-range appends.
+func FuzzSeriesValues(f *testing.F) {
+	f.Fuzz(func(t *testing.T, t0, step int64, tape []byte) {
+		if len(tape) > maxFuzzOps {
+			tape = tape[:maxFuzzOps]
+		}
+		p := newFuzzPair(t0, step)
+		fresh := 0.25
+		for i := 0; i < len(tape); i++ {
+			op, par := tape[i]&7, int(tape[i]>>3)
+			var arg byte
+			if op >= 4 && i+1 < len(tape) {
+				i++
+				arg = tape[i]
+			}
+			palette := awkwardValues[par%len(awkwardValues)]
+			switch op {
+			case 2:
+				for k := 0; k <= par && len(p.m.ts) < maxFuzzPoints; k++ {
+					p.append(t, p.next(), fresh)
+					fresh++
+				}
+			case 3:
+				v := palette
+				if n := len(p.m.vs); n > 0 {
+					v = p.m.vs[n-1]
+				}
+				for k := 0; k <= par && len(p.m.ts) < maxFuzzPoints; k++ {
+					p.append(t, p.next(), v)
+				}
+			case 4:
+				p.append(t, time.Unix(0, p.last+int64(int8(arg))*(step/7+1)), palette)
+			case 5:
+				p.dropBefore(t, int(arg)|par<<8)
+			case 6:
+				p.reset()
+			case 7:
+				out := []time.Time{
+					time.Unix(0, math.MaxInt64).Add(time.Duration(1 + int(arg))),
+					time.Unix(0, math.MinInt64).Add(-time.Duration(1 + int(arg))),
+					time.Date(2262+int(arg), 4, 12, 0, 0, 0, 0, time.UTC),
+					time.Date(1677-int(arg), 9, 21, 0, 0, 0, 0, time.UTC),
+				}[par%4]
+				p.append(t, out, palette)
+			default:
+				if len(p.m.ts) < maxFuzzPoints {
+					p.append(t, p.next(), palette)
+				}
+			}
+			checkSeries(t, p.s, &p.m, i, step)
+		}
+	})
+}
+
+// fuzzPair is a Series under test beside its model, and the cadence the
+// next on-cadence append continues.
+type fuzzPair struct {
+	s        *Series
+	m        explicitModel
+	t0, step int64
+	last     int64
+	appended bool
+}
+
+func newFuzzPair(t0, step int64) *fuzzPair {
+	return &fuzzPair{s: New(0), t0: t0, step: step, last: t0}
+}
+
+// append appends to both sides; a rejected append must leave both
+// unchanged.
+func (p *fuzzPair) append(t *testing.T, at time.Time, v float64) {
+	t.Helper()
+	err := p.s.Append(at, v)
+	tn, want := p.m.accepts(at)
+	if (err == nil) != want {
+		t.Fatalf("append %v after %v: err %v, model accepts %v", at, p.m.ts, err, want)
+	}
+	if err == nil {
+		p.m.ts, p.m.vs = append(p.m.ts, tn), append(p.m.vs, v)
+		p.last, p.appended = tn, true
+	}
+}
+
+// next is the time of the next on-cadence point.
+func (p *fuzzPair) next() time.Time {
+	if !p.appended {
+		return time.Unix(0, p.t0)
+	}
+	return time.Unix(0, p.last+p.step)
+}
+
+func (p *fuzzPair) dropBefore(t *testing.T, k int) {
+	t.Helper()
+	cut := p.m.bound(k)
+	want := p.m.dropBefore(unixNano(cut))
+	if got := p.s.DropBefore(cut); got != want {
+		t.Fatalf("DropBefore(%d) dropped %d, model %d", unixNano(cut), got, want)
+	}
+}
+
+func (p *fuzzPair) reset() {
+	p.s.Reset()
+	p.m = explicitModel{}
 }
 
 // Bounds on one fuzz input's work (see FuzzSeriesCadence).
@@ -104,8 +201,15 @@ type explicitModel struct {
 	vs []float64
 }
 
-func (m *explicitModel) accepts(tn int64) bool {
-	return len(m.ts) == 0 || tn >= m.ts[len(m.ts)-1]
+// accepts reports whether the model takes a point at t, and its
+// timestamp: t must survive the round trip through unix nanoseconds, and
+// must not precede the last point.
+func (m *explicitModel) accepts(t time.Time) (int64, bool) {
+	tn := t.UnixNano()
+	if !time.Unix(0, tn).Equal(t) {
+		return 0, false
+	}
+	return tn, len(m.ts) == 0 || tn >= m.ts[len(m.ts)-1]
 }
 
 // search returns the first index whose timestamp is >= tn.
@@ -231,6 +335,11 @@ func checkView(t *testing.T, tag string, v View, ts []int64, vs []float64, step 
 	}
 
 	var sc AggScratch
+	for _, agg := range allAggs {
+		if got, want := v.Aggregate(agg, &sc), agg.Apply(vs); !sameFloat(got, want) {
+			t.Fatalf("%s: Aggregate(%v) = %v (%x), model %v (%x) over %v", tag, agg, got, math.Float64bits(got), want, math.Float64bits(want), vs)
+		}
+	}
 	dst := New(0)
 	for _, period := range bucketPeriods(ts, step) {
 		// BucketHint.
@@ -260,13 +369,30 @@ func checkView(t *testing.T, tag string, v View, ts []int64, vs []float64, step 
 		if _, _, _, ok := it.Next(); ok {
 			t.Fatalf("%s: Align(%d) yields more than the model's %d buckets", tag, period, len(starts))
 		}
+		// NextStat: the same buckets' statistics over a run-encoded column.
+		if _, explicit := v.Values().Explicit(); !explicit {
+			for _, agg := range []Agg{AggSum, AggP90} {
+				it := v.Align(time.Duration(period))
+				lo := 0
+				for k := range starts {
+					start, got, ok := it.NextStat(agg, &sc)
+					if want := agg.Apply(vs[lo:ends[k]]); !ok || start != starts[k] || !sameFloat(got, want) {
+						t.Fatalf("%s: Align(%d).NextStat(%v) bucket %d = %d %v ok=%v, model %d %v", tag, period, agg, k, start, got, ok, starts[k], want)
+					}
+					lo = ends[k]
+				}
+				if _, _, ok := it.NextStat(agg, &sc); ok {
+					t.Fatalf("%s: Align(%d).NextStat yields more than the model's %d buckets", tag, period, len(starts))
+				}
+			}
+		}
 
 		// ResampleInto: buckets anchored at the first point.
 		var anchor int64
 		if len(ts) > 0 {
 			anchor = ts[0]
 		}
-		for _, agg := range []Agg{AggMean, AggMin, AggCount, AggP90} {
+		for _, agg := range allAggs {
 			starts, ends := modelBuckets(ts, anchor, period)
 			wv := make([]float64, len(starts))
 			lo := 0

@@ -3,18 +3,22 @@
 // period-statistic queries, by the dependency analyzer to align layer
 // measurements, and by the experiment harness to summarise runs.
 //
-// Storage is columnar — a float64 slice of values beside a time column —
-// and the time column stores nothing it can compute. A series appended on
-// one cadence (every metric a flow publishes advances on the simulation
-// step) keeps only its first timestamp and step, point i sitting at
-// t0 + i·step, so a datapoint costs 8 bytes and a window lookup is
-// arithmetic. The first off-cadence append materialises one int64 slice of
-// unix-nano timestamps, after which the series behaves as an explicit
-// column: 16 bytes per datapoint and window lookups by binary search.
-// Either way the per-tick append writes at most two machine words, and
-// retention pruning is an amortised-O(1) head drop instead of a copy of
-// the surviving points. Read paths that do not need an owned copy use
-// View, a zero-copy window over the columns.
+// Storage is columnar — a value column beside a time column — and neither
+// column stores what it can compute. A series appended on one cadence
+// (every metric a flow publishes advances on the simulation step) keeps
+// only its first timestamp and step, point i sitting at t0 + i·step, so a
+// window lookup is arithmetic; the first off-cadence append materialises
+// one int64 slice of unix-nano timestamps (8 more bytes per datapoint,
+// window lookups by binary search). The value column stores runs of
+// (value, start), 16 bytes per run, while a series repeats its last value
+// (a fleet size, a provisioned capacity, a throttle counter stuck at 0), so
+// a constant series costs one run whatever its length; once runs cost more
+// than explicit values would, it materialises one float64 slice, 8 bytes
+// per datapoint. Either way the per-tick append writes at most two machine
+// words, and retention pruning is an amortised-O(1) head drop instead of a
+// copy of the surviving points. Read paths that do not need an owned copy
+// use View, a zero-copy window over the columns, and aggregate runs without
+// expanding them.
 //
 // Columns grow on demand: a series holds no storage until its first Append
 // and then grows by append's amortised doubling, so an empty series costs
@@ -42,14 +46,16 @@ type Point struct {
 // the simulation produces observations in clock order by construction and a
 // violation indicates a wiring bug.
 //
-// Internally the series is columnar: values as float64s beside a
-// TimeColumn that is cadence-encoded until an append breaks the cadence,
-// with a head offset so DropBefore can discard old points without copying
-// the survivors on every call.
+// Internally the series is columnar: a ValueColumn that is run-length
+// encoded until runs stop paying, beside a TimeColumn that is
+// cadence-encoded until an append breaks the cadence, with a head offset
+// so DropBefore can discard old points without copying the survivors on
+// every call.
 type Series struct {
-	vals []float64 // live region is [head:len]
-	// tc is indexed like vals. Cadence-encoded, its step is meaningful
-	// once vals holds two points; with fewer, the next append sets it.
+	// vc holds points [0, vc.n); the live region is [head, vc.n).
+	vc ValueColumn
+	// tc is indexed like vc. Cadence-encoded, its step is meaningful
+	// once vc holds two points; with fewer, the next append sets it.
 	tc   TimeColumn
 	head int
 	// copied counts points moved by compaction; the amortised-truncation
@@ -61,10 +67,15 @@ type Series struct {
 // short series are not shuffled for a handful of dropped points.
 const compactMin = 32
 
-// New returns an empty series with capacity hint n; New(0) allocates no
-// column storage.
+// New returns an empty series with capacity hint n. New(0) allocates
+// nothing and run-length encodes its values until runs stop paying; a
+// positive hint is for callers that know the final size (Resample,
+// Materialize) and stores values explicitly from the start.
 func New(n int) *Series {
-	return &Series{vals: make([]float64, 0, n)}
+	if n <= 0 {
+		return &Series{}
+	}
+	return &Series{vc: ValueColumn{vals: make([]float64, 0, n)}}
 }
 
 // FromValues builds a series from evenly spaced values starting at start
@@ -83,24 +94,50 @@ func FromValues(start time.Time, step time.Duration, values []float64) *Series {
 // compare identically to the originals.
 func nanoTime(n int64) time.Time { return time.Unix(0, n).UTC() }
 
-// unixNano converts t for storage and window comparisons. time.Time values
-// outside the int64-nanosecond range (the zero Time used as an open query
-// bound, or distant futures) clamp to the extremes so window selection
-// still behaves as "everything before/after".
+// The int64-nanosecond range, as whole seconds and the nanoseconds past
+// them: math.MinInt64 ns is minSec s + minNsec ns, and math.MaxInt64 ns is
+// maxSec s + maxNsec ns (about 1677-09-21 to 2262-04-11).
+const (
+	nsPerSec = 1_000_000_000
+	maxSec   = math.MaxInt64 / nsPerSec
+	maxNsec  = math.MaxInt64 % nsPerSec
+	minSec   = -maxSec - 1
+	minNsec  = nsPerSec - maxNsec - 1
+)
+
+// nanos returns t in unix nanoseconds, and whether t lies in the
+// int64-nanosecond range; outside it UnixNano wraps around.
+func nanos(t time.Time) (int64, bool) {
+	sec := t.Unix()
+	ok := minSec < sec && sec < maxSec ||
+		sec == minSec && t.Nanosecond() >= minNsec ||
+		sec == maxSec && t.Nanosecond() <= maxNsec
+	return t.UnixNano(), ok
+}
+
+// unixNano converts t for window comparisons. time.Time values outside the
+// int64-nanosecond range (the zero Time used as an open query bound, or
+// distant futures) clamp to the extremes so window selection still
+// behaves as "everything before/after".
 func unixNano(t time.Time) int64 {
-	if y := t.Year(); y < 1679 {
-		return math.MinInt64
-	} else if y > 2261 {
-		return math.MaxInt64
+	if tn, ok := nanos(t); ok {
+		return tn
 	}
-	return t.UnixNano()
+	if t.Unix() < 0 {
+		return math.MinInt64
+	}
+	return math.MaxInt64
 }
 
 // Append adds an observation. The timestamp must not precede the last
-// appended timestamp.
+// appended timestamp, and must lie in the int64-nanosecond range (about
+// 1677-09-21 to 2262-04-11).
 func (s *Series) Append(t time.Time, v float64) error {
-	tn := t.UnixNano()
-	if n := len(s.vals); n > s.head {
+	tn, ok := nanos(t)
+	if !ok {
+		return fmt.Errorf("timeseries: append at %v is outside the int64-nanosecond range", t)
+	}
+	if n := s.vc.n; n > s.head {
 		if last := s.tc.At(n - 1); tn < last {
 			return fmt.Errorf("timeseries: append at %v precedes last point %v", t, nanoTime(last))
 		}
@@ -113,10 +150,11 @@ func (s *Series) Append(t time.Time, v float64) error {
 // cadence-encoded while tn continues the cadence and materialising it on
 // the first point that does not.
 func (s *Series) push(tn int64, v float64) {
-	n := len(s.vals)
+	n := s.vc.n
 	if n == s.head {
 		// No live points: whatever the column held, it restarts at tn.
-		s.vals, s.head = s.vals[:0], 0
+		s.vc.truncate()
+		s.head = 0
 		s.tc = TimeColumn{t0: tn}
 	} else if s.tc.times == nil && !s.tc.extend(n, tn) {
 		s.materialize()
@@ -124,13 +162,19 @@ func (s *Series) push(tn int64, v float64) {
 	if s.tc.times != nil {
 		s.tc.times = append(s.tc.times, tn)
 	}
-	s.vals = append(s.vals, v)
+	s.vc.push(v)
 }
 
 // materialize switches the time column to explicit timestamps, once, with
-// room for as many points as the value column.
+// room for as many points as an explicit value column holds or, when that
+// is full or the values are runs, the room append's doubling would give,
+// so the pending append does not copy the new column straight away.
 func (s *Series) materialize() {
-	times := make([]int64, len(s.vals), cap(s.vals))
+	n, c := s.vc.n, cap(s.vc.vals)
+	if c <= n {
+		c = 2 * n
+	}
+	times := make([]int64, n, c)
 	for i := range times {
 		times[i] = s.tc.At(i)
 	}
@@ -146,11 +190,11 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 }
 
 // Len reports the number of points.
-func (s *Series) Len() int { return len(s.vals) - s.head }
+func (s *Series) Len() int { return s.vc.n - s.head }
 
 // At returns the i-th point.
 func (s *Series) At(i int) Point {
-	return Point{T: nanoTime(s.tc.At(s.head + i)), V: s.vals[s.head+i]}
+	return Point{T: nanoTime(s.tc.At(s.head + i)), V: s.vc.at(s.head + i)}
 }
 
 // Last returns the most recent point and true, or a zero point and false if
@@ -159,21 +203,18 @@ func (s *Series) Last() (Point, bool) {
 	if s.Len() == 0 {
 		return Point{}, false
 	}
-	n := len(s.vals) - 1
-	return Point{T: nanoTime(s.tc.At(n)), V: s.vals[n]}, true
+	return Point{T: nanoTime(s.tc.At(s.vc.n - 1)), V: s.vc.last()}, true
 }
 
 // Values returns a copy of the observation values in time order.
 func (s *Series) Values() []float64 {
-	out := make([]float64, s.Len())
-	copy(out, s.vals[s.head:])
-	return out
+	return s.ViewAll().CopyValues(make([]float64, 0, s.Len()))
 }
 
-// Reset empties the series in place, keeping its value column's capacity
-// for reuse; the time column starts cadence-encoded again.
+// Reset empties the series in place, keeping its value column's encoding
+// and capacity for reuse; the time column starts cadence-encoded again.
 func (s *Series) Reset() {
-	s.vals = s.vals[:0]
+	s.vc.truncate()
 	s.tc = TimeColumn{}
 	s.head = 0
 }
@@ -181,13 +222,13 @@ func (s *Series) Reset() {
 // view returns the zero-copy view of the points at absolute indices
 // [lo, hi).
 func (s *Series) view(lo, hi int) View {
-	return View{tc: s.tc, vals: s.vals}.sub(lo, hi)
+	return View{tc: s.tc, vc: s.vc}.sub(lo, hi)
 }
 
 // search returns the absolute index of the first live point with
 // timestamp >= tn.
 func (s *Series) search(tn int64) int {
-	return s.tc.search(s.head, len(s.vals), tn)
+	return s.tc.search(s.head, s.vc.n, tn)
 }
 
 // View returns a zero-copy window over the points p with from <= p.T < to.
@@ -205,7 +246,7 @@ func (s *Series) View(from, to time.Time) View {
 // ViewAll returns a zero-copy view of the whole series (same validity
 // caveats as View).
 func (s *Series) ViewAll() View {
-	return s.view(s.head, len(s.vals))
+	return s.view(s.head, s.vc.n)
 }
 
 // Between returns the sub-series of points p with from <= p.T < to. The
@@ -219,7 +260,7 @@ func (s *Series) TailN(n int) *Series {
 	if n > s.Len() {
 		n = s.Len()
 	}
-	return s.view(len(s.vals)-n, len(s.vals)).Materialize()
+	return s.view(s.vc.n-n, s.vc.n).Materialize()
 }
 
 // DropBefore discards every point with timestamp earlier than t and reports
@@ -227,7 +268,9 @@ func (s *Series) TailN(n int) *Series {
 // points are logically dropped by advancing a head offset, and the
 // surviving region is compacted to the front only once the dead prefix is
 // at least as large as the live region, so the total copy work over the
-// series' lifetime is bounded by the total number of appends.
+// series' lifetime is bounded by the total number of appends. A
+// run-encoded value column compacts by moving the runs that hold live
+// points, not the points.
 func (s *Series) DropBefore(t time.Time) int {
 	lo := s.search(unixNano(t))
 	dropped := lo - s.head
@@ -235,16 +278,15 @@ func (s *Series) DropBefore(t time.Time) int {
 		return 0
 	}
 	s.head = lo
-	if s.head >= compactMin && 2*s.head >= len(s.vals) {
-		live := len(s.vals) - s.head
+	if n := s.vc.n; s.head >= compactMin && 2*s.head >= n {
+		live := n - s.head
 		if s.tc.times != nil {
 			copy(s.tc.times, s.tc.times[s.head:])
 			s.tc.times = s.tc.times[:live]
 		} else {
 			s.tc.t0 += int64(s.head) * s.tc.step
 		}
-		copy(s.vals, s.vals[s.head:])
-		s.vals = s.vals[:live]
+		s.vc.dropFront(s.head)
 		s.copied += int64(live)
 		s.head = 0
 	}
@@ -418,25 +460,23 @@ func (sc *AggScratch) percentile(vs []float64, p float64) float64 {
 	if p >= 100 {
 		return Max(vs)
 	}
-	var sorted []float64
-	if sc == nil {
-		sorted = make([]float64, len(vs))
-	} else {
-		if cap(sc.buf) < len(vs) {
-			sc.buf = make([]float64, len(vs))
-		}
-		sorted = sc.buf[:len(vs)]
-	}
+	sorted := sc.sortBuf(len(vs))
 	copy(sorted, vs)
 	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	lo, hi, frac := percentileRank(len(sorted), p)
+	return interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// sortBuf returns a buffer of n values: the scratch buffer, grown as
+// needed, or a throwaway slice when sc is nil.
+func (sc *AggScratch) sortBuf(n int) []float64 {
+	if sc == nil {
+		return make([]float64, n)
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	if cap(sc.buf) < n {
+		sc.buf = make([]float64, n)
+	}
+	return sc.buf[:n]
 }
 
 // Correlation returns the Pearson correlation coefficient between x and y,

@@ -89,17 +89,18 @@ func searchNanos(times []int64, tn int64) int {
 // the series it was taken from and is valid only until that series is next
 // mutated (Append, DropBefore, Reset); the metric store therefore only
 // exposes views under the owning entry's lock. A View is a value — slicing
-// and passing it copies two slice headers and the cadence, never the data.
+// and passing it copies the columns' slice headers, cadence and offsets,
+// never the data.
 type View struct {
-	tc   TimeColumn
-	vals []float64
+	tc TimeColumn
+	vc ValueColumn
 }
 
 // Len reports the number of points in the view.
-func (v View) Len() int { return len(v.vals) }
+func (v View) Len() int { return v.vc.n }
 
 // At returns the i-th point.
-func (v View) At(i int) Point { return Point{T: nanoTime(v.tc.At(i)), V: v.vals[i]} }
+func (v View) At(i int) Point { return Point{T: nanoTime(v.tc.At(i)), V: v.vc.at(i)} }
 
 // NanoAt returns the i-th timestamp in unix nanoseconds without
 // reconstructing a time.Time.
@@ -109,46 +110,46 @@ func (v View) NanoAt(i int) int64 { return v.tc.At(i) }
 // hoist out of the loop.
 func (v View) Times() TimeColumn { return v.tc }
 
+// Values returns the view's value column, the accessor per-point loops
+// hoist out of the loop and walk by span. It shares the view's storage
+// and validity window; use CopyValues or Materialize for an owned copy.
+func (v View) Values() ValueColumn { return v.vc }
+
 // ValueAt returns the i-th value.
-func (v View) ValueAt(i int) float64 { return v.vals[i] }
+func (v View) ValueAt(i int) float64 { return v.vc.at(i) }
 
 // Last returns the most recent point and true, or a zero point and false
 // for an empty view.
 func (v View) Last() (Point, bool) {
-	if len(v.vals) == 0 {
+	n := v.vc.n
+	if n == 0 {
 		return Point{}, false
 	}
-	return v.At(len(v.vals) - 1), true
+	return Point{T: nanoTime(v.tc.At(n - 1)), V: v.vc.last()}, true
 }
-
-// Values exposes the underlying value column. The slice is shared with the
-// series — callers must treat it as read-only and must not retain it past
-// the view's validity window; use CopyValues or Materialize for an owned
-// copy.
-func (v View) Values() []float64 { return v.vals }
 
 // CopyValues appends the view's values to dst and returns the extended
 // slice, so a caller-held buffer is reused across windows.
-func (v View) CopyValues(dst []float64) []float64 { return append(dst, v.vals...) }
+func (v View) CopyValues(dst []float64) []float64 { return v.vc.appendTo(dst) }
 
 // CopyColumns appends the view's timestamps and values to ts and vs and
-// returns the extended slices — the allocation-light export path used by
-// snapshots. A cadence-encoded column is expanded here.
+// returns the extended slices, expanding a cadence-encoded time column and
+// a run-encoded value column.
 func (v View) CopyColumns(ts []int64, vs []float64) ([]int64, []float64) {
 	if v.tc.times != nil {
 		ts = append(ts, v.tc.times...)
 	} else {
-		for i := range v.vals {
+		for i := 0; i < v.vc.n; i++ {
 			ts = append(ts, v.tc.At(i))
 		}
 	}
-	return ts, append(vs, v.vals...)
+	return ts, v.vc.appendTo(vs)
 }
 
 // Slice narrows the view to points p with from <= p.T < to, still without
 // copying.
 func (v View) Slice(from, to time.Time) View {
-	n := len(v.vals)
+	n := v.vc.n
 	lo := v.tc.search(0, n, unixNano(from))
 	hi := v.tc.search(0, n, unixNano(to))
 	if hi < lo { // inverted window selects nothing
@@ -159,16 +160,15 @@ func (v View) Slice(from, to time.Time) View {
 
 // sub returns the view of points [lo, hi).
 func (v View) sub(lo, hi int) View {
-	return View{tc: v.tc.slice(lo, hi), vals: v.vals[lo:hi]}
+	return View{tc: v.tc.slice(lo, hi), vc: v.vc.slice(lo, hi)}
 }
 
-// Materialize copies the view into an independent Series, keeping a
-// cadence-encoded column encoded.
+// Materialize copies the view into an independent Series, keeping both
+// columns in their encodings.
 func (v View) Materialize() *Series {
-	s := New(len(v.vals))
-	s.vals = append(s.vals, v.vals...)
+	s := &Series{vc: v.vc.clone()}
 	if v.tc.times != nil {
-		s.tc.times = append(make([]int64, 0, len(v.vals)), v.tc.times...)
+		s.tc.times = append(make([]int64, 0, v.vc.n), v.tc.times...)
 	} else {
 		s.tc = v.tc
 	}
@@ -177,17 +177,18 @@ func (v View) Materialize() *Series {
 
 // Aggregate computes the statistic over the view's values in one pass,
 // allocation-free for the streaming aggregations; percentiles sort into sc
-// (nil sc allocates a throwaway buffer). Semantics match Agg.Apply: NaN for
-// an empty view except AggCount and AggSum, which are 0.
+// (nil sc allocates a throwaway buffer). Semantics match Agg.Apply over the
+// view's values bit for bit: NaN for an empty view except AggCount and
+// AggSum, which are 0.
 func (v View) Aggregate(a Agg, sc *AggScratch) float64 {
-	return a.ApplyWith(v.vals, sc)
+	return v.vc.aggregate(a, sc)
 }
 
 // BucketHint is a capacity hint for bucketing v at period: the bucket
 // count v's time span implies, capped by the point count (bucketing never
 // grows a series). It sizes output columns, never decides contents.
 func (v View) BucketHint(period time.Duration) int {
-	n := len(v.vals)
+	n := v.vc.n
 	if n > 1 {
 		if span := v.tc.At(n-1) - v.tc.At(0); span >= 0 {
 			if b := int(span/int64(period)) + 1; b < n {
@@ -209,21 +210,30 @@ func (v View) Resample(period time.Duration, agg Agg) *Series {
 // ResampleInto is Resample writing into dst (which is Reset first and
 // returned), with sc reused for percentile buckets — the allocation-free
 // aggregation path for callers that hold both across queries. Each bucket
-// is aggregated in place over its values, so the result is exactly
-// Agg.ApplyWith over that bucket's values. Bucket starts are on the
-// period's cadence until an empty bucket is skipped.
+// is aggregated in place over its slice of the value column, so the result
+// is exactly Agg.ApplyWith over that bucket's values. Bucket starts are on
+// the period's cadence until an empty bucket is skipped.
 func (v View) ResampleInto(dst *Series, period time.Duration, agg Agg, sc *AggScratch) *Series {
 	var anchor int64
-	if len(v.vals) > 0 {
+	if v.vc.n > 0 {
 		anchor = v.tc.At(0)
 	}
 	it := v.buckets(anchor, period)
 	dst.Reset()
+	if vals, ok := v.vc.Explicit(); ok {
+		for {
+			start, lo, hi, ok := it.Next()
+			if !ok {
+				return dst
+			}
+			dst.push(start, agg.ApplyWith(vals[lo:hi], sc))
+		}
+	}
 	for {
-		start, lo, hi, ok := it.Next()
+		start, val, ok := it.NextStat(agg, sc)
 		if !ok {
 			return dst
 		}
-		dst.push(start, agg.ApplyWith(v.vals[lo:hi], sc))
+		dst.push(start, val)
 	}
 }
