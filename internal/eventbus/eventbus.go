@@ -158,14 +158,14 @@ func (b *Bus) Subscribe(buf int, after uint64, match func(Event) bool) *Subscrip
 			// sequence numbers reset). The gap size is unknowable; what
 			// matters is that the consumer learns there IS one instead of
 			// silently skipping the new epoch's events forever.
-			sub.dropped++
+			sub.dropped.Add(1)
 			b.drops.Add(1)
 			telDrops.Inc()
 			after = 0
 		}
 		oldest := b.seq - uint64(b.n) // seq of the newest expired event
 		if after < oldest {
-			sub.dropped += oldest - after
+			sub.dropped.Add(oldest - after)
 			b.drops.Add(oldest - after)
 			telDrops.Add(oldest - after)
 		}
@@ -200,9 +200,10 @@ type Subscription struct {
 	ch    chan Event
 	match func(Event) bool // set once at Subscribe; nil matches everything
 	// dropped counts events not delivered to this subscriber — buffer
-	// overflows plus resume gaps beyond the ring; guarded by bus.mu.
-	dropped uint64
-	closed  bool
+	// overflows plus resume gaps beyond the ring. It is added to under
+	// bus.mu and taken by Dropped without it.
+	dropped atomic.Uint64
+	closed  bool // guarded by bus.mu
 }
 
 // offerLocked delivers ev if it matches and the buffer has room; the bus
@@ -214,7 +215,7 @@ func (s *Subscription) offerLocked(ev Event) {
 	select {
 	case s.ch <- ev:
 	default:
-		s.dropped++
+		s.dropped.Add(1)
 		s.bus.drops.Add(1)
 		telDrops.Inc()
 	}
@@ -225,14 +226,9 @@ func (s *Subscription) Events() <-chan Event { return s.ch }
 
 // Dropped returns and resets the count of events this subscriber missed
 // (buffer overflow or resume gap) since the last call. Transports call it
-// before forwarding each batch so consumers learn about gaps in order.
-func (s *Subscription) Dropped() uint64 {
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	n := s.dropped
-	s.dropped = 0
-	return n
-}
+// before forwarding each event so consumers learn about gaps in order; it
+// takes no lock, so that per-event call never waits on Publish.
+func (s *Subscription) Dropped() uint64 { return s.dropped.Swap(0) }
 
 // Close unregisters the subscription and closes its channel. Safe to call
 // once concurrent publishes are in flight; double-Close is a no-op.

@@ -208,3 +208,46 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		t.Fatalf("final seq = %d, want 800", got)
 	}
 }
+
+// TestDroppedAccountsEveryEventUnderConcurrentPublish reads Dropped while
+// publishers race to overflow a small buffer: every published event is
+// either delivered or counted by exactly one Dropped call (run with -race).
+func TestDroppedAccountsEveryEventUnderConcurrentPublish(t *testing.T) {
+	const publishers, each = 4, 2000
+	b := New(16)
+	s := b.Subscribe(4, Live, nil)
+	defer s.Close()
+
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				b.Publish("e", "t", nil)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	var delivered, dropped uint64
+	for running := true; running; {
+		select {
+		case <-s.Events():
+			delivered++
+		case <-done:
+			running = false
+		}
+		dropped += s.Dropped()
+	}
+	delivered += uint64(len(drain(s)))
+	dropped += s.Dropped()
+	if delivered+dropped != publishers*each {
+		t.Fatalf("delivered %d + dropped %d = %d, want %d published",
+			delivered, dropped, delivered+dropped, publishers*each)
+	}
+	if dropped == 0 {
+		t.Fatal("no drop observed: the buffer never overflowed, so the test checked nothing")
+	}
+}

@@ -1,8 +1,7 @@
 package httpapi
 
 import (
-	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -41,6 +40,14 @@ const defaultHeartbeat = 15 * time.Second
 
 // watchBufferMax bounds the ?buffer= per-subscriber queue override.
 const watchBufferMax = 4096
+
+// watchBatchMax bounds how many bus events one write of a watch stream
+// carries: the one the stream woke for plus those already queued behind
+// it. Drop markers and heartbeats ride along without counting.
+const watchBatchMax = 64
+
+// errSubscriptionClosed ends a watch stream whose bus subscription closed.
+var errSubscriptionClosed = errors.New("watch: subscription closed")
 
 // Cursor prefixes: the registry bus and the lab bus each have their own
 // sequence space, so multiplexed cursors carry one component per bus.
@@ -264,39 +271,52 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sources []
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	// cursorID renders the combined opaque cursor for the current position.
-	cursorID := func() string {
-		var b strings.Builder
+	// The stream's records are framed into one batch buffer and go out in
+	// one Write and one Flush per batch: whatever the select hands over,
+	// plus up to watchBatchMax-1 events already queued behind it.
+	var (
+		frames    []byte   // the batch being framed
+		cur       []byte   // the rendered resume cursor
+		delivered []uint64 // flow-bus seqs in frames, for the tick tracer
+	)
+
+	// renderCursor renders the combined opaque cursor for the current
+	// position.
+	renderCursor := func() []byte {
+		cur = cur[:0]
 		for i, ls := range live {
 			if i > 0 {
-				b.WriteByte('.')
+				cur = append(cur, '.')
 			}
-			b.WriteByte(ls.prefix)
-			b.WriteString(strconv.FormatUint(ls.last, 10))
+			cur = append(cur, ls.prefix)
+			cur = strconv.AppendUint(cur, ls.last, 10)
 		}
-		return b.String()
+		return cur
 	}
 
-	writeEvent := func(ev apiv1.Event) error {
-		data, err := json.Marshal(ev)
+	frame := func(id []byte, typ, topic string, at time.Time, payload any) error {
+		var err error
+		frames, err = appendFrame(frames, ndjson, id, typ, topic, at, payload)
+		return err
+	}
+
+	// flush writes the batch, then closes any sampled tick trace waiting
+	// on a flow-bus sequence the batch carried: those events have reached
+	// the client.
+	flush := func() error {
+		if len(frames) == 0 {
+			return nil
+		}
+		_, err := w.Write(frames)
+		frames = frames[:0]
 		if err != nil {
 			return err
 		}
-		if ndjson {
-			if _, err := w.Write(append(data, '\n')); err != nil {
-				return err
-			}
-		} else {
-			if ev.ID != "" {
-				if _, err := fmt.Fprintf(w, "id: %s\n", ev.ID); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-				return err
-			}
-		}
 		flusher.Flush()
+		for _, seq := range delivered {
+			telemetry.Traces.MarkDelivered(seq)
+		}
+		delivered = delivered[:0]
 		return nil
 	}
 
@@ -306,13 +326,16 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sources []
 		if n == 0 {
 			return nil
 		}
-		data, _ := json.Marshal(apiv1.DroppedEvent{Count: n})
 		//flowervet:allow wallclock(drop markers on a live HTTP stream are stamped in the client's time frame)
-		return writeEvent(apiv1.Event{Type: apiv1.EventDropped, At: time.Now(), Data: data})
+		return frame(nil, apiv1.EventDropped, "", time.Now(), apiv1.DroppedEvent{Count: n})
 	}
 
-	// forward emits any pending drop marker for the source, then the event.
-	forward := func(ls *liveSource, ev eventbus.Event) error {
+	// forward frames any pending drop marker for the source, then the event
+	// received from it; a closed channel (!ok) ends the stream.
+	forward := func(ls *liveSource, ev eventbus.Event, ok bool) error {
+		if !ok {
+			return errSubscriptionClosed
+		}
 		if err := dropMarker(ls); err != nil {
 			return err
 		}
@@ -322,27 +345,41 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sources []
 		// Moving the cursor "backwards" merely re-delivers on resume —
 		// at-least-once, which the drop-marker contract already implies.
 		ls.last = ev.Seq
-		var data json.RawMessage
-		if ev.Data != nil {
-			var err error
-			if data, err = json.Marshal(ev.Data); err != nil {
+		if err := frame(renderCursor(), ev.Type, ev.Topic, ev.At, ev.Data); err != nil {
+			return err
+		}
+		if ls.prefix == cursorFlows {
+			delivered = append(delivered, ev.Seq)
+		}
+		return nil
+	}
+
+	// heartbeat frames pending drop markers — so an idle consumer still
+	// learns it has a gap — and the keep-alive record.
+	heartbeat := func() error {
+		for _, ls := range live {
+			if err := dropMarker(ls); err != nil {
 				return err
 			}
 		}
-		if err := writeEvent(apiv1.Event{
-			ID:    cursorID(),
-			Type:  ev.Type,
-			Topic: ev.Topic,
-			At:    ev.At,
-			Data:  data,
-		}); err != nil {
-			return err
+		if ndjson {
+			// The heartbeat carries the cursor so long-idle NDJSON
+			// consumers keep a fresh resume position.
+			return frame(renderCursor(), apiv1.EventHeartbeat, "", time.Time{}, nil)
 		}
-		// The event is flushed to the client: close any sampled tick trace
-		// waiting on this flow-bus sequence.
-		if ls.prefix == cursorFlows {
-			telemetry.Traces.MarkDelivered(ev.Seq)
+		// The SSE heartbeat comment carries the source buses' lifetime
+		// publish/drop totals, so a consumer watching the raw stream can
+		// spot plane-wide event loss without polling /v1/telemetry.
+		var pub, drop uint64
+		for _, ls := range live {
+			pub += ls.bus.Published()
+			drop += ls.bus.TotalDropped()
 		}
+		frames = append(frames, ": hb pub="...)
+		frames = strconv.AppendUint(frames, pub, 10)
+		frames = append(frames, " drop="...)
+		frames = strconv.AppendUint(frames, drop, 10)
+		frames = append(frames, "\n\n"...)
 		return nil
 	}
 
@@ -350,24 +387,25 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sources []
 	// position before any real event, then flush resume gaps immediately —
 	// a consumer whose missed state expired from the ring must not wait a
 	// heartbeat interval to learn it should resync.
-	if err := writeEvent(apiv1.Event{ID: cursorID(), Type: apiv1.EventHello}); err != nil {
-		return
-	}
+	err := frame(renderCursor(), apiv1.EventHello, "", time.Time{}, nil)
 	for _, ls := range live {
-		if err := dropMarker(ls); err != nil {
-			return
+		if err == nil {
+			err = dropMarker(ls)
 		}
+	}
+	if flush() != nil || err != nil {
+		return
 	}
 
 	heartbeatEvery := s.watchHeartbeat
 	if heartbeatEvery <= 0 {
 		heartbeatEvery = defaultHeartbeat
 	}
-	heartbeat := time.NewTicker(heartbeatEvery) //flowervet:allow wallclock(heartbeats keep a real TCP connection alive)
-	defer heartbeat.Stop()
+	ticker := time.NewTicker(heartbeatEvery) //flowervet:allow wallclock(heartbeats keep a real TCP connection alive)
+	defer ticker.Stop()
 
-	// The select below is written for the stream's two possible sources; a
-	// nil channel for an absent second source never fires.
+	// The selects below are written for the stream's two possible sources;
+	// a nil channel for an absent second source never fires.
 	var ch0, ch1 <-chan eventbus.Event
 	ch0 = live[0].sub.Events()
 	if len(live) > 1 {
@@ -379,47 +417,27 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sources []
 		case <-ctx.Done():
 			return
 		case ev, ok := <-ch0:
-			if !ok {
-				return
-			}
-			if err := forward(live[0], ev); err != nil {
-				return
-			}
+			err = forward(live[0], ev, ok)
 		case ev, ok := <-ch1:
-			if !ok {
-				return
+			err = forward(live[1], ev, ok)
+		case <-ticker.C:
+			err = heartbeat()
+		}
+	drain:
+		for n := 1; err == nil && n < watchBatchMax; n++ {
+			select {
+			case ev, ok := <-ch0:
+				err = forward(live[0], ev, ok)
+			case ev, ok := <-ch1:
+				err = forward(live[1], ev, ok)
+			default:
+				break drain
 			}
-			if err := forward(live[1], ev); err != nil {
-				return
-			}
-		case <-heartbeat.C:
-			// Surface drops even when no fresh event follows them, so an
-			// idle consumer still learns it has a gap.
-			for _, ls := range live {
-				if err := dropMarker(ls); err != nil {
-					return
-				}
-			}
-			if ndjson {
-				// The heartbeat carries the cursor so long-idle NDJSON
-				// consumers keep a fresh resume position.
-				if err := writeEvent(apiv1.Event{ID: cursorID(), Type: apiv1.EventHeartbeat}); err != nil {
-					return
-				}
-			} else {
-				// The SSE heartbeat comment carries the source buses' lifetime
-				// publish/drop totals, so a consumer watching the raw stream
-				// can spot plane-wide event loss without polling /v1/telemetry.
-				var pub, drop uint64
-				for _, ls := range live {
-					pub += ls.bus.Published()
-					drop += ls.bus.TotalDropped()
-				}
-				if _, err := fmt.Fprintf(w, ": hb pub=%d drop=%d\n\n", pub, drop); err != nil {
-					return
-				}
-				flusher.Flush()
-			}
+		}
+		// A stream that ends on an error still writes what it framed
+		// before it.
+		if flush() != nil || err != nil {
+			return
 		}
 	}
 }

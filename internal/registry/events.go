@@ -1,6 +1,9 @@
 package registry
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/control"
@@ -79,20 +82,46 @@ func markDecisions(m *core.Manager) decisionMark {
 	return marks
 }
 
+// layerDecisions is the decisions one control loop recorded in an advance.
+type layerDecisions struct {
+	kind      flow.LayerKind
+	decisions []control.Decision
+}
+
 // newDecisions must run under f.mu; it copies the decisions recorded since
-// the mark so they can be published outside the lock.
-func newDecisions(m *core.Manager, marks decisionMark) map[flow.LayerKind][]control.Decision {
-	var out map[flow.LayerKind][]control.Decision
+// the mark so they can be published outside the lock. They come back in
+// publishing order: ingestion, analytics, storage, then any other loop
+// (storage-reads) by name, so a flow's event stream is a function of its
+// spec and seed and not of map iteration.
+func newDecisions(m *core.Manager, marks decisionMark) []layerDecisions {
+	var out []layerDecisions
 	for kind, loop := range m.Harness().Loops {
 		all := loop.Decisions()
 		if from := marks[kind]; len(all) > from {
-			if out == nil {
-				out = make(map[flow.LayerKind][]control.Decision)
-			}
-			out[kind] = append([]control.Decision(nil), all[from:]...)
+			out = append(out, layerDecisions{kind, append([]control.Decision(nil), all[from:]...)})
 		}
 	}
+	slices.SortFunc(out, func(a, b layerDecisions) int {
+		if c := cmp.Compare(layerRank(a.kind), layerRank(b.kind)); c != 0 {
+			return c
+		}
+		return strings.Compare(string(a.kind), string(b.kind))
+	})
 	return out
+}
+
+// layerRank orders the three layers as a flow does; every other loop key
+// ranks after them.
+func layerRank(kind flow.LayerKind) int {
+	switch kind {
+	case flow.Ingestion:
+		return 0
+	case flow.Analytics:
+		return 1
+	case flow.Storage:
+		return 2
+	}
+	return 3
 }
 
 // publishAdvance emits the flow.advanced event plus one flow.decision per
@@ -101,7 +130,7 @@ func newDecisions(m *core.Manager, marks decisionMark) map[flow.LayerKind][]cont
 // the event's SSE delivery. Advance calls it under f.mu so concurrent
 // advances publish in simulation order; that is safe because Publish never
 // blocks on subscribers.
-func (f *Flow) publishAdvance(d time.Duration, res sim.Progress, simTime time.Time, decided map[flow.LayerKind][]control.Decision) uint64 {
+func (f *Flow) publishAdvance(d time.Duration, res sim.Progress, simTime time.Time, decided []layerDecisions) uint64 {
 	if f.bus == nil {
 		return 0
 	}
@@ -113,11 +142,11 @@ func (f *Flow) publishAdvance(d time.Duration, res sim.Progress, simTime time.Ti
 		ViolationRate: res.ViolationRate,
 		TotalCost:     res.TotalCost,
 	})
-	for kind, ds := range decided {
-		for _, dec := range ds {
+	for _, ld := range decided {
+		for _, dec := range ld.decisions {
 			f.bus.Publish(EventFlowDecision, f.id, FlowDecision{
 				ID:       f.id,
-				Layer:    string(kind),
+				Layer:    string(ld.kind),
 				At:       dec.At,
 				Measured: dec.Measured,
 				Ref:      dec.Ref,
