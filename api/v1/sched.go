@@ -2,10 +2,11 @@ package apiv1
 
 // SchedulerStats is the GET /v1/scheduler response: a point-in-time view
 // of the execution plane — the sharded tick scheduler that runs every
-// flow pacer and experiment trial. Capacity (shards × workers_per_shard)
-// is the number of jobs that can execute at one instant; goroutines is
-// the whole process's goroutine count, which stays O(shards) no matter
-// how many flows are paced.
+// flow pacer and experiment trial. Each shard has one worker, so
+// workers_per_shard is 1 and capacity, the number of jobs that can
+// execute at one instant, equals shards; goroutines is the whole
+// process's goroutine count, which stays O(shards) no matter how many
+// flows are paced.
 type SchedulerStats struct {
 	Shards          int    `json:"shards"`
 	WorkersPerShard int    `json:"workers_per_shard"`
@@ -30,7 +31,7 @@ type SchedulerStats struct {
 	// Batches / BatchJobs count executed run batches and the jobs they
 	// carried; MeanBatch = batch_jobs / batches is how much shard-lock
 	// amortisation batched execution is winning, and MaxBatch is the
-	// largest batch any worker ran (capped by the scheduler's MaxBatch).
+	// largest batch any worker ran (at most 256).
 	Batches   uint64  `json:"batches"`
 	BatchJobs uint64  `json:"batch_jobs"`
 	MeanBatch float64 `json:"mean_batch"`
@@ -58,7 +59,7 @@ type SchedulerShard struct {
 	LateRuns     uint64 `json:"late_runs"`
 	SkippedTicks uint64 `json:"skipped_ticks"`
 	// Batches / BatchJobs / MaxBatch describe the run batches this shard's
-	// workers executed. Work never migrates between shards, so these are
+	// worker executed. Work never migrates between shards, so these are
 	// exactly the jobs that were queued here.
 	Batches   uint64 `json:"batches"`
 	BatchJobs uint64 `json:"batch_jobs"`

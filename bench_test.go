@@ -1,6 +1,7 @@
 // Repository-level benchmarks: one per paper artefact, each delegating
 // to internal/exper, plus micro-benchmarks of the simulation's hot paths.
-// cmd/flowerbench farms out the same package's Scenario Lab grids;
+// The two parameter sweeps run internal/exper's Scenario Lab grids, the
+// ones cmd/flowerbench farms out;
 // latency, throughput and CPU of the running daemon are measured by
 // cmd/e2ebench, not here.
 //
@@ -10,11 +11,13 @@
 package flower_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/exper"
+	"repro/internal/lab"
 	"repro/internal/nsga2"
 	"repro/internal/regress"
 	"repro/internal/share"
@@ -150,18 +153,45 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 	}
 }
 
+// runSweep runs one sweep grid on a private lab engine and returns its
+// trials in grid order.
+func runSweep(b *testing.B, spec lab.Spec) []lab.TrialSummary {
+	e := lab.NewEngine(0)
+	defer e.Close()
+	x, err := e.Submit(spec.Name, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := x.Wait(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	trials := x.Results().Trials
+	for _, tr := range trials {
+		if tr.Status != lab.TrialDone {
+			b.Fatalf("trial %s %s: %s", tr.Name, tr.Status, tr.Error)
+		}
+	}
+	return trials
+}
+
+// totalActions counts a trial's applied resizes across all layers.
+func totalActions(tr lab.TrialSummary) int {
+	n := 0
+	for _, a := range tr.Actions {
+		n += a
+	}
+	return n
+}
+
 // BenchmarkWindowSweep regenerates the monitoring-period ablation (the
 // demo's "monitoring period" knob): resize churn at the shortest window
 // vs violation lag at the longest.
 func BenchmarkWindowSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exper.WindowSweep(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-		b.ReportMetric(float64(first.Actions), "actions_30s")
-		b.ReportMetric(float64(last.Actions), "actions_10m")
+		trials := runSweep(b, exper.WindowSweepSpec(benchSeed))
+		first, last := trials[0], trials[len(trials)-1]
+		b.ReportMetric(float64(totalActions(first)), "actions_30s")
+		b.ReportMetric(float64(totalActions(last)), "actions_10m")
 		b.ReportMetric(last.ViolationRate*100, "viol_pct_10m")
 	}
 }
@@ -170,12 +200,9 @@ func BenchmarkWindowSweep(b *testing.B) {
 // adaptation rate γ).
 func BenchmarkGammaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exper.GammaSweep(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Rows[0].TotalCost, "cost_gamma_min")
-		b.ReportMetric(r.Rows[len(r.Rows)-1].TotalCost, "cost_gamma_max")
+		trials := runSweep(b, exper.GammaSweepSpec(benchSeed))
+		b.ReportMetric(trials[0].TotalCost, "cost_gamma_min")
+		b.ReportMetric(trials[len(trials)-1].TotalCost, "cost_gamma_max")
 	}
 }
 

@@ -5,7 +5,8 @@
 // all cores through internal/lab, prints the per-trial tables, and emits
 // a machine-readable JSON report of every trial. The per-paper-artefact
 // tables (Fig. 2, Eq. 2, …) remain available as Go benchmarks
-// (`go test -bench . ./...`), which call the same internal/exper functions.
+// (`go test -bench . ./...`), which call internal/exper's experiment
+// functions; the window and γ sweep benchmarks run this farm's own grids.
 //
 // The farm measures Flower's decisions (cost, violations, actions), not
 // the speed of the code making them: latency, throughput and CPU claims

@@ -7,9 +7,11 @@
 //
 // Usage:
 //
-//	flowerd [-spec flow.json] [-for 2h] [-step 10s] [-seed 1] [-peak 3000] [-csv out.csv]
+//	flowerd [-spec flow.json] [-for 2h] [-step 10s] [-seed 1] [-peak 3000]
+//	        [-csv out.csv] [-window 30m]
 //	flowerd -http :8080 [-pace 60] [-spec a.json -spec b.json] [-flows 4]
-//	        [-sched-shards 8] [-sched-workers 2]
+//	        [-sched-shards 8] [-data-dir dir] [-resume-experiments]
+//	        [-selfscrape 1s] [-pprof]
 //
 // With -http, flowerd serves the multi-flow v1 control plane
 // (internal/httpapi): the /v1/flows collection, per-flow status, controller
@@ -18,7 +20,7 @@
 // /v1/experiments farm, which fans declarative experiment grids out as
 // scheduler jobs. All execution — every flow's pacer tick, every
 // experiment trial — runs on one sharded tick scheduler (internal/sched),
-// sized by -sched-shards and -sched-workers and observable at
+// sized by -sched-shards (one worker per shard) and observable at
 // GET /v1/scheduler; goroutine count stays O(shards) no matter how many
 // flows are paced, and a weighted-fairness policy keeps big experiment
 // grids from starving live flows. On SIGINT/SIGTERM the daemon shuts
@@ -90,8 +92,7 @@ func main() {
 	httpAddr := flag.String("http", "", "serve the HTTP control plane on this address instead of a batch run")
 	pace := flag.Float64("pace", 60, "with -http: simulated seconds advanced per wall second (0 = manual)")
 	replicas := flag.Int("flows", 1, "with -http and no -spec: serve this many independently-seeded replicas of the built-in flow")
-	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler (0: GOMAXPROCS, max 64)")
-	schedWorkers := flag.Int("sched-workers", 0, "with -http: workers per scheduler shard (0: 1); shards x workers is the whole server's execution capacity")
+	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler, one worker each: the whole server's execution capacity (0: GOMAXPROCS, max 64)")
 	pprofOn := flag.Bool("pprof", false, "with -http: expose net/http/pprof under /debug/pprof/ on the same listener")
 	selfScrape := flag.Duration("selfscrape", 0, "with -http: ingest flowerd's own telemetry into the reserved "+httpapi.SelfScrapeFlow+" flow every interval (0 = off)")
 	dataDir := flag.String("data-dir", "", "with -http: durable control-plane directory (write-ahead log + checkpoint); flows, pacers and experiments survive restarts")
@@ -114,7 +115,7 @@ func main() {
 		os.Exit(serveHTTP(*httpAddr, serveConfig{
 			specPaths: specPaths, loadSpec: loadSpec,
 			peak: *peak, step: *step, seed: *seed, pace: *pace,
-			replicas: *replicas, schedShards: *schedShards, schedWorkers: *schedWorkers,
+			replicas: *replicas, schedShards: *schedShards,
 			pprof: *pprofOn, selfScrape: *selfScrape,
 			dataDir: *dataDir, resumeExperiments: *resumeExperiments,
 		}))
@@ -190,7 +191,6 @@ type serveConfig struct {
 	pace              float64
 	replicas          int
 	schedShards       int
-	schedWorkers      int
 	pprof             bool
 	selfScrape        time.Duration
 	dataDir           string
@@ -204,11 +204,11 @@ const walCompactEvery = 15 * time.Second
 // serveHTTP registers the initial flows and serves the v1 control plane
 // until interrupted, returning the process exit code. One scheduler — the
 // unified execution plane — paces every flow and runs every experiment
-// trial: -sched-shards and -sched-workers are the whole server's capacity
-// knob. With cfg.dataDir, state is recovered from the control WAL before
-// any initial flow is created, and every subsequent mutation is logged.
+// trial: -sched-shards is the whole server's capacity knob. With
+// cfg.dataDir, state is recovered from the control WAL before any initial
+// flow is created, and every subsequent mutation is logged.
 func serveHTTP(addr string, cfg serveConfig) int {
-	plane := sched.New(sched.Config{Shards: cfg.schedShards, Workers: cfg.schedWorkers})
+	plane := sched.New(sched.Config{Shards: cfg.schedShards})
 	reg := registry.New(registry.WithScheduler(plane))
 	engine := lab.NewEngineOn(plane)
 
@@ -332,8 +332,8 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	for _, f := range reg.List() {
 		fmt.Printf("  flow %-24s dashboard http://%s/v1/flows/%s/dashboard\n", f.ID(), addr, f.ID())
 	}
-	fmt.Printf("  api:         http://%s/v1/flows\n  experiments: http://%s/v1/experiments\n  scheduler:   http://%s/v1/scheduler (%d shards x %d workers)\n  telemetry:   http://%s/v1/telemetry\n  dashboard:   http://%s/\n",
-		addr, addr, addr, plane.Shards(), plane.Workers(), addr, addr)
+	fmt.Printf("  api:         http://%s/v1/flows\n  experiments: http://%s/v1/experiments\n  scheduler:   http://%s/v1/scheduler (%d shards, one worker each)\n  telemetry:   http://%s/v1/telemetry\n  dashboard:   http://%s/\n",
+		addr, addr, addr, plane.Shards(), addr, addr)
 	if cfg.pprof {
 		fmt.Printf("  pprof:       http://%s/debug/pprof/\n", addr)
 	}

@@ -72,15 +72,16 @@
 // All recurring and queued work — every paced flow's wall-clock tick,
 // every Scenario Lab trial — executes on one sharded tick scheduler
 // (internal/sched): per-shard hashed timer wheels arm periodic jobs in
-// O(1), per-shard run queues feed a fixed worker pool, and the process
+// O(1), per-shard run queues feed one worker per shard, and the process
 // goroutine count stays O(shards) no matter how many flows are paced.
 // Execution is batched: each wheel advance drains everything it fired
-// into per-class run batches handed to workers in one queue operation,
-// so the shard lock is taken per advance rather than per fired job, and
-// a batch's stats flush back in one acquisition — the drain loop is
-// allocation-free at steady state. Batches are capped (256 jobs by
-// default) so a thundering herd splits into units a shard's workers can
-// run in parallel. Execution is shard-affine: a paced flow is armed,
+// into per-class run batches handed to the shard's worker in one queue
+// operation, so the shard lock is taken per advance rather than per
+// fired job, and a batch's stats flush back in one acquisition — the
+// drain loop is allocation-free at steady state. Batches are capped at
+// 256 jobs so a thundering herd splits into units and a queued trial
+// chunk waits behind one of them, not the whole herd. Execution is
+// shard-affine: a paced flow is armed,
 // queued, executed and re-armed on the one shard its id hashes to, so
 // no worker ever touches another shard's state and per-shard counters
 // are exact. First fires are hash-spread across each job's interval,
@@ -92,7 +93,7 @@
 // whole plane is observable — queue depths, late and skipped ticks,
 // batch-shape counters, run-latency histograms — at
 // GET /v1/scheduler, `flowctl sched`, and Scheduler.Stats. Size it with
-// flowerd's -sched-shards/-sched-workers; shards × workers is the one
+// flowerd's -sched-shards; the shard count, one worker each, is the one
 // capacity knob of the whole server. sched.TestHerdHoldsSchedule holds a
 // 50k-job thundering herd to a bounded setup and ≥ 90% delivered-tick
 // fidelity; cmd/e2ebench measures tick lag and CPU in a running flowerd.
@@ -335,7 +336,8 @@ type (
 type (
 	// Scheduler is the unified execution plane running pacers and trials.
 	Scheduler = sched.Scheduler
-	// SchedulerConfig sizes a scheduler (shards, workers, fairness).
+	// SchedulerConfig sizes a scheduler: its shard count, one worker
+	// each.
 	SchedulerConfig = sched.Config
 	// SchedulerStats is a point-in-time view of the plane.
 	SchedulerStats = sched.Stats

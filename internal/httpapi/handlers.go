@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -34,9 +35,6 @@ func wroteDegraded(w http.ResponseWriter, err error) bool {
 	writeError(w, http.StatusServiceUnavailable, apiv1.CodeUnavailable, "%v", err)
 	return true
 }
-
-// maxAdvance bounds one advance request (a simulated year).
-const maxAdvance = 24 * 365 * time.Hour
 
 // defaultWallTick is the pacer granularity when a pace request names none.
 const defaultWallTick = 250 * time.Millisecond
@@ -82,6 +80,14 @@ func (s *Server) handleCreateFlow(w http.ResponseWriter, r *http.Request) {
 	if req.Pace < 0 {
 		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "negative pace %v", req.Pace)
 		return
+	}
+	// Check the pace before the flow exists: a create refused for its
+	// pace must leave no flow and no WAL record behind.
+	if req.Pace > 0 {
+		if err := registry.CheckPace(req.Pace, defaultWallTick, cmp.Or(opts.Step, sim.DefaultStep)); err != nil {
+			writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "pace: %v", err)
+			return
+		}
 	}
 
 	id := req.ID
@@ -505,8 +511,8 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, f *regist
 		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "invalid duration %q", raw)
 		return
 	}
-	if d > maxAdvance {
-		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "duration %v too large", d)
+	if err := f.CheckAdvance(d); err != nil {
+		writeError(w, http.StatusBadRequest, apiv1.CodeInvalidArgument, "duration %v: %v", d, err)
 		return
 	}
 	res, err := f.Advance(d)

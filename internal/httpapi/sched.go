@@ -21,11 +21,11 @@ func (s *Server) handleSchedulerStats(w http.ResponseWriter, r *http.Request) {
 func schedulerStatsJSON(st sched.Stats) apiv1.SchedulerStats {
 	out := apiv1.SchedulerStats{
 		Shards:          st.Shards,
-		WorkersPerShard: st.WorkersPerShard,
-		Capacity:        st.Capacity,
-		FlowWeight:      st.FlowWeight,
-		MaxCatchUp:      st.MaxCatchUp,
-		WheelTick:       st.WheelTick.String(),
+		WorkersPerShard: 1,
+		Capacity:        st.Shards,
+		FlowWeight:      sched.FlowWeight,
+		MaxCatchUp:      sched.MaxCatchUp,
+		WheelTick:       sched.WheelTick.String(),
 		Goroutines:      runtime.NumGoroutine(),
 		Timers:          st.Timers,
 		QueueDepth:      st.QueueDepth,
@@ -40,7 +40,7 @@ func schedulerStatsJSON(st sched.Stats) apiv1.SchedulerStats {
 		PerShard:        make([]apiv1.SchedulerShard, 0, len(st.PerShard)),
 	}
 	for _, row := range st.PerShard {
-		wire := apiv1.SchedulerShard{
+		out.PerShard = append(out.PerShard, apiv1.SchedulerShard{
 			Shard:         row.Shard,
 			Timers:        row.Timers,
 			FlowQueue:     row.FlowQueue,
@@ -53,20 +53,8 @@ func schedulerStatsJSON(st sched.Stats) apiv1.SchedulerStats {
 			Batches:       row.Batches,
 			BatchJobs:     row.BatchJobs,
 			MaxBatch:      row.MaxBatch,
-			Latency: apiv1.LatencyHistogram{
-				BoundsUS: make([]int64, 0, len(row.Latency.Bounds)),
-				Counts:   append([]uint64(nil), row.Latency.Counts...),
-				Count:    row.Latency.Count,
-				MaxUS:    float64(row.Latency.Max.Microseconds()),
-			},
-		}
-		for _, b := range row.Latency.Bounds {
-			wire.Latency.BoundsUS = append(wire.Latency.BoundsUS, b.Microseconds())
-		}
-		if row.Latency.Count > 0 {
-			wire.Latency.MeanUS = float64(row.Latency.Sum.Microseconds()) / float64(row.Latency.Count)
-		}
-		out.PerShard = append(out.PerShard, wire)
+			Latency:       *histogramJSON(&row.Latency),
+		})
 	}
 	return out
 }

@@ -504,6 +504,57 @@ func TestPaceEndpointStartsAndStops(t *testing.T) {
 	wantEnvelope(t, rec, http.StatusBadRequest, apiv1.CodeInvalidArgument)
 }
 
+// TestRequestsCannotStartUnboundedWork: one advance request or one pacer
+// tick may run at most a simulated year of steps at the default 10 s step,
+// and a pacer tick must move simulated time forward. Each request below is
+// refused with 400 and changes nothing: no flow is created, the running
+// pacer keeps its pace, and the advanced flow's clock does not move. The
+// benchmark's pace (40 at the default 250 ms wall tick) is accepted. The
+// cheap refusals come first, so a missing bound fails the test before a
+// costly one can start work.
+func TestRequestsCannotStartUnboundedWork(t *testing.T) {
+	s, reg := newTestServer(t)
+	if rec := do(t, s, http.MethodPost, "/v1/flows/clicks/pace", `{"pace": 40}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("benchmark pace: status = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/flows", `{"id": "fine", "step": "1ns"}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("create 1 ns flow: status = %d: %s", rec.Code, rec.Body)
+	}
+	cases := []struct{ name, path, body string }{
+		{"pace rounding to 0 ns per tick", "/v1/flows/clicks/pace", `{"pace": 1e-12}`},
+		{"create paced at 0 ns per tick", "/v1/flows", `{"id": "new", "pace": 1e-12}`},
+		{"pace overflowing time.Duration", "/v1/flows/clicks/pace", `{"pace": 4e10}`},
+		{"create paced past time.Duration", "/v1/flows", `{"id": "new", "pace": 4e10}`},
+		{"pace of 69,444 h per tick", "/v1/flows/clicks/pace", `{"pace": 1e9}`},
+		{"create paced at 69,444 h per tick", "/v1/flows", `{"id": "new", "pace": 1e9}`},
+		{"create paced at 1e10 steps per tick", "/v1/flows", `{"id": "new", "step": "1ns", "pace": 40}`},
+		{"advance a year of 1 ns steps", "/v1/flows/fine/advance?d=8760h", ""},
+	}
+	for _, c := range cases {
+		rec := do(t, s, http.MethodPost, c.path, c.body, nil)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %q)", c.name, rec.Code, rec.Body)
+		}
+		wantEnvelope(t, rec, http.StatusBadRequest, apiv1.CodeInvalidArgument)
+		if _, ok := reg.Get("new"); ok || reg.Len() != 2 {
+			t.Fatalf("%s: a refused request left %d flows (flow \"new\" exists: %v)", c.name, reg.Len(), ok)
+		}
+		var st apiv1.PaceState
+		get(t, s, "/v1/flows/clicks/pace", &st)
+		if !st.Running || st.Pace != 40 || st.WallTick != "250ms" {
+			t.Fatalf("%s: pacer changed to %+v", c.name, st)
+		}
+		var status apiv1.Status
+		get(t, s, "/v1/flows/fine/status", &status)
+		if status.Ticks != 0 {
+			t.Fatalf("%s: the 1 ns flow advanced %d ticks", c.name, status.Ticks)
+		}
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/flows", `{"id": "bench", "pace": 40}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("create at the benchmark pace: status = %d: %s", rec.Code, rec.Body)
+	}
+}
+
 // --- dashboards ---
 
 func TestDashboardRendersHTMLPerFlow(t *testing.T) {

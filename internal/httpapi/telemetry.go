@@ -115,8 +115,8 @@ func telemetryJSON(snap telemetry.Snapshot) apiv1.Telemetry {
 	return out
 }
 
-// histogramJSON renders a telemetry histogram in the same wire shape the
-// scheduler stats use.
+// histogramJSON renders a telemetry histogram in wire form: the
+// /v1/telemetry families and the /v1/scheduler per-shard rows alike.
 func histogramJSON(h *telemetry.HistogramSnapshot) *apiv1.LatencyHistogram {
 	out := &apiv1.LatencyHistogram{
 		BoundsUS: make([]int64, 0, len(h.Bounds)),

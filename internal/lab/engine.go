@@ -79,18 +79,13 @@ type Engine struct {
 	wal atomic.Pointer[walBox]
 }
 
-// NewEngine returns an engine on a private scheduler with the given
-// execution capacity; workers <= 0 selects GOMAXPROCS. Use NewEngineOn to
-// co-schedule experiments with the rest of the control plane.
+// NewEngine returns an engine on a private scheduler of the given
+// execution capacity: one shard, and so one worker, per unit, capped at
+// the scheduler's 64 shards; workers <= 0 selects GOMAXPROCS. Use
+// NewEngineOn to co-schedule experiments with the rest of the control
+// plane.
 func NewEngine(workers int) *Engine {
-	// One worker per shard up to the shard cap; beyond it, widths round
-	// DOWN to a multiple of the cap (never above the requested bound).
-	cfg := sched.Config{Shards: workers, Workers: 1}
-	if workers > 64 {
-		cfg.Shards = 64
-		cfg.Workers = workers / 64
-	}
-	e := NewEngineOn(sched.New(cfg))
+	e := NewEngineOn(sched.New(sched.Config{Shards: workers}))
 	e.ownSched = true
 	return e
 }
@@ -126,8 +121,8 @@ func (e *Engine) walHook() WAL {
 }
 
 // Workers returns the execution capacity trials draw on: the scheduler's
-// shard × worker pool width.
-func (e *Engine) Workers() int { return e.sched.Capacity() }
+// shard count, one worker each.
+func (e *Engine) Workers() int { return e.sched.Shards() }
 
 // Scheduler returns the execution plane trials run on.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }

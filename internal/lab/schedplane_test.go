@@ -23,7 +23,7 @@ func TestPacersAndExperimentShareExecutionPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-flow co-scheduling test")
 	}
-	s := sched.New(sched.Config{Shards: 4, Workers: 2})
+	s := sched.New(sched.Config{Shards: 8})
 	defer s.Close()
 	r := registry.New(registry.WithScheduler(s))
 	defer r.Close()

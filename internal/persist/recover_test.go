@@ -19,7 +19,7 @@ import (
 // in reverse order.
 func newPlane(t *testing.T) (*registry.Registry, *lab.Engine) {
 	t.Helper()
-	plane := sched.New(sched.Config{Shards: 2, Workers: 1})
+	plane := sched.New(sched.Config{Shards: 2})
 	reg := registry.New(registry.WithScheduler(plane))
 	eng := lab.NewEngineOn(plane)
 	t.Cleanup(func() {

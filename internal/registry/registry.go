@@ -63,6 +63,56 @@ var (
 	ErrDeleted  = errors.New("flow deleted")
 )
 
+// maxAdvance bounds the simulated time one advance request or one pacer
+// tick may cover: a simulated year.
+const maxAdvance = 24 * 365 * time.Hour
+
+// maxAdvanceSteps bounds the simulation steps one advance request or one
+// pacer tick may run: maxAdvance at the default step (3,153,600). A flow
+// with a finer step covers less simulated time per request, so no request
+// holds the flow lock, and its shard's one worker, for more steps than a
+// simulated year at the default step.
+const maxAdvanceSteps = int64(maxAdvance / sim.DefaultStep)
+
+// checkAdvance is the one bound on the simulation work a single advance
+// request or pacer tick starts: simNS nanoseconds of simulated time over
+// a simulation step of step. simNS is a float so that a pace × wall tick
+// product too large or too small for a time.Duration is caught before
+// any conversion to one.
+func checkAdvance(simNS float64, step time.Duration) error {
+	switch steps := simNS / float64(step); {
+	case !(simNS >= 1): // also NaN
+		return fmt.Errorf("advance of %g ns of simulated time is under 1 ns", simNS)
+	case simNS > float64(maxAdvance):
+		return fmt.Errorf("advance of %.4g s of simulated time exceeds %v", simNS/1e9, maxAdvance)
+	case steps > float64(maxAdvanceSteps):
+		return fmt.Errorf("advance of %.4g steps of %v exceeds %d", steps, step, maxAdvanceSteps)
+	}
+	return nil
+}
+
+// CheckPace reports whether a pacer moving pace simulated seconds per
+// wall second, ticking every wallTick, on a flow whose simulation step is
+// step, stays within the bounds of one advance per tick. StartPacing
+// applies it; callers that must reject a pace before the flow exists
+// apply it first.
+func CheckPace(pace float64, wallTick, step time.Duration) error {
+	return checkAdvance(pace*float64(wallTick), step)
+}
+
+// CheckAdvance reports whether one Advance(d) of f stays within the
+// bounds of a single request.
+func (f *Flow) CheckAdvance(d time.Duration) error {
+	return checkAdvance(float64(d), f.step())
+}
+
+// step returns the flow's simulation step.
+func (f *Flow) step() time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.mgr.Harness().Scheduler.Step()
+}
+
 // MaxIDLength bounds flow identifiers so they stay usable as URL path
 // segments and log fields.
 const MaxIDLength = 64
@@ -210,9 +260,10 @@ func (f *Flow) advanceLocked(d time.Duration, tr *telemetry.Trace) error {
 }
 
 // StartPacing advances the flow continuously: every wallTick of wall time,
-// the flow moves pace simulated seconds per wall second. The pacer is a
-// periodic job on the registry's scheduler — no goroutine or timer is
-// owned by the flow — with the scheduler's bounded catch-up policy: a flow
+// the flow moves pace simulated seconds per wall second, within the
+// bounds CheckPace sets on one tick. The pacer is a periodic job on the
+// registry's scheduler — no goroutine or timer is owned by the flow —
+// with the scheduler's bounded catch-up policy: a flow
 // that cannot keep up (slow simulation, saturated workers) drops ticks and
 // lags wall time instead of accumulating an unbounded advance backlog. A
 // pacer already running is replaced. Safe to call concurrently with
@@ -227,9 +278,10 @@ func (f *Flow) StartPacing(pace float64, wallTick time.Duration) error {
 	if f.sched == nil {
 		return fmt.Errorf("flow %q has no scheduler (not registered through a registry)", f.id)
 	}
-	f.mu.Lock()
-	simStep := f.mgr.Harness().Scheduler.Step()
-	f.mu.Unlock()
+	simStep := f.step()
+	if err := CheckPace(pace, wallTick, simStep); err != nil {
+		return err
+	}
 
 	f.pacerMu.Lock()
 	defer f.pacerMu.Unlock()

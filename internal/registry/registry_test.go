@@ -471,7 +471,7 @@ func TestThousandFlowsPacedGoroutineBound(t *testing.T) {
 		t.Skip("1000-flow scale test")
 	}
 	base := runtime.NumGoroutine()
-	s := sched.New(sched.Config{Shards: 8, Workers: 1})
+	s := sched.New(sched.Config{Shards: 8})
 	defer s.Close()
 	r := New(WithScheduler(s))
 

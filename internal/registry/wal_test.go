@@ -59,7 +59,7 @@ func (w *fakeWAL) FlowTuned(id string, kind flow.LayerKind, ref, deadBand *float
 func (w *fakeWAL) FlowDeleted(id string) error { return w.log("delete", id) }
 
 func TestWALHookSeesEveryMutation(t *testing.T) {
-	plane := sched.New(sched.Config{Shards: 1, Workers: 1})
+	plane := sched.New(sched.Config{Shards: 1})
 	defer plane.Close()
 	r := New(WithScheduler(plane))
 	defer r.Close()
@@ -97,7 +97,7 @@ func TestWALHookSeesEveryMutation(t *testing.T) {
 }
 
 func TestWALFailureAbortsMutation(t *testing.T) {
-	plane := sched.New(sched.Config{Shards: 1, Workers: 1})
+	plane := sched.New(sched.Config{Shards: 1})
 	defer plane.Close()
 	r := New(WithScheduler(plane))
 	defer r.Close()

@@ -110,7 +110,7 @@ func ledgers(shards int, jobs []*trackedJob) []shardLedger {
 func TestShardAffinityAndAccounting(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := New(Config{Shards: shards, WheelTick: time.Millisecond})
+			s := newScheduler(Config{Shards: shards}, wheel{tick: time.Millisecond, slots: wheelSlots}, newClock)
 			defer s.Close()
 			rng := rand.New(rand.NewSource(int64(1000 + shards)))
 			var all, live []*trackedJob
@@ -182,7 +182,7 @@ func TestSkewedDurationsHoldSchedule(t *testing.T) {
 		jobs     = 1000
 		interval = 100 * time.Millisecond
 	)
-	s := New(Config{Shards: 4, WheelTick: time.Millisecond})
+	s := newScheduler(Config{Shards: 4}, wheel{tick: time.Millisecond, slots: wheelSlots}, newClock)
 	defer s.Close()
 	all := make([]*trackedJob, jobs)
 	for i := range all {

@@ -32,7 +32,7 @@ func noop(int) error { return nil }
 // Close interrupts the sleep toward it.
 func TestFarDeadlineSleepsAndCloseWakes(t *testing.T) {
 	overClocks(t, func(t *testing.T, mk func() clock) {
-		s := newScheduler(Config{Shards: 1}, mk)
+		s := newScheduler(Config{Shards: 1}, defaultWheel, mk)
 		if _, err := s.Periodic("far", ClassBatch, time.Hour, noop, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestFarDeadlineSleepsAndCloseWakes(t *testing.T) {
 // test's power and forgives a stall of the box.
 func TestEarlierInsertRearmsClock(t *testing.T) {
 	overClocks(t, func(t *testing.T, mk func() clock) {
-		s := newScheduler(Config{Shards: 1}, mk)
+		s := newScheduler(Config{Shards: 1}, defaultWheel, mk)
 		defer s.Close()
 		if _, err := s.Periodic("far", ClassBatch, time.Hour, noop, nil); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestEarlierInsertRearmsClock(t *testing.T) {
 func TestMultiRevolutionJobFiresOnItsRound(t *testing.T) {
 	overClocks(t, func(t *testing.T, mk func() clock) {
 		const interval = 30 * time.Millisecond // 3.75 revolutions of an 8 × 1 ms wheel
-		s := newScheduler(Config{Shards: 1, WheelTick: time.Millisecond, WheelSlots: 8}, mk)
+		s := newScheduler(Config{Shards: 1}, wheel{tick: time.Millisecond, slots: 8}, mk)
 		defer s.Close()
 		var mu sync.Mutex
 		var runs []time.Time
@@ -138,8 +138,8 @@ func TestMultiRevolutionJobFiresOnItsRound(t *testing.T) {
 // the job was registered and also after a wheel went idle and re-anchored.
 func TestShardsShareOneGrid(t *testing.T) {
 	overClocks(t, func(t *testing.T, mk func() clock) {
-		const tick = 2 * time.Millisecond
-		s := newScheduler(Config{Shards: 4, WheelTick: tick}, mk)
+		const tick = WheelTick
+		s := newScheduler(Config{Shards: 4}, defaultWheel, mk)
 		defer s.Close()
 		for round := 0; round < 2; round++ {
 			var fires, offGrid atomic.Int64
@@ -173,7 +173,7 @@ func TestShardsShareOneGrid(t *testing.T) {
 				tk.Stop()
 			}
 			if n := offGrid.Load(); n > 0 {
-				t.Errorf("round %d: %d of %d fires were armed for a boundary off the epoch + k·WheelTick grid", round, n, fires.Load())
+				t.Errorf("round %d: %d of %d fires were armed for a boundary off the epoch + k·tick grid", round, n, fires.Load())
 			}
 			// Stopped entries leave the wheel on their next fire; once every
 			// wheel is empty the next insert re-anchors its cursor.

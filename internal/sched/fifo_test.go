@@ -91,9 +91,8 @@ func TestFifoRandomizedAgainstModel(t *testing.T) {
 
 // fairnessShard builds a detached shard (no scheduler goroutines) so
 // popLocked can be driven deterministically.
-func fairnessShard(weight int) *shard {
-	sc := &Scheduler{cfg: Config{Shards: 1, FlowWeight: weight}.withDefaults()}
-	return newShard(sc, 0)
+func fairnessShard() *shard {
+	return newShard(&Scheduler{wheel: defaultWheel}, 0)
 }
 
 // pushJobs queues one batch of n jobs of class c.
@@ -114,10 +113,10 @@ func pushJobs(sh *shard, c Class, n int) {
 // the previous batch-class dispatch — and never starved beyond that by
 // more than one flow batch of overshoot.
 func TestPopLockedFairnessProperty(t *testing.T) {
-	const weight = 16
+	const weight = FlowWeight
 	const maxBatchJobs = 8
 	rng := rand.New(rand.NewSource(7))
-	sh := fairnessShard(weight)
+	sh := fairnessShard()
 
 	flowSinceBatch := 0 // flow-class jobs popped since the last batch-class pop
 	contested := true   // both queues non-empty for the whole interval so far
@@ -176,7 +175,7 @@ func TestPopLockedFairnessProperty(t *testing.T) {
 // TestPopLockedWorkConserving pins the uncontested cases: with only one
 // class queued it drains regardless of credit state.
 func TestPopLockedWorkConserving(t *testing.T) {
-	sh := fairnessShard(4)
+	sh := fairnessShard()
 	sh.mu.Lock()
 	sh.flowCredit = 0 // exhausted credit must not block a lone flow queue
 	sh.mu.Unlock()

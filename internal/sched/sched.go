@@ -6,7 +6,7 @@
 // owned a goroutine plus a timer, and the Scenario Lab kept a completely
 // separate bounded worker pool, so the process's concurrency was neither
 // shared, bounded, nor visible anywhere. The scheduler consolidates both
-// onto N shards. Each shard owns
+// onto N shards. Each shard owns one worker and
 //
 //   - a hashed timer wheel — periodic jobs hash to a shard by id and wait
 //     in coarse-grained slots, so arming, firing and re-arming are O(1)
@@ -20,13 +20,14 @@
 //     late and skipped ticks, batch sizes, and a run-latency histogram.
 //
 // Execution is batched: one wheel advance drains every due job into a
-// per-class run batch handed to a worker in a single lock acquisition, so
-// the fire path costs O(advances) lock work instead of O(fired jobs). A
-// worker executes a whole batch back to back, accumulating stats on its
-// stack and flushing them — shard counters, latency buckets, process
-// telemetry, and the batch's periodic re-arms — once per batch. Batches
-// are capped at MaxBatch jobs so a thundering herd splits into units that
-// a shard's workers (Workers > 1) can run in parallel.
+// per-class run batch handed to the shard's worker in a single lock
+// acquisition, so the fire path costs O(advances) lock work instead of
+// O(fired jobs). The worker executes a whole batch back to back,
+// accumulating stats on its stack and flushing them — shard counters,
+// latency buckets, process telemetry, and the batch's periodic re-arms —
+// once per batch. Batches are capped at maxBatch jobs so a thundering herd
+// splits into units, and a queued trial chunk waits behind at most one of
+// them instead of the whole herd.
 //
 // Execution is shard-affine: a periodic job is armed, queued, executed and
 // re-armed on exactly the shard its id hashes to, for its whole life. No
@@ -35,8 +36,8 @@
 // balance comes from the id hash and the hash-spread first fire; chunked
 // jobs (which have no timer) are placed on the least-loaded shard instead.
 //
-// The total goroutine count is O(shards): one timer loop plus Workers
-// workers per shard, independent of how many flows are paced or trials
+// The total goroutine count is O(shards): one timer loop and one worker
+// per shard, independent of how many flows are paced or trials
 // queued — the property that lets one daemon pace thousands of flows.
 //
 // Each shard's timer loop sleeps on one deadline-driven clock. A job is
@@ -53,7 +54,7 @@
 //
 // Periodic jobs fire on a fixed-rate schedule with a bounded catch-up
 // policy: a job that falls behind wall time (slow callback, saturated
-// workers) is delivered the elapsed intervals in one batched call — capped
+// shards) is delivered the elapsed intervals in one batched call — capped
 // at MaxCatchUp, with the excess counted in SkippedTicks and permanently
 // dropped — so an overloaded scheduler degrades into a slower tick rate
 // instead of an unbounded backlog.
@@ -94,86 +95,55 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Defaults used by Config.withDefaults.
+// The scheduler's fixed policy. Each is the one value every caller ran
+// with, so none is configurable.
 const (
-	// DefaultWheelTick is the timer-wheel granularity: periodic intervals
-	// round up to the next multiple of it.
-	DefaultWheelTick = 2 * time.Millisecond
-	// DefaultWheelSlots is the number of wheel slots per shard.
-	DefaultWheelSlots = 512
-	// DefaultMaxCatchUp bounds how many owed intervals a late periodic job
-	// is delivered in one call; intervals beyond it are dropped and counted.
-	DefaultMaxCatchUp = 4
-	// DefaultFlowWeight is how many flow-class jobs a shard drains per
+	// WheelTick is the timer-wheel granularity: periodic intervals round
+	// up to the next multiple of it.
+	WheelTick = 2 * time.Millisecond
+	// wheelSlots is the number of wheel slots per shard.
+	wheelSlots = 512
+	// MaxCatchUp bounds how many owed intervals a late periodic job is
+	// delivered in one call; intervals beyond it are dropped and counted.
+	MaxCatchUp = 4
+	// FlowWeight is how many flow-class jobs a shard drains per
 	// batch-class job when both queues are non-empty.
-	DefaultFlowWeight = 4
-	// DefaultMaxBatch caps how many fired jobs one run batch may carry:
-	// beyond it the timer loop splits the herd into multiple batches so
-	// the shard's workers can drain it in parallel, and fairness credit and
-	// stats flushes stay fine-grained.
-	DefaultMaxBatch = 256
+	FlowWeight = 4
+	// maxBatch caps how many fired jobs one run batch may carry: beyond
+	// it the timer loop splits the herd into several batches, so queued
+	// batch-class work waits behind at most one of them, and fairness
+	// credit and stats flushes stay fine-grained.
+	maxBatch = 256
 	// maxShards caps the shard count even on very wide machines; beyond
 	// this the per-shard structures stop paying for themselves.
 	maxShards = 64
 )
 
-// Config sizes a Scheduler. The zero value selects sensible defaults
-// (GOMAXPROCS shards, one worker per shard).
+// Config sizes a Scheduler.
 type Config struct {
-	// Shards is the number of timer wheels / run queues (default
-	// GOMAXPROCS, capped at 64).
+	// Shards is the number of shards — a timer wheel, class run queues
+	// and one worker each (default GOMAXPROCS, capped at 64). It is the
+	// process's whole execution capacity: the maximum number of advances
+	// and trial chunks running at any instant.
 	Shards int
-	// Workers is the number of worker goroutines per shard (default 1).
-	// Shards × Workers is the process's whole execution capacity: the
-	// maximum number of advances and trial chunks running at any instant.
-	Workers int
-	// WheelTick is the timer-wheel granularity (default DefaultWheelTick).
-	WheelTick time.Duration
-	// WheelSlots is the wheel size per shard (default DefaultWheelSlots).
-	WheelSlots int
-	// MaxCatchUp bounds periodic catch-up (default DefaultMaxCatchUp).
-	MaxCatchUp int
-	// FlowWeight tunes the weighted-fairness drain (default
-	// DefaultFlowWeight).
-	FlowWeight int
-	// MaxBatch caps the jobs per run batch (default DefaultMaxBatch).
-	MaxBatch int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards > maxShards {
-		c.Shards = maxShards
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.WheelTick <= 0 {
-		c.WheelTick = DefaultWheelTick
-	}
-	if c.WheelSlots <= 0 {
-		c.WheelSlots = DefaultWheelSlots
-	}
-	if c.MaxCatchUp <= 0 {
-		c.MaxCatchUp = DefaultMaxCatchUp
-	}
-	if c.FlowWeight <= 0 {
-		c.FlowWeight = DefaultFlowWeight
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	return c
+// wheel is the timer-wheel geometry of every shard: slots of tick each.
+// New uses defaultWheel; tests pass a smaller or faster one to
+// newScheduler.
+type wheel struct {
+	tick  time.Duration
+	slots int
 }
+
+var defaultWheel = wheel{tick: WheelTick, slots: wheelSlots}
 
 // ErrClosed is returned by Periodic and Submit after Close.
 var ErrClosed = errors.New("sched: scheduler closed")
 
 // TickFunc runs one periodic firing. n >= 1 is the number of intervals
 // being delivered: 1 when the job is on schedule, more when it fell behind
-// and the scheduler is catching it up (bounded by Config.MaxCatchUp).
+// and the scheduler is catching it up (bounded by MaxCatchUp).
 // Returning an error stops the job permanently; the registration's onStop
 // callback is then invoked exactly once with that error.
 type TickFunc func(n int) error
@@ -185,8 +155,8 @@ type ChunkFunc func() (done bool)
 
 // Scheduler is a sharded tick scheduler; construct with New.
 type Scheduler struct {
-	cfg       Config
-	epoch     time.Time // origin of the one grid (epoch + k·WheelTick) every shard's slot boundaries lie on
+	wheel     wheel
+	epoch     time.Time // origin of the one grid (epoch + k·wheel.tick) every shard's slot boundaries lie on
 	shards    []*shard
 	seed      maphash.Seed
 	rr        atomic.Uint64 // rotates the least-loaded scan's start shard
@@ -195,40 +165,37 @@ type Scheduler struct {
 	wg        sync.WaitGroup
 }
 
-// New starts a scheduler: Shards timer loops plus Shards × Workers worker
-// goroutines, all idle until work arrives. Close releases them.
-func New(cfg Config) *Scheduler { return newScheduler(cfg, newClock) }
+// New starts a scheduler: a timer loop and a worker per shard, all idle
+// until work arrives. Close releases them.
+func New(cfg Config) *Scheduler { return newScheduler(cfg, defaultWheel, newClock) }
 
-// newScheduler is New over a chosen shard clock (tests run both kinds).
-func newScheduler(cfg Config, newClock func() clock) *Scheduler {
-	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg, seed: maphash.MakeSeed()}
+// newScheduler is New over a chosen wheel geometry and shard clock (tests
+// run small fast wheels and both kinds of clock).
+func newScheduler(cfg Config, w wheel, newClock func() clock) *Scheduler {
+	n := cfg.Shards
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	n = min(n, maxShards)
+	s := &Scheduler{wheel: w, seed: maphash.MakeSeed()}
 	s.epoch = time.Now() //flowervet:allow wallclock(the timing wheels track real time; sched is the wall-time executor)
-	for i := 0; i < cfg.Shards; i++ {
+	for i := 0; i < n; i++ {
 		sh := newShard(s, i)
 		sh.clk = newClock()
 		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
-		s.wg.Add(1 + cfg.Workers)
+		s.wg.Add(2)
 		go sh.timerLoop()
-		for w := 0; w < cfg.Workers; w++ {
-			go sh.workerLoop()
-		}
+		go sh.workerLoop()
 	}
 	registerScheduler(s)
 	return s
 }
 
-// Shards returns the shard count.
-func (s *Scheduler) Shards() int { return s.cfg.Shards }
-
-// Workers returns the worker count per shard.
-func (s *Scheduler) Workers() int { return s.cfg.Workers }
-
-// Capacity returns Shards × Workers: the maximum number of jobs executing
-// at any instant — the one capacity knob of the whole process.
-func (s *Scheduler) Capacity() int { return s.cfg.Shards * s.cfg.Workers }
+// Shards returns the shard count: the maximum number of jobs executing at
+// any instant, the one capacity knob of the whole process.
+func (s *Scheduler) Shards() int { return len(s.shards) }
 
 // Periodic registers tick to run every interval, starting one interval
 // from now. The job is pinned to the shard its id hashes to. onStop, when
@@ -328,7 +295,7 @@ func (s *Scheduler) Close() {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
 			sh.closed = true
-			sh.cond.Broadcast()
+			sh.cond.Signal()
 			sh.clk.arm(time.Time{}) // long past: wakes a loop asleep on any deadline
 			sh.mu.Unlock()
 		}

@@ -145,7 +145,7 @@ func TestStopWaitsForInFlightRun(t *testing.T) {
 // batched intervals bounded by MaxCatchUp, and the shard records late runs
 // (and, once saturated, skipped ticks).
 func TestBoundedCatchUp(t *testing.T) {
-	s := New(Config{Shards: 1, MaxCatchUp: 3})
+	s := New(Config{Shards: 1})
 	defer s.Close()
 	var maxN atomic.Int64
 	var runs atomic.Int64
@@ -162,8 +162,8 @@ func TestBoundedCatchUp(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return runs.Load() >= 5 }, "laggy job never ran 5 times")
 	tk.Stop()
-	if got := maxN.Load(); got > 3 {
-		t.Fatalf("tick received %d intervals, cap is 3", got)
+	if got := maxN.Load(); got > MaxCatchUp {
+		t.Fatalf("tick received %d intervals, cap is %d", got, MaxCatchUp)
 	}
 	st := s.Stats()
 	if st.LateRuns == 0 {
@@ -178,7 +178,7 @@ func TestBoundedCatchUp(t *testing.T) {
 }
 
 func TestChunkedJobRunsToCompletion(t *testing.T) {
-	s := New(Config{Shards: 2, Workers: 1})
+	s := New(Config{Shards: 2})
 	defer s.Close()
 	var chunks atomic.Int64
 	done := make(chan struct{})
@@ -205,7 +205,7 @@ func TestChunkedJobRunsToCompletion(t *testing.T) {
 // TestChunkedJobsInterleave: with one worker, two chunked jobs must make
 // progress in turns, not run-to-completion serially.
 func TestChunkedJobsInterleave(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Shards: 1})
 	defer s.Close()
 	var mu sync.Mutex
 	var order []string
@@ -246,7 +246,7 @@ func TestChunkedJobsInterleave(t *testing.T) {
 // TestFlowsNotStarvedByBatchFlood: pacer-class periodic jobs keep firing
 // while a flood of batch chunks saturates the only worker.
 func TestFlowsNotStarvedByBatchFlood(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1, FlowWeight: 4})
+	s := New(Config{Shards: 1})
 	defer s.Close()
 	stop := make(chan struct{})
 	// An endless batch job: each chunk burns ~1ms and re-queues.
@@ -277,7 +277,7 @@ func TestFlowsNotStarvedByBatchFlood(t *testing.T) {
 
 func TestStatsAndGoroutineBound(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := New(Config{Shards: 4, Workers: 2})
+	s := New(Config{Shards: 4})
 	var ticks atomic.Int64
 	var tks []*Ticket
 	for _, id := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
@@ -293,7 +293,7 @@ func TestStatsAndGoroutineBound(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return ticks.Load() >= 16 }, "jobs never ticked")
 
 	st := s.Stats()
-	if st.Shards != 4 || st.WorkersPerShard != 2 || st.Capacity != 8 {
+	if st.Shards != 4 {
 		t.Fatalf("stats sizing: %+v", st)
 	}
 	if len(st.PerShard) != 4 {
@@ -333,7 +333,7 @@ func TestStatsAndGoroutineBound(t *testing.T) {
 // hammers Stop/Stats concurrently; run with -race. Goroutine count must
 // stay O(shards), not O(jobs).
 func TestManyPeriodicJobsRace(t *testing.T) {
-	s := New(Config{Shards: 4, Workers: 1})
+	s := New(Config{Shards: 4})
 	defer s.Close()
 	base := runtime.NumGoroutine()
 	var ticks atomic.Int64
@@ -382,7 +382,7 @@ func TestManyPeriodicJobsRace(t *testing.T) {
 // process, so even one allocation per execution would put the garbage
 // collector on the hot path.
 func TestDrainLoopSteadyStateAllocs(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Shards: 1})
 	defer s.Close()
 	ch := make(chan struct{})
 	tk, err := s.Submit("drain-hot", ClassBatch, func() bool {
@@ -421,7 +421,7 @@ func TestDrainLoopSteadyStateAllocs(t *testing.T) {
 // job's onStop with ErrClosed exactly once, so submitters (the lab's
 // trial WaitGroups) never hang on work that will never run.
 func TestCloseSettlesAbandonedChunkedJobs(t *testing.T) {
-	s := New(Config{Shards: 1, Workers: 1})
+	s := New(Config{Shards: 1})
 	settled := make(chan error, 8)
 	firstChunk := make(chan struct{})
 	var once sync.Once

@@ -91,7 +91,8 @@ type batchStats struct {
 	fireLag      latencyAcc // periodic jobs: run start − armedAt
 }
 
-// latencyAcc is a local distribution over latencyBounds (see Histogram.Merge).
+// latencyAcc is a local distribution over latencyBounds (see
+// telemetry.Histogram.Merge).
 type latencyAcc struct {
 	counts [numLatencyBuckets]uint64
 	sum    time.Duration
@@ -129,7 +130,8 @@ func (br *batchRun) reset() {
 }
 
 // shard is one slice of the execution plane: a hashed timer wheel, class
-// run queues of batches, and the stats its workers accumulate.
+// run queues of batches, the one worker that drains them, and the stats it
+// accumulates.
 type shard struct {
 	idx int
 	sc  *Scheduler
@@ -139,7 +141,7 @@ type shard struct {
 	queues     [numClasses]fifo
 	queued     [numClasses]int // jobs queued per class (batches hold many)
 	flowCredit int             // weighted-fairness credit left for the flow class, in jobs
-	execBatch  int             // batch-class jobs executing right now (load metric)
+	execBatch  int             // batch-class jobs the worker is executing right now (load metric)
 	free       []*batch        // recycled batch headers + job slices
 	closed     bool
 
@@ -158,7 +160,7 @@ type shard struct {
 	executed     [numClasses]uint64
 	lateRuns     uint64
 	skippedTicks uint64
-	batches      uint64 // batches executed by this shard's workers
+	batches      uint64 // batches executed by this shard's worker
 	batchJobs    uint64 // jobs across those batches
 	maxBatch     int    // largest batch executed here
 	latCounts    [numLatencyBuckets]uint64
@@ -170,8 +172,8 @@ func newShard(sc *Scheduler, idx int) *shard {
 	sh := &shard{
 		idx:        idx,
 		sc:         sc,
-		flowCredit: sc.cfg.FlowWeight,
-		slots:      make([][]wheelEntry, sc.cfg.WheelSlots),
+		flowCredit: FlowWeight,
+		slots:      make([][]wheelEntry, sc.wheel.slots),
 		curAt:      sc.epoch,
 	}
 	sh.cond = sync.NewCond(&sh.mu)
@@ -223,7 +225,7 @@ func (sh *shard) pushLocked(b *batch) {
 // re-armed only when the cursor must reach the entry's slot sooner than the
 // loop is already due to wake.
 func (sh *shard) insertTimerLocked(j *job) {
-	tick, n := sh.sc.cfg.WheelTick, len(sh.slots)
+	tick, n := sh.sc.wheel.tick, len(sh.slots)
 	if sh.timers == 0 {
 		// The wheel was idle, so the cursor stopped tracking wall time;
 		// re-anchor it at the grid boundary behind now before placing the
@@ -270,8 +272,7 @@ func (sh *shard) insertTimer(j *job) bool {
 func (sh *shard) timerLoop() {
 	defer sh.sc.wg.Done()
 	defer sh.clk.close()
-	tick := sh.sc.cfg.WheelTick
-	maxBatch := sh.sc.cfg.MaxBatch
+	tick := sh.sc.wheel.tick
 	for {
 		sh.mu.Lock()
 		if sh.closed {
@@ -299,9 +300,9 @@ func (sh *shard) timerLoop() {
 				}
 				fired[c].jobs = append(fired[c].jobs, e.j)
 				if len(fired[c].jobs) >= maxBatch {
-					// Cap batch granularity: the shard's other workers can
-					// then pick up the rest of a huge herd in parallel
-					// instead of serialising behind one mega-batch.
+					// Cap batch granularity: queued batch-class work can
+					// then run between the parts of a huge herd instead of
+					// waiting behind one mega-batch.
 					sh.pushLocked(fired[c])
 					pushed++
 					fired[c] = nil
@@ -318,10 +319,8 @@ func (sh *shard) timerLoop() {
 				pushed++
 			}
 		}
-		if pushed == 1 {
+		if pushed > 0 {
 			sh.cond.Signal()
-		} else if pushed > 1 {
-			sh.cond.Broadcast()
 		}
 		sh.wakeAt = time.Time{}
 		if sh.timers > 0 {
@@ -340,7 +339,7 @@ func (sh *shard) timerLoop() {
 }
 
 // enqueue wraps a submitted job into a single-job batch on the shard's run
-// queue and wakes one worker.
+// queue and wakes the shard's worker.
 func (sh *shard) enqueue(j *job) bool {
 	sh.mu.Lock()
 	if sh.closed {
@@ -373,7 +372,7 @@ func (sh *shard) popLocked() *batch {
 		c = ClassFlow
 	default:
 		c = ClassBatch
-		sh.flowCredit = sh.sc.cfg.FlowWeight
+		sh.flowCredit = FlowWeight
 	}
 	b := sh.queues[c].pop()
 	if b == nil {
@@ -455,7 +454,6 @@ func (sh *shard) workerLoop() {
 // the start of the next), halving hot-loop clock reads.
 func (sh *shard) runBatch(b *batch, br *batchRun) {
 	br.reset()
-	maxCatchUp := sh.sc.cfg.MaxCatchUp
 	prev := time.Now() //flowervet:allow wallclock(per-class tick-duration histograms measure real execution cost)
 	for _, j := range b.jobs {
 		j.mu.Lock()
@@ -476,9 +474,9 @@ func (sh *shard) runBatch(b *batch, br *batchRun) {
 				owed += int(behind / j.interval)
 			}
 			n = owed
-			if n > maxCatchUp {
-				br.stats.skippedTicks += uint64(n - maxCatchUp)
-				n = maxCatchUp
+			if n > MaxCatchUp {
+				br.stats.skippedTicks += uint64(n - MaxCatchUp)
+				n = MaxCatchUp
 			}
 			if owed > 1 {
 				br.stats.lateRuns++

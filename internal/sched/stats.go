@@ -1,6 +1,10 @@
 package sched
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/telemetry"
+)
 
 // latencyBounds are the histogram bucket upper bounds; executions slower
 // than the last bound land in the overflow bucket. The range spans "pacer
@@ -33,24 +37,6 @@ func latencyBucket(d time.Duration) int {
 	return len(latencyBounds)
 }
 
-// Histogram is a frozen run-latency distribution: Counts[i] executions
-// took at most Bounds[i] (the last bucket is unbounded).
-type Histogram struct {
-	Bounds []time.Duration
-	Counts []uint64
-	Count  uint64
-	Sum    time.Duration
-	Max    time.Duration
-}
-
-// Mean returns the average execution duration (0 with no samples).
-func (h Histogram) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.Count)
-}
-
 // ShardStats is one shard's view at a point in time.
 type ShardStats struct {
 	// Shard is the shard index.
@@ -71,26 +57,19 @@ type ShardStats struct {
 	LateRuns     uint64
 	SkippedTicks uint64
 	// Batches / BatchJobs count run batches executed by this shard's
-	// workers and the jobs they carried; MaxBatch is the largest batch.
+	// worker and the jobs they carried; MaxBatch is the largest batch.
 	Batches   uint64
 	BatchJobs uint64
 	MaxBatch  int
 	// Latency is the shard's run-latency histogram (for pacer jobs, the
 	// duration of the flow advance each tick performed).
-	Latency Histogram
+	Latency telemetry.HistogramSnapshot
 }
 
 // Stats is a point-in-time snapshot of the whole execution plane.
 type Stats struct {
-	// Shards / WorkersPerShard / Capacity restate the scheduler's size
-	// (Capacity = Shards × WorkersPerShard).
-	Shards          int
-	WorkersPerShard int
-	Capacity        int
-	// FlowWeight, MaxCatchUp and WheelTick restate the policy knobs.
-	FlowWeight int
-	MaxCatchUp int
-	WheelTick  time.Duration
+	// Shards restates the scheduler's size.
+	Shards int
 	// Totals over all shards.
 	Timers        int
 	QueueDepth    int
@@ -119,15 +98,9 @@ func (s Stats) MeanBatch() float64 {
 // observability, which is its only purpose.
 func (s *Scheduler) Stats() Stats {
 	out := Stats{
-		Shards:          s.cfg.Shards,
-		WorkersPerShard: s.cfg.Workers,
-		Capacity:        s.Capacity(),
-		FlowWeight:      s.cfg.FlowWeight,
-		MaxCatchUp:      s.cfg.MaxCatchUp,
-		WheelTick:       s.cfg.WheelTick,
-		PerShard:        make([]ShardStats, 0, len(s.shards)),
+		Shards:   len(s.shards),
+		PerShard: make([]ShardStats, 0, len(s.shards)),
 	}
-	bounds := append([]time.Duration(nil), latencyBounds[:]...)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		row := ShardStats{
@@ -142,11 +115,11 @@ func (s *Scheduler) Stats() Stats {
 			Batches:       sh.batches,
 			BatchJobs:     sh.batchJobs,
 			MaxBatch:      sh.maxBatch,
-			Latency: Histogram{
-				Bounds: bounds,
-				Counts: append([]uint64(nil), sh.latCounts[:]...),
-				Sum:    sh.latSum,
-				Max:    sh.latMax,
+			Latency: telemetry.HistogramSnapshot{
+				Bounds:   latencyBounds[:],
+				Counts:   append([]uint64(nil), sh.latCounts[:]...),
+				SumNanos: int64(sh.latSum),
+				MaxNanos: int64(sh.latMax),
 			},
 		}
 		sh.mu.Unlock()

@@ -23,10 +23,14 @@ import (
 	"repro/internal/workload"
 )
 
+// DefaultStep is the simulation tick of a harness whose Options.Step is
+// unset.
+const DefaultStep = 10 * time.Second
+
 // Options tunes a harness independently of the flow definition.
 type Options struct {
-	// Step is the simulation tick (default 10s). Controllers run on their
-	// own windows on top of this.
+	// Step is the simulation tick (default DefaultStep). Controllers run
+	// on their own windows on top of this.
 	Step time.Duration
 	// Seed offsets every stochastic component's seed, so distinct runs of
 	// the same spec can be decorrelated deterministically.
@@ -55,7 +59,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Step <= 0 {
-		o.Step = 10 * time.Second
+		o.Step = DefaultStep
 	}
 	return o
 }
