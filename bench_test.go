@@ -1,9 +1,10 @@
-// Repository-level benchmarks: one per paper artefact, each delegating
-// to internal/exper, plus micro-benchmarks of the simulation's hot paths.
-// The two parameter sweeps run internal/exper's Scenario Lab grids, the
-// ones cmd/flowerbench farms out;
-// latency, throughput and CPU of the running daemon are measured by
-// cmd/e2ebench, not here.
+// Repository-level benchmarks: one per simulated paper artefact, each
+// delegating to internal/exper, which runs the artefact's Scenario Lab
+// grid through exper.Run (the ablations GainMemory and Predictive still
+// drive the simulation directly), plus micro-benchmarks of the
+// simulation's hot paths. The two parameter sweeps run the grids
+// cmd/flowerbench farms out; latency, throughput and CPU of the running
+// daemon are measured by cmd/e2ebench, not here.
 //
 // The experiment benchmarks report domain metrics (correlation, settling
 // minutes, saving percentages) via b.ReportMetric; wall-clock ns/op is the
@@ -11,7 +12,6 @@
 package flower_test
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
@@ -30,9 +30,10 @@ import (
 
 const benchSeed = 42
 
-// BenchmarkFig2Correlation regenerates experiment E1 (Fig. 2): the
-// correlation between ingestion arrival rate and analytics CPU over a
-// 550-minute trace. Paper: 0.95.
+// BenchmarkFig2Correlation regenerates experiments E1 and E2 (Fig. 2 and
+// Eq. 2) from one 550-minute trace: the correlation between ingestion
+// arrival rate and analytics CPU (paper: 0.95), and the linear fit per
+// record/minute of write volume (paper: CPU ≈ 0.0002·WriteCapacity + 4.8).
 func BenchmarkFig2Correlation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := exper.Fig2(benchSeed)
@@ -41,33 +42,9 @@ func BenchmarkFig2Correlation(b *testing.B) {
 		}
 		b.ReportMetric(r.Correlation, "corr")
 		b.ReportMetric(float64(r.Samples), "samples")
-	}
-}
-
-// BenchmarkEq2Regression regenerates experiment E2 (Eq. 2): the linear fit
-// of analytics CPU on ingestion write volume. Paper: CPU ≈
-// 0.0002·WriteCapacity + 4.8.
-func BenchmarkEq2Regression(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := exper.Eq2(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Model.Slope*1e6, "slope_e6")
-		b.ReportMetric(r.Model.Intercept, "intercept")
-		b.ReportMetric(r.Model.R2, "r2")
-	}
-}
-
-// BenchmarkFig4ParetoFront regenerates experiment E3 (Fig. 4): the Pareto
-// front of the §3.2 example. Paper: six solutions.
-func BenchmarkFig4ParetoFront(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := exper.Fig4(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(r.Plans)), "plans")
+		b.ReportMetric(r.Eq2Slope*1e6, "slope_e6")
+		b.ReportMetric(r.Intercept, "intercept")
+		b.ReportMetric(r.R2, "r2")
 	}
 }
 
@@ -140,40 +117,6 @@ func BenchmarkRuleVsAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorSnapshot regenerates experiment E7: one consolidated
-// all-in-one-place snapshot over a managed run.
-func BenchmarkMonitorSnapshot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := exper.Monitor(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.Metrics), "metrics")
-		b.ReportMetric(float64(len(r.Sections)), "platforms")
-	}
-}
-
-// runSweep runs one sweep grid on a private lab engine and returns its
-// trials in grid order.
-func runSweep(b *testing.B, spec lab.Spec) []lab.TrialSummary {
-	e := lab.NewEngine(0)
-	defer e.Close()
-	x, err := e.Submit(spec.Name, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := x.Wait(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	trials := x.Results().Trials
-	for _, tr := range trials {
-		if tr.Status != lab.TrialDone {
-			b.Fatalf("trial %s %s: %s", tr.Name, tr.Status, tr.Error)
-		}
-	}
-	return trials
-}
-
 // totalActions counts a trial's applied resizes across all layers.
 func totalActions(tr lab.TrialSummary) int {
 	n := 0
@@ -188,7 +131,11 @@ func totalActions(tr lab.TrialSummary) int {
 // vs violation lag at the longest.
 func BenchmarkWindowSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		trials := runSweep(b, exper.WindowSweepSpec(benchSeed))
+		res, err := exper.Run(exper.WindowSweepSpec(benchSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		trials := res.Trials
 		first, last := trials[0], trials[len(trials)-1]
 		b.ReportMetric(float64(totalActions(first)), "actions_30s")
 		b.ReportMetric(float64(totalActions(last)), "actions_10m")
@@ -200,7 +147,11 @@ func BenchmarkWindowSweep(b *testing.B) {
 // adaptation rate γ).
 func BenchmarkGammaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		trials := runSweep(b, exper.GammaSweepSpec(benchSeed))
+		res, err := exper.Run(exper.GammaSweepSpec(benchSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		trials := res.Trials
 		b.ReportMetric(trials[0].TotalCost, "cost_gamma_min")
 		b.ReportMetric(trials[len(trials)-1].TotalCost, "cost_gamma_max")
 	}

@@ -466,8 +466,9 @@ func cmdWatch(args []string) {
 	}
 }
 
-// cmdSched prints the execution plane's live stats: the scheduler's
-// shape, the per-shard queues and timers, and the run-latency summary.
+// cmdSched prints the execution plane's live stats: the shard count, the
+// per-shard queues and timers, and the run-latency summary. The fixed
+// scheduler constants the wire document also carries are left to -json.
 func cmdSched(args []string) {
 	fs, url := remoteFlags("sched")
 	asJSON := fs.Bool("json", false, "print the raw JSON stats")
@@ -484,10 +485,7 @@ func cmdSched(args []string) {
 		}
 		return
 	}
-	fmt.Printf("execution plane: %d shards x %d workers (capacity %d), wheel tick %s\n",
-		st.Shards, st.WorkersPerShard, st.Capacity, st.WheelTick)
-	fmt.Printf("  fairness: %d flow jobs per batch job; catch-up cap %d intervals\n",
-		st.FlowWeight, st.MaxCatchUp)
+	fmt.Printf("execution plane: %d shards\n", st.Shards)
 	fmt.Printf("  process goroutines: %d (O(shards), not O(flows))\n", st.Goroutines)
 	fmt.Printf("  totals: %d timers armed, queue depth %d, executed %d flow / %d batch, %d late runs, %d skipped ticks\n",
 		st.Timers, st.QueueDepth, st.ExecutedFlow, st.ExecutedBatch, st.LateRuns, st.SkippedTicks)

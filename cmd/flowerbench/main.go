@@ -4,9 +4,10 @@
 // the §3.2 budget-share Pareto study (internal/exper/lab.go) — out over
 // all cores through internal/lab, prints the per-trial tables, and emits
 // a machine-readable JSON report of every trial. The per-paper-artefact
-// tables (Fig. 2, Eq. 2, …) remain available as Go benchmarks
-// (`go test -bench . ./...`), which call internal/exper's experiment
-// functions; the window and γ sweep benchmarks run this farm's own grids.
+// tables (Fig. 2 and Eq. 2, E4–E6, …) are Go benchmarks
+// (`go test -bench . ./...`): internal/exper runs each artefact's own
+// lab grid on the same engine and reduces its trials to the paper's
+// table, and the window and γ sweep benchmarks run this farm's grids.
 //
 // The farm measures Flower's decisions (cost, violations, actions), not
 // the speed of the code making them: latency, throughput and CPU claims

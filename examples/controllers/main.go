@@ -30,12 +30,11 @@ func main() {
 		len(spec.Controllers), spec.Duration.D(), engine.Workers())
 	<-x.Done()
 
-	// The tail error answers the original shoot-out's settling question:
-	// a controller that settled after the step tracks the reference
-	// tightly over the final quarter of the run, one still hunting does
-	// not.
+	// The settle time answers the shoot-out's question: how long after
+	// the step the analytics CPU came to stay within ±10 points of its
+	// reference. A controller still hunting at the end never settled.
 	res := x.Results()
-	fmt.Printf("\n%-28s %-12s %-10s %-12s %-12s %-10s\n", "controller", "viol. rate", "actions", "|err| mean", "|err| tail", "cost ($)")
+	fmt.Printf("\n%-28s %-12s %-10s %-12s %-14s %-10s\n", "controller", "viol. rate", "actions", "|err| mean", "settle (min)", "cost ($)")
 	for _, tr := range res.Trials {
 		if tr.Status != lab.TrialDone {
 			fmt.Printf("%-28s %s: %s\n", tr.Controller, tr.Status, tr.Error)
@@ -45,8 +44,12 @@ func main() {
 		for _, n := range tr.Actions {
 			actions += n
 		}
-		fmt.Printf("%-28s %-12.3f %-10d %-12.1f %-12.1f %-10.3f\n",
-			tr.Controller, tr.ViolationRate, actions, tr.MeanAbsError, tr.TailAbsError, tr.TotalCost)
+		settle := "never"
+		if tr.SettleMinutes != nil {
+			settle = fmt.Sprintf("%.0f", *tr.SettleMinutes)
+		}
+		fmt.Printf("%-28s %-12.3f %-10d %-12.1f %-14s %-10.3f\n",
+			tr.Controller, tr.ViolationRate, actions, tr.MeanAbsError, settle, tr.TotalCost)
 	}
 
 	agg := res.Aggregates

@@ -6,33 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/compute"
 	"repro/internal/flow"
-	"repro/internal/nsga2"
-	"repro/internal/share"
-	"repro/internal/sim"
-	"repro/internal/timeseries"
+	"repro/internal/lab"
 )
-
-// Fig4 runs experiment E3: the §3.2 example program under NSGA-II.
-func Fig4(seed int64) (Fig4Result, error) {
-	const budget = 0.29
-	p := share.PaperExampleProblem(budget, 0.015, 0.10, 0.00065)
-	plans, err := share.Analyze(p, nsga2.Config{PopSize: 120, Generations: 250, Seed: seed})
-	if err != nil {
-		return Fig4Result{}, err
-	}
-	out := Fig4Result{Budget: budget}
-	for _, plan := range plans {
-		out.Plans = append(out.Plans, PlanRow{
-			Shards:     plan.Amounts[0],
-			VMs:        plan.Amounts[1],
-			WCU:        plan.Amounts[2],
-			HourlyCost: plan.HourlyCost,
-		})
-	}
-	return out, nil
-}
 
 // ControllerRow is one controller's performance under the step workload.
 type ControllerRow struct {
@@ -40,10 +16,9 @@ type ControllerRow struct {
 	// SettleMinutes is how long after the step the analytics layer's CPU
 	// stays within ±10 points of the reference (math.Inf(1) if never).
 	SettleMinutes float64
-	// ViolationRate is the fraction of post-step ticks with any layer in
-	// violation.
+	// ViolationRate is the fraction of ticks with any layer in violation.
 	ViolationRate float64
-	// MeanAbsError is the mean |CPU − ref| over the post-step phase.
+	// MeanAbsError is the mean |CPU − ref| per minute over the whole run.
 	MeanAbsError float64
 	// TotalCost is the metered spend over the whole run.
 	TotalCost float64
@@ -73,7 +48,7 @@ func (r ControllersResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E4 — controller comparison on a 4× step workload (paper/[9]: adaptive wins)\n")
 	fmt.Fprintf(&b, "  %-20s %-14s %-12s %-12s %-10s %-8s\n",
-		"controller", "settle (min)", "viol. rate", "|err| mean", "cost ($)", "actions")
+		"controller", "settle (min)", "viol. rate", "|err| (run)", "cost ($)", "actions")
 	for _, row := range r.Rows {
 		settle := fmt.Sprintf("%.0f", row.SettleMinutes)
 		if math.IsInf(row.SettleMinutes, 1) {
@@ -119,97 +94,32 @@ func controllerSpecFor(kind flow.ControllerType, ref float64, window time.Durati
 	}
 }
 
-// stepSpec is the E4 setup: constant low load stepping 4× at stepAt.
-func stepSpec(kind flow.ControllerType, seed int64, stepAt time.Duration) (flow.Spec, error) {
-	window := 2 * time.Minute
-	return flow.NewBuilder("clickstream").
-		WithWorkload(flow.WorkloadSpec{
-			Pattern: "step",
-			Base:    1000,
-			Peak:    4000,
-			At:      flow.Duration(stepAt),
-			Seed:    seed,
-		}).
-		WithIngestion(2, 1, 50, controllerSpecFor(kind, 60, window, 4)).
-		WithAnalytics(2, 1, 50, controllerSpecFor(kind, 60, window, 4)).
-		WithStorage(200, 50, 20000, controllerSpecFor(kind, 60, window, 400)).
-		Build()
+// Controllers runs experiment E4: the controller shoot-out grid
+// (ControllerShootoutSpec), one row per controller type.
+func Controllers(seed int64) (ControllersResult, error) {
+	res, err := Run(ControllerShootoutSpec(seed))
+	if err != nil {
+		return ControllersResult{}, err
+	}
+	return controllersResult(res), nil
 }
 
-// Controllers runs experiment E4 across all controller types.
-func Controllers(seed int64) (ControllersResult, error) {
-	kinds := []flow.ControllerType{
-		flow.ControllerAdaptive,
-		flow.ControllerMemoryless,
-		flow.ControllerFixedGain,
-		flow.ControllerQuasiAdaptive,
-		flow.ControllerRule,
-	}
-	const (
-		warmup = 40 * time.Minute // settle at the low rate first
-		total  = 4 * time.Hour
-		ref    = 60.0
-	)
+// controllersResult reduces the shoot-out's trials to E4's rows.
+func controllersResult(res lab.Results) ControllersResult {
 	var out ControllersResult
-	for _, kind := range kinds {
-		spec, err := stepSpec(kind, seed, warmup)
-		if err != nil {
-			return ControllersResult{}, err
-		}
-		h, err := sim.New(spec, sim.Options{Step: 10 * time.Second, Seed: seed})
-		if err != nil {
-			return ControllersResult{}, err
-		}
-		res, err := h.Run(total)
-		if err != nil {
-			return ControllersResult{}, err
-		}
-
-		cpu := rawSeries(h.Store, compute.Namespace, compute.MetricCPUUtilization,
-			map[string]string{"Topology": spec.Name})
-		perMin := cpu.Resample(time.Minute, timeseries.AggMean)
-		stepMin := int(warmup / time.Minute)
-
-		// Settling: first post-step minute from which CPU stays within
-		// ±10 of ref for the rest of the run.
+	for _, tr := range res.Trials {
 		settle := math.Inf(1)
-		vals := perMin.Values()
-		for i := stepMin; i < len(vals); i++ {
-			ok := true
-			for _, v := range vals[i:] {
-				if math.Abs(v-ref) > 10 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				settle = float64(i - stepMin)
-				break
-			}
+		if tr.SettleMinutes != nil {
+			settle = *tr.SettleMinutes
 		}
-		// Mean |error| post-step.
-		var absErr float64
-		post := vals[stepMin:]
-		for _, v := range post {
-			absErr += math.Abs(v - ref)
-		}
-		if len(post) > 0 {
-			absErr /= float64(len(post))
-		}
-
-		actions := 0
-		for _, n := range res.Actions {
-			actions += n
-		}
-		name := string(kind)
 		out.Rows = append(out.Rows, ControllerRow{
-			Name:          name,
+			Name:          tr.Controller,
 			SettleMinutes: settle,
-			ViolationRate: res.ViolationRate,
-			MeanAbsError:  absErr,
-			TotalCost:     res.TotalCost,
-			Actions:       actions,
+			ViolationRate: tr.ViolationRate,
+			MeanAbsError:  tr.MeanAbsError,
+			TotalCost:     tr.TotalCost,
+			Actions:       actions(tr),
 		})
 	}
-	return out, nil
+	return out
 }

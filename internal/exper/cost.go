@@ -6,8 +6,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
-	"repro/internal/monitor"
-	"repro/internal/sim"
+	"repro/internal/lab"
 )
 
 // CostResult reproduces the §1 claim (after [15]) that scaling *all*
@@ -41,29 +40,16 @@ func (r CostResult) Table() string {
 	return b.String()
 }
 
-// costSpec builds the diurnal flow with peak-sized static allocations; the
-// variants then enable controllers per layer.
-func costSpec(seed int64, managed ...flow.LayerKind) (flow.Spec, error) {
-	window := 2 * time.Minute
-	isManaged := func(k flow.LayerKind) bool {
-		for _, m := range managed {
-			if m == k {
-				return true
-			}
-		}
-		return false
-	}
-	ctrl := func(k flow.LayerKind, scale float64) flow.ControllerSpec {
-		if isManaged(k) {
-			return flow.DefaultAdaptive(60, window, scale)
-		}
-		return flow.ControllerSpec{Type: flow.ControllerNone}
-	}
+// costSpec is the E5 grid: the diurnal flow with peak-sized static
+// allocations, and controller variants that leave every layer static,
+// manage only the analytics tier, or manage all three.
+func costSpec(seed int64) (lab.Spec, error) {
 	// Peak 3000 rec/s: peak-sized static allocations with ~40% headroom
 	// (the over-provisioning peak sizing implies): 7 shards, 7 VMs,
 	// 700 WCU (writes are 10% of arrivals with 1 KiB items, so 300/s at
 	// peak).
-	return flow.NewBuilder("clickstream").
+	none := flow.ControllerSpec{Type: flow.ControllerNone}
+	base, err := flow.NewBuilder("clickstream").
 		WithWorkload(flow.WorkloadSpec{
 			Pattern: "diurnal",
 			Base:    300,
@@ -72,43 +58,59 @@ func costSpec(seed int64, managed ...flow.LayerKind) (flow.Spec, error) {
 			Poisson: true,
 			Seed:    seed,
 		}).
-		WithIngestion(7, 1, 50, ctrl(flow.Ingestion, 4)).
-		WithAnalytics(7, 1, 50, ctrl(flow.Analytics, 4)).
-		WithStorage(700, 50, 20000, ctrl(flow.Storage, 400)).
+		WithIngestion(7, 1, 50, none).
+		WithAnalytics(7, 1, 50, none).
+		WithStorage(700, 50, 20000, none).
 		Build()
+	if err != nil {
+		return lab.Spec{}, err
+	}
+	window := 2 * time.Minute
+	managed := func(name string, kinds ...flow.LayerKind) lab.ControllerVariant {
+		v := lab.ControllerVariant{Name: name, Layers: map[flow.LayerKind]flow.ControllerSpec{}}
+		for _, k := range kinds {
+			scale := 4.0
+			if k == flow.Storage {
+				scale = 400
+			}
+			v.Layers[k] = flow.DefaultAdaptive(60, window, scale)
+		}
+		return v
+	}
+	return lab.Spec{
+		Name:     "cost",
+		Base:     &base,
+		Duration: flow.Duration(24 * time.Hour),
+		Seeds:    []int64{seed},
+		Controllers: []lab.ControllerVariant{
+			managed("static"),
+			managed("analytics", flow.Analytics),
+			managed("all", flow.Ingestion, flow.Analytics, flow.Storage),
+		},
+		Baseline: "static",
+	}, nil
 }
 
 // CostSaving runs experiment E5: 24 hours of diurnal load under the three
 // provisioning regimes.
 func CostSaving(seed int64) (CostResult, error) {
-	const dur = 24 * time.Hour
-	run := func(managed ...flow.LayerKind) (sim.Result, error) {
-		spec, err := costSpec(seed, managed...)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		h, err := sim.New(spec, sim.Options{Step: 10 * time.Second, Seed: seed})
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return h.Run(dur)
+	spec, err := costSpec(seed)
+	if err != nil {
+		return CostResult{}, err
 	}
+	res, err := Run(spec)
+	if err != nil {
+		return CostResult{}, err
+	}
+	return costResult(res, spec.Duration.D().Hours()), nil
+}
 
-	static, err := run()
-	if err != nil {
-		return CostResult{}, err
-	}
-	single, err := run(flow.Analytics)
-	if err != nil {
-		return CostResult{}, err
-	}
-	full, err := run(flow.Ingestion, flow.Analytics, flow.Storage)
-	if err != nil {
-		return CostResult{}, err
-	}
-
+// costResult reduces the E5 grid to the savings comparison.
+func costResult(res lab.Results, hours float64) CostResult {
+	trials := byController(res)
+	static, single, full := trials["static"], trials["analytics"], trials["all"]
 	out := CostResult{
-		Hours:               dur.Hours(),
+		Hours:               hours,
 		StaticPeakCost:      static.TotalCost,
 		FullControlCost:     full.TotalCost,
 		SingleTierCost:      single.TotalCost,
@@ -119,7 +121,7 @@ func CostSaving(seed int64) (CostResult, error) {
 		out.FullSavingPct = (1 - full.TotalCost/static.TotalCost) * 100
 		out.SingleSavingPct = (1 - single.TotalCost/static.TotalCost) * 100
 	}
-	return out, nil
+	return out
 }
 
 // RulesResult reproduces the §1 critique of rule-based autoscaling: under
@@ -144,12 +146,18 @@ func (r RulesResult) Table() string {
 	return b.String()
 }
 
-// RuleVsAdaptive runs experiment E6: a diurnal day with a 5× flash crowd.
-func RuleVsAdaptive(seed int64) (RulesResult, error) {
-	window := 2 * time.Minute
-	build := func(kind flow.ControllerType) (flow.Spec, error) {
-		return flow.NewBuilder("clickstream").
-			WithWorkload(flow.WorkloadSpec{
+// rulesSpec is the E6 grid: the default flow under a diurnal day with a
+// 5× flash crowd, driven by the adaptive controllers and by the rule
+// baseline.
+func rulesSpec(seed int64) lab.Spec {
+	return lab.Spec{
+		Name:     "rules",
+		Peak:     1500,
+		Duration: flow.Duration(8 * time.Hour),
+		Seeds:    []int64{seed},
+		Workloads: []lab.WorkloadVariant{{
+			Name: "spike",
+			Workload: flow.WorkloadSpec{
 				Pattern: "spike",
 				Base:    400,
 				Peak:    1500,
@@ -159,84 +167,34 @@ func RuleVsAdaptive(seed int64) (RulesResult, error) {
 				Factor:  5,
 				Poisson: true,
 				Seed:    seed,
-			}).
-			WithIngestion(2, 1, 50, controllerSpecFor(kind, 60, window, 4)).
-			WithAnalytics(2, 1, 50, controllerSpecFor(kind, 60, window, 4)).
-			WithStorage(200, 50, 20000, controllerSpecFor(kind, 60, window, 400)).
-			Build()
+			},
+		}},
+		Controllers: []lab.ControllerVariant{
+			controllerVariant(flow.ControllerAdaptive),
+			controllerVariant(flow.ControllerRule),
+		},
 	}
-	run := func(kind flow.ControllerType) (sim.Result, error) {
-		spec, err := build(kind)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		h, err := sim.New(spec, sim.Options{Step: 10 * time.Second, Seed: seed})
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return h.Run(8 * time.Hour)
-	}
-	adaptive, err := run(flow.ControllerAdaptive)
+}
+
+// RuleVsAdaptive runs experiment E6: a diurnal day with a 5× flash crowd.
+func RuleVsAdaptive(seed int64) (RulesResult, error) {
+	res, err := Run(rulesSpec(seed))
 	if err != nil {
 		return RulesResult{}, err
 	}
-	rule, err := run(flow.ControllerRule)
-	if err != nil {
-		return RulesResult{}, err
-	}
-	sum := func(m map[flow.LayerKind]int) int {
-		t := 0
-		for _, v := range m {
-			t += v
-		}
-		return t
-	}
+	return rulesResult(res), nil
+}
+
+// rulesResult reduces the E6 grid to the policy comparison.
+func rulesResult(res lab.Results) RulesResult {
+	trials := byController(res)
+	adaptive, rule := trials[string(flow.ControllerAdaptive)], trials[string(flow.ControllerRule)]
 	return RulesResult{
 		AdaptiveViolationRate: adaptive.ViolationRate,
 		RuleViolationRate:     rule.ViolationRate,
-		AdaptiveActions:       sum(adaptive.Actions),
-		RuleActions:           sum(rule.Actions),
+		AdaptiveActions:       actions(adaptive),
+		RuleActions:           actions(rule),
 		AdaptiveCost:          adaptive.TotalCost,
 		RuleCost:              rule.TotalCost,
-	}, nil
-}
-
-// MonitorResult reproduces §3.4 qualitatively: the consolidated view
-// covers every platform of the flow in one place.
-type MonitorResult struct {
-	Sections []string
-	Metrics  int
-}
-
-// Table renders the summary.
-func (r MonitorResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "E7 — all-in-one-place monitoring: %d metrics across %d platforms\n", r.Metrics, len(r.Sections))
-	for _, s := range r.Sections {
-		fmt.Fprintf(&b, "  %s\n", s)
 	}
-	return b.String()
-}
-
-// Monitor runs experiment E7: a short managed run, then one consolidated
-// snapshot.
-func Monitor(seed int64) (MonitorResult, error) {
-	spec, err := flow.DefaultClickstream(2000)
-	if err != nil {
-		return MonitorResult{}, err
-	}
-	h, err := sim.New(spec, sim.Options{Step: 10 * time.Second, Seed: seed})
-	if err != nil {
-		return MonitorResult{}, err
-	}
-	if _, err := h.Run(30 * time.Minute); err != nil {
-		return MonitorResult{}, err
-	}
-	snap := monitor.Collect(h.Store, h.Clock.Now(), 30*time.Minute)
-	out := MonitorResult{}
-	for _, sec := range snap.Sections {
-		out.Sections = append(out.Sections, sec.Namespace)
-		out.Metrics += len(sec.Metrics)
-	}
-	return out, nil
 }

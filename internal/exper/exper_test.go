@@ -4,54 +4,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flow"
+	"repro/internal/lab"
 )
 
-// The long-running experiments (Fig2, Eq2, Controllers, CostSaving,
+// The long-running experiments (Fig2, Controllers, CostSaving,
 // RuleVsAdaptive) are exercised by the repository benchmarks; the unit
-// tests here cover the fast experiments and the shared plumbing.
-
-func TestFig4FindsThePaperFront(t *testing.T) {
-	r, err := Fig4(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Plans) == 0 || len(r.Plans) > 6 {
-		t.Fatalf("plans = %d, want 1..6 (paper: 6)", len(r.Plans))
-	}
-	for _, p := range r.Plans {
-		if p.Shards > 5*p.VMs || 2*p.VMs > p.Shards || 2*p.Shards > p.WCU {
-			t.Fatalf("plan %+v violates the §3.2 constraints", p)
-		}
-		if p.HourlyCost > r.Budget+1e-9 {
-			t.Fatalf("plan %+v over budget", p)
-		}
-	}
-	table := r.Table()
-	if !strings.Contains(table, "Pareto-optimal") || !strings.Contains(table, "shards(I)") {
-		t.Fatalf("table malformed:\n%s", table)
-	}
-}
-
-func TestMonitorCoversAllPlatforms(t *testing.T) {
-	r, err := Monitor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(r.Sections, " ")
-	for _, want := range []string{"Ingestion/Stream", "Analytics/Compute", "Storage/KVStore", "Billing", "Workload/Generator"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("monitoring misses platform %s (have %v)", want, r.Sections)
-		}
-	}
-	if r.Metrics < 15 {
-		t.Fatalf("consolidated metrics = %d, want a rich view", r.Metrics)
-	}
-	if !strings.Contains(r.Table(), "all-in-one-place") {
-		t.Fatal("table malformed")
-	}
-}
+// tests here cover the grids' shape, the reducers and the shared plumbing.
 
 func TestControllerSpecFor(t *testing.T) {
 	kinds := []flow.ControllerType{
@@ -63,35 +24,72 @@ func TestControllerSpecFor(t *testing.T) {
 		if cs.Type != k {
 			t.Fatalf("type = %s, want %s", cs.Type, k)
 		}
-		spec, err := stepSpec(k, 1, 40*60e9)
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("%s spec invalid: %v", k, err)
-		}
 	}
 	if cs := controllerSpecFor("bogus", 60, 120e9, 4); cs.Type != flow.ControllerNone {
 		t.Fatal("unknown kind should degrade to none")
 	}
 
-	// The farm's shoot-out runs the controllers experiment E4 compares:
-	// every trial's per-layer controller is E4's for that kind and layer.
-	trials := ControllerShootoutSpec(1).Controllers
-	if len(trials) != len(kinds) {
-		t.Fatalf("shoot-out has %d controller trials, want %d", len(trials), len(kinds))
+	// E4 is the shoot-out grid: one valid trial per kind, every layer
+	// driven by that kind's controller at the layer's gain scale.
+	trials, err := ControllerShootoutSpec(1).Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range trials {
-		kind := flow.ControllerType(v.Name)
-		spec, err := stepSpec(kind, 1, 40*60e9)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+	if len(trials) != len(kinds) {
+		t.Fatalf("shoot-out has %d trials, want %d", len(trials), len(kinds))
+	}
+	for i, tr := range trials {
+		if tr.Controller != string(kinds[i]) {
+			t.Fatalf("trial %d runs %s, want %s", i, tr.Controller, kinds[i])
 		}
-		for _, l := range spec.Layers {
-			if got := v.Layers[l.Kind]; got != l.Controller {
-				t.Errorf("%s %s: shoot-out controller %+v, E4 uses %+v", kind, l.Kind, got, l.Controller)
+		for _, l := range tr.Spec.Layers {
+			scale := 4.0
+			if l.Kind == flow.Storage {
+				scale = 400
+			}
+			if want := controllerSpecFor(kinds[i], 60, 2*time.Minute, scale); l.Controller != want {
+				t.Errorf("%s %s: controller %+v, want %+v", tr.Name, l.Kind, l.Controller, want)
 			}
 		}
+	}
+}
+
+func TestReducers(t *testing.T) {
+	settle := 12.0
+	shootout := lab.Results{Trials: []lab.TrialSummary{
+		{Trial: lab.Trial{Controller: "adaptive"}, SettleMinutes: &settle, MeanAbsError: 3,
+			Actions: map[flow.LayerKind]int{flow.Analytics: 2, flow.Storage: 1}},
+		{Trial: lab.Trial{Controller: "rule"}},
+	}}
+	cr := controllersResult(shootout)
+	if a, _ := cr.Row("adaptive"); a.SettleMinutes != 12 || a.Actions != 3 || a.MeanAbsError != 3 {
+		t.Fatalf("adaptive row = %+v", a)
+	}
+	if r, _ := cr.Row("rule"); !math.IsInf(r.SettleMinutes, 1) {
+		t.Fatalf("unsettled trial reduced to settle %v, want +Inf", r.SettleMinutes)
+	}
+
+	cost := costResult(lab.Results{Trials: []lab.TrialSummary{
+		{Trial: lab.Trial{Controller: "static"}, TotalCost: 10},
+		{Trial: lab.Trial{Controller: "analytics"}, TotalCost: 6},
+		{Trial: lab.Trial{Controller: "all"}, TotalCost: 4},
+	}}, 24)
+	if cost.FullSavingPct != 60 || cost.SingleSavingPct != 40 {
+		t.Fatalf("savings %v%% / %v%%, want 60%% / 40%%", cost.FullSavingPct, cost.SingleSavingPct)
+	}
+
+	if _, err := fig2Result(lab.Results{Trials: []lab.TrialSummary{{}}}); err == nil {
+		t.Fatal("fig2 reduced a trial without a dependency fit")
+	}
+	slope, intercept := 0.0012, 4.8
+	f2, err := fig2Result(lab.Results{Trials: []lab.TrialSummary{{
+		Dependency: &lab.Dependency{Correlation: 0.99, Slope: slope, Intercept: intercept, R2: 0.98, Samples: 550},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq2 := slope / 6; f2.Eq2Slope != eq2 || f2.CPUForFullShard != intercept+eq2*60000 {
+		t.Fatalf("Eq. 2 form = %v, full shard %v", f2.Eq2Slope, f2.CPUForFullShard)
 	}
 }
 
@@ -122,13 +120,12 @@ func TestResultTables(t *testing.T) {
 		t.Fatal("rules table malformed")
 	}
 
-	f2 := Fig2Result{Minutes: 550, Samples: 540, Correlation: 0.96, Slope: 0.001, Intercept: 4}
+	f2 := Fig2Result{Minutes: 550, Samples: 540, Correlation: 0.96, Slope: 0.001, Intercept: 4, CPUForFullShard: 14.8}
 	if !strings.Contains(f2.Table(), "0.95") {
 		t.Fatal("fig2 table should cite the paper value")
 	}
-	e2 := Eq2Result{CPUForFullShard: 14.8}
-	if !strings.Contains(e2.Table(), "0.0002") {
-		t.Fatal("eq2 table should cite the paper equation")
+	if !strings.Contains(f2.Table(), "0.0002") {
+		t.Fatal("fig2 table should cite the paper's Eq. 2")
 	}
 }
 
@@ -137,13 +134,16 @@ func TestFig2SpecIsStaticAndAmple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range spec.Layers {
+	for _, l := range spec.Base.Layers {
 		if l.Controller.Type != flow.ControllerNone {
 			t.Fatalf("fig2 layer %s has a controller; the measurement must be open-loop", l.Kind)
 		}
 	}
-	ing, _ := spec.Layer(flow.Ingestion)
+	ing, _ := spec.Base.Layer(flow.Ingestion)
 	if ing.Initial < 30 {
 		t.Fatal("fig2 ingestion not amply provisioned")
+	}
+	if n := spec.TrialCount(); n != 1 {
+		t.Fatalf("fig2 grid has %d trials, want one trace", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/compute"
 	"repro/internal/flow"
+	"repro/internal/metricstore"
 	"repro/internal/sim"
 	"repro/internal/timeseries"
 )
@@ -99,10 +100,12 @@ func GainMemory(seed int64) (GainMemoryResult, error) {
 			return GainMemoryRow{}, err
 		}
 
-		cpu := rawSeries(h.Store, compute.Namespace, compute.MetricCPUUtilization,
+		cpu, ok := h.Store.Lookup(compute.Namespace, compute.MetricCPUUtilization,
 			map[string]string{"Topology": spec.Name})
-		perMin := cpu.Resample(time.Minute, timeseries.AggMean)
-		vals := perMin.Values()
+		if !ok {
+			return GainMemoryRow{}, fmt.Errorf("exper: gain memory: no analytics CPU series")
+		}
+		vals := cpu.Window(metricstore.WindowQuery{Period: time.Minute, Stat: timeseries.AggMean}).Values()
 		startMin := int(rampStart / time.Minute)
 
 		// Catch-up: first post-ramp-start minute from which CPU stays

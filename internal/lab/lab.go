@@ -17,7 +17,10 @@
 // The subsystem is exposed end to end: /v1/experiments in
 // internal/httpapi, wire types in api/v1, methods in repro/client, the
 // `flowctl experiments` subcommand, and cmd/flowerbench, which farms
-// out internal/exper's paper-experiment grids.
+// out internal/exper's grids. It is also the one path the paper's
+// simulated artefacts run on: internal/exper reduces each artefact's
+// grid results (among them the per-trial workload-dependency fit and
+// settle time) to the paper's tables.
 package lab
 
 import (

@@ -5,10 +5,12 @@ import (
 	"time"
 
 	"repro/internal/compute"
+	"repro/internal/deps"
 	"repro/internal/flow"
 	"repro/internal/metricstore"
 	"repro/internal/nsga2"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/timeseries"
 )
 
@@ -56,15 +58,19 @@ type TrialSummary struct {
 	// MeanAbsError is the mean |analytics CPU − ref| per minute — the
 	// tracking-quality measure the controller sweeps report.
 	MeanAbsError float64 `json:"mean_abs_error"`
-	// TailAbsError is the same measure over only the final quarter of
-	// the run: a controller that settled reports a small tail error
-	// whatever its transient looked like, while one still oscillating at
-	// the end reports a large one — the generic form of the shoot-out's
-	// settling-time question.
-	TailAbsError float64    `json:"tail_abs_error"`
-	Offered      int64      `json:"offered_records"`
-	Rejected     int64      `json:"rejected_records"`
-	Final        Allocation `json:"final_allocation"`
+	// SettleMinutes is how long after the workload's change point
+	// (WorkloadSpec.At, or the start of the run when unset) the
+	// analytics CPU came to stay within ±10 points of its reference for
+	// the rest of the run — the shoot-out's settling time. Nil when the
+	// run ends outside the band.
+	SettleMinutes *float64 `json:"settle_minutes,omitempty"`
+	// Dependency is the paper's workload-dependency fit (§3.1, Fig. 2)
+	// of analytics CPU on ingestion arrivals over the trial's run. Nil
+	// when no line can be fitted, as under a constant non-Poisson load.
+	Dependency *Dependency `json:"dependency,omitempty"`
+	Offered    int64       `json:"offered_records"`
+	Rejected   int64       `json:"rejected_records"`
+	Final      Allocation  `json:"final_allocation"`
 }
 
 // summarize condenses a finished harness run into the trial's summary
@@ -89,15 +95,55 @@ func summarize(t Trial, h *sim.Harness, res sim.Result) TrialSummary {
 			RCU:    res.FinalAllocation.RCU,
 		},
 	}
-	out.MeanAbsError, out.TailAbsError = analyticsAbsError(t.Spec, h)
+	out.MeanAbsError, out.SettleMinutes = analyticsTracking(t.Spec, h)
+	out.Dependency = arrivalDependency(t.Spec, h)
 	return out
 }
 
-// analyticsAbsError measures how well the analytics layer tracked its
-// reference: mean |CPU − ref| over per-minute samples, over the whole
-// run and over its final quarter. Flows without an analytics controller
-// are measured against the default 60% reference.
-func analyticsAbsError(spec flow.Spec, h *sim.Harness) (mean, tail float64) {
+// Dependency is the Eq. 1 fit CPU ≈ Slope·arrivals + Intercept of the
+// analytics layer's CPU utilisation (%) on the ingestion layer's arrivals
+// (records per step), aligned per minute with no lag — the measurement
+// behind the paper's Fig. 2 correlation and Eq. 2.
+type Dependency struct {
+	Correlation float64 `json:"correlation"`
+	Slope       float64 `json:"slope"`
+	Intercept   float64 `json:"intercept"`
+	R2          float64 `json:"r2"`
+	Samples     int     `json:"samples"`
+}
+
+// arrivalDependency fits the trial's arrival→analytics-CPU dependency, or
+// returns nil when the series are missing or cannot be fitted.
+func arrivalDependency(spec flow.Spec, h *sim.Harness) *Dependency {
+	a := deps.Analyzer{Store: h.Store, MaxLag: -1}
+	d, err := a.Analyze(
+		deps.MetricRef{Layer: deps.Ingestion, Namespace: stream.Namespace, Name: stream.MetricIncomingRecords,
+			Dimensions: map[string]string{"StreamName": spec.Name}},
+		deps.MetricRef{Layer: deps.Analytics, Namespace: compute.Namespace, Name: compute.MetricCPUUtilization,
+			Dimensions: map[string]string{"Topology": spec.Name}})
+	if err != nil {
+		return nil
+	}
+	return &Dependency{
+		Correlation: d.Model.R,
+		Slope:       d.Model.Slope,
+		Intercept:   d.Model.Intercept,
+		R2:          d.Model.R2,
+		Samples:     d.Samples,
+	}
+}
+
+// settleBand is how far (in CPU points) the analytics layer may stray
+// from its reference and still count as settled.
+const settleBand = 10
+
+// analyticsTracking measures how well the analytics layer tracked its
+// reference over per-minute samples: the mean |CPU − ref| over the whole
+// run, and the minutes from the workload's change point until the CPU
+// stays within settleBand of ref (nil if it ends outside). Flows without
+// an analytics controller are measured against the default 60%
+// reference.
+func analyticsTracking(spec flow.Spec, h *sim.Harness) (mean float64, settle *float64) {
 	ref := 60.0
 	if ana, ok := spec.Layer(flow.Analytics); ok && ana.Controller.Ref > 0 {
 		ref = ana.Controller.Ref
@@ -105,20 +151,26 @@ func analyticsAbsError(spec flow.Spec, h *sim.Harness) (mean, tail float64) {
 	cpu, ok := h.Store.Lookup(compute.Namespace, compute.MetricCPUUtilization,
 		map[string]string{"Topology": spec.Name})
 	if !ok {
-		return 0, 0
+		return 0, nil
 	}
 	vals := cpu.Window(metricstore.WindowQuery{Period: time.Minute, Stat: timeseries.AggMean}).Values()
 	if len(vals) == 0 {
-		return 0, 0
+		return 0, nil
 	}
-	over := func(vs []float64) float64 {
-		sum := 0.0
-		for _, v := range vs {
-			sum += math.Abs(v - ref)
+	sum, lastOut := 0.0, -1
+	for i, v := range vals {
+		e := math.Abs(v - ref)
+		sum += e
+		if e > settleBand {
+			lastOut = i
 		}
-		return sum / float64(len(vs))
 	}
-	return over(vals), over(vals[len(vals)-(len(vals)+3)/4:])
+	from := int(spec.Workload.At.D() / time.Minute)
+	if settled := max(from, lastOut+1); settled < len(vals) {
+		m := float64(settled - from)
+		settle = &m
+	}
+	return sum / float64(len(vals)), settle
 }
 
 // Progress counts an experiment's trials by state. MaxConcurrent is the

@@ -102,3 +102,34 @@ func TestGoldenClickstreamRun(t *testing.T) {
 		t.Fatalf("decision log + metric columns after 6h hash to %s, golden is %s", got, strings.TrimSpace(string(want)))
 	}
 }
+
+// TestChunkedRunMatchesOneCallRun pins that how a run is sliced into Run
+// calls does not matter: the default flow advanced 6 h in one call and
+// again in chunks of 10 s, 70 s and 15 min produces the same decision log
+// and metric columns, bit for bit. Lab trials run as chunked scheduler
+// jobs and paced flows advance a tick at a time, so both rely on this.
+func TestChunkedRunMatchesOneCallRun(t *testing.T) {
+	const total = 6 * time.Hour
+	run := func(chunk time.Duration) string {
+		spec, err := flow.DefaultClickstream(3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := New(spec, Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for done := time.Duration(0); done < total; done += chunk {
+			if _, err := h.Run(min(chunk, total-done)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return runFingerprint(t, h)
+	}
+	want := run(total)
+	for _, chunk := range []time.Duration{10 * time.Second, 70 * time.Second, 15 * time.Minute} {
+		if got := run(chunk); got != want {
+			t.Errorf("6 h in %v chunks hashes to %s, one call to %s", chunk, got, want)
+		}
+	}
+}
