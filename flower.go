@@ -75,31 +75,30 @@
 // All recurring and queued work — every paced flow's wall-clock tick,
 // every Scenario Lab trial — executes on one sharded tick scheduler
 // (internal/sched): per-shard hashed timer wheels arm periodic jobs in
-// O(1), per-shard run queues feed one worker per shard, and the process
-// goroutine count stays O(shards) no matter how many flows are paced.
-// Execution is batched: each wheel advance drains everything it fired
-// into per-class run batches handed to the shard's worker in one queue
-// operation, so the shard lock is taken per advance rather than per
-// fired job, and a batch's stats flush back in one acquisition — the
-// drain loop is allocation-free at steady state. Batches are capped at
-// 256 jobs so a thundering herd splits into units and a queued trial
-// chunk waits behind one of them, not the whole herd. Execution is
-// shard-affine: a paced flow is armed,
-// queued, executed and re-armed on the one shard its id hashes to, so
-// no worker ever touches another shard's state and per-shard counters
-// are exact. First fires are hash-spread across each job's interval,
-// which keeps 100k co-created paced flows from colliding in one wheel
-// slot. Flow pacing and experiment grids are co-scheduled under a
-// weighted fairness policy (a big grid cannot starve live flows),
-// pacers that fall behind wall time degrade via a bounded catch-up
-// policy (dropped ticks are counted, backlogs never grow), and the
-// whole plane is observable — queue depths, late and skipped ticks,
-// batch-shape counters, run-latency histograms — at
-// GET /v1/scheduler, `flowctl sched`, and Scheduler.Stats. Size it with
-// flowerd's -sched-shards; the shard count, one worker each, is the one
-// capacity knob of the whole server. sched.TestHerdHoldsSchedule holds a
-// 50k-job thundering herd to a bounded setup and ≥ 90% delivered-tick
-// fidelity; cmd/e2ebench measures tick lag and CPU in a running flowerd.
+// O(1), and each shard's one goroutine advances its wheel and runs what it
+// fired from per-shard run queues, so the process goroutine count stays
+// O(shards) no matter how many flows are paced. Execution is batched: each
+// wheel advance drains everything it fired into per-class run batches in
+// one queue operation, so the shard lock is taken per advance rather than
+// per fired job, and a batch's stats flush back in one acquisition — the
+// drain loop is allocation-free at steady state. Batches are capped at 256
+// jobs so a thundering herd splits into units and a queued trial chunk
+// waits behind one of them, not the whole herd. Execution is shard-affine:
+// a paced flow is armed, queued, executed and re-armed on the one shard
+// its id hashes to, so no shard ever touches another shard's state and
+// per-shard counters are exact. First fires are hash-spread across each
+// job's interval, which keeps 100k co-created paced flows from colliding
+// in one wheel slot. Flow pacing and experiment grids are co-scheduled
+// under a weighted fairness policy (a big grid cannot starve live flows),
+// pacers that fall behind wall time degrade via a bounded catch-up policy
+// (dropped ticks are counted, backlogs never grow), and the whole plane is
+// observable — queue depths, late and skipped ticks, batch-shape counters,
+// run-latency histograms — at GET /v1/scheduler, `flowctl sched`, and
+// Scheduler.Stats. Size it with flowerd's -sched-shards; the shard count,
+// one goroutine each, is the one capacity knob of the whole server.
+// sched.TestHerdHoldsSchedule holds a 50k-job thundering herd to a bounded
+// setup and ≥ 90% delivered-tick fidelity; cmd/e2ebench measures tick lag
+// and CPU in a running flowerd.
 //
 // # Metric pipeline
 //

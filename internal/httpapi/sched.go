@@ -35,9 +35,11 @@ func schedulerStatsJSON(st sched.Stats) apiv1.SchedulerStats {
 		SkippedTicks:    st.SkippedTicks,
 		Batches:         st.Batches,
 		BatchJobs:       st.BatchJobs,
-		MeanBatch:       st.MeanBatch(),
 		MaxBatch:        st.MaxBatch,
 		PerShard:        make([]apiv1.SchedulerShard, 0, len(st.PerShard)),
+	}
+	if st.Batches > 0 {
+		out.MeanBatch = float64(st.BatchJobs) / float64(st.Batches)
 	}
 	for _, row := range st.PerShard {
 		out.PerShard = append(out.PerShard, apiv1.SchedulerShard{

@@ -506,7 +506,8 @@ func TestPaceEndpointStartsAndStops(t *testing.T) {
 
 // TestRequestsCannotStartUnboundedWork: one advance request or one pacer
 // tick may run at most a simulated year of steps at the default 10 s step,
-// and a pacer tick must move simulated time forward. Each request below is
+// a pacer tick must move simulated time forward, and a pacer may not tick
+// faster than the scheduler's wheel can fire it. Each request below is
 // refused with 400 and changes nothing: no flow is created, the running
 // pacer keeps its pace, and the advanced flow's clock does not move. The
 // benchmark's pace (40 at the default 250 ms wall tick) is accepted. The
@@ -521,6 +522,8 @@ func TestRequestsCannotStartUnboundedWork(t *testing.T) {
 		t.Fatalf("create 1 ns flow: status = %d: %s", rec.Code, rec.Body)
 	}
 	cases := []struct{ name, path, body string }{
+		{"pace ticking every 100 µs, under the wheel tick", "/v1/flows/clicks/pace", `{"pace": 40, "wall_tick": "100us"}`},
+		{"pace ticking every 1 ms, under the wheel tick", "/v1/flows/clicks/pace", `{"pace": 40, "wall_tick": "1ms"}`},
 		{"pace rounding to 0 ns per tick", "/v1/flows/clicks/pace", `{"pace": 1e-12}`},
 		{"create paced at 0 ns per tick", "/v1/flows", `{"id": "new", "pace": 1e-12}`},
 		{"pace overflowing time.Duration", "/v1/flows/clicks/pace", `{"pace": 4e10}`},
@@ -552,6 +555,9 @@ func TestRequestsCannotStartUnboundedWork(t *testing.T) {
 	}
 	if rec := do(t, s, http.MethodPost, "/v1/flows", `{"id": "bench", "pace": 40}`, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("create at the benchmark pace: status = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/flows/clicks/pace", `{"pace": 40, "wall_tick": "2ms"}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("pace at the wheel tick: status = %d: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -93,10 +93,16 @@ func checkAdvance(simNS float64, step time.Duration) error {
 
 // CheckPace reports whether a pacer moving pace simulated seconds per
 // wall second, ticking every wallTick, on a flow whose simulation step is
-// step, stays within the bounds of one advance per tick. StartPacing
-// applies it; callers that must reject a pace before the flow exists
-// apply it first.
+// step, stays within the bounds of one advance per tick, and whether the
+// scheduler can fire it every wallTick at all: its wheel fires no faster
+// than sched.WheelTick, and catch-up delivers at most sched.MaxCatchUp
+// intervals, so a finer wall tick would silently drop simulated time.
+// StartPacing applies it; callers that must reject a pace before the flow
+// exists apply it first.
 func CheckPace(pace float64, wallTick, step time.Duration) error {
+	if wallTick < sched.WheelTick {
+		return fmt.Errorf("wall tick %v is under the scheduler's %v wheel tick", wallTick, sched.WheelTick)
+	}
 	return checkAdvance(pace*float64(wallTick), step)
 }
 
@@ -271,9 +277,6 @@ func (f *Flow) advanceLocked(d time.Duration, tr *telemetry.Trace) error {
 func (f *Flow) StartPacing(pace float64, wallTick time.Duration) error {
 	if pace <= 0 {
 		return fmt.Errorf("pace %v must be positive", pace)
-	}
-	if wallTick <= 0 {
-		return fmt.Errorf("wall tick %v must be positive", wallTick)
 	}
 	if f.sched == nil {
 		return fmt.Errorf("flow %q has no scheduler (not registered through a registry)", f.id)

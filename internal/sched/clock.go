@@ -5,9 +5,10 @@ import "time"
 // clock is a shard's one sleep. arm sets the instant the next wait returns
 // at (a past instant: at once), replacing whatever was armed; wait blocks
 // until then, and indefinitely while nothing is armed. A wait may return
-// spuriously — timerLoop re-reads the time — but never fails to return.
-// arm is called under sh.mu by whoever arms a timer; wait and close only
-// by the shard's timer loop.
+// spuriously — the shard loop re-reads the time and its queues — but never
+// fails to return. arm is called under sh.mu: by the shard loop before it
+// sleeps, and by an insert, an enqueue or Close while it sleeps; wait and
+// close only by the shard loop.
 type clock interface {
 	arm(at time.Time)
 	wait()

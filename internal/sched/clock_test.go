@@ -90,6 +90,42 @@ func TestEarlierInsertRearmsClock(t *testing.T) {
 	})
 }
 
+// A chunk submitted to a shard asleep toward a far deadline wakes it: the
+// enqueue arms the clock. Without that wake the chunk waits for the far
+// job's slot to come round (up to a revolution, ≈1 s), or forever on an
+// empty wheel; best of three, as above.
+func TestSubmitWakesSleepingShard(t *testing.T) {
+	overClocks(t, func(t *testing.T, mk func() clock) {
+		s := newScheduler(Config{Shards: 1}, defaultWheel, mk)
+		defer s.Close()
+		if _, err := s.Periodic("far", ClassFlow, time.Hour, noop, nil); err != nil {
+			t.Fatal(err)
+		}
+		var took time.Duration
+		for attempt := 0; attempt < 3; attempt++ {
+			time.Sleep(20 * time.Millisecond) // the loop is asleep toward "far"
+			ran := make(chan time.Time, 1)
+			start := time.Now()
+			if _, err := s.Submit(fmt.Sprintf("chunk-%d", attempt), ClassBatch, func() bool {
+				ran <- time.Now()
+				return true
+			}, nil); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case at := <-ran:
+				took = at.Sub(start)
+			case <-time.After(5 * time.Second):
+				t.Fatal("submitted chunk never ran")
+			}
+			if took <= 20*time.Millisecond {
+				return
+			}
+		}
+		t.Errorf("submitted chunk started %v after Submit, want <= 20ms: the enqueue did not wake the sleeping loop", took)
+	})
+}
+
 // A slot holding only entries with rounds still to wait is occupied: the
 // loop visits it every revolution and the job fires on its round — never
 // before its fire time, and not a revolution (8 ms) after it.

@@ -6,7 +6,7 @@
 // owned a goroutine plus a timer, and the Scenario Lab kept a completely
 // separate bounded worker pool, so the process's concurrency was neither
 // shared, bounded, nor visible anywhere. The scheduler consolidates both
-// onto N shards. Each shard owns one worker and
+// onto N shards. Each shard is one goroutine, its loop, which owns
 //
 //   - a hashed timer wheel — periodic jobs hash to a shard by id and wait
 //     in coarse-grained slots, so arming, firing and re-arming are O(1)
@@ -20,37 +20,41 @@
 //     late and skipped ticks, batch sizes, and a run-latency histogram.
 //
 // Execution is batched: one wheel advance drains every due job into a
-// per-class run batch handed to the shard's worker in a single lock
+// per-class run batch on the shard's run queue in a single lock
 // acquisition, so the fire path costs O(advances) lock work instead of
-// O(fired jobs). The worker executes a whole batch back to back,
-// accumulating stats on its stack and flushing them — shard counters,
-// latency buckets, process telemetry, and the batch's periodic re-arms —
-// once per batch. Batches are capped at maxBatch jobs so a thundering herd
-// splits into units, and a queued trial chunk waits behind at most one of
-// them instead of the whole herd.
+// O(fired jobs). The loop that advanced the wheel also runs what it fired:
+// it executes a whole batch back to back, accumulating stats on its stack
+// and flushing them — shard counters, latency buckets, process telemetry,
+// and the batch's periodic re-arms — once per batch. Batches are capped
+// at maxBatch jobs so a thundering herd splits into units, and a queued
+// trial chunk waits behind at most one of them instead of the whole herd.
 //
 // Execution is shard-affine: a periodic job is armed, queued, executed and
 // re-armed on exactly the shard its id hashes to, for its whole life. No
-// worker ever takes another shard's lock, so two shard locks are never held
+// loop ever takes another shard's lock, so two shard locks are never held
 // at once and per-shard counters are exact — work never migrates. Load
 // balance comes from the id hash and the hash-spread first fire; chunked
 // jobs (which have no timer) are placed on the least-loaded shard instead.
 //
-// The total goroutine count is O(shards): one timer loop and one worker
-// per shard, independent of how many flows are paced or trials
-// queued — the property that lets one daemon pace thousands of flows.
+// The total goroutine count is O(shards): one loop per shard, independent
+// of how many flows are paced or trials queued — the property that lets
+// one daemon pace thousands of flows.
 //
-// Each shard's timer loop sleeps on one deadline-driven clock. A job is
-// never released before its wheel-slot boundary, and every shard's
-// boundaries lie on one grid (epoch + k·WheelTick), so shards due in the
-// same quantum wake out of one epoll_wait return. On Linux the clock is a
-// timerfd read through the netpoller, so the loop learns of a boundary as
-// it passes; elsewhere it is a runtime timer, up to 1 ms late. The loop
-// sleeps through empty slots: an empty wheel costs nothing at rest, one
-// holding only a far deadline wakes once per revolution. Known limit: the
-// runtime polls the netpoller only from a P whose run queue is empty
-// (sysmon backstops at 10 ms), so with every P saturated an expiry can be
-// noticed later than a runtime timer would be; bounded catch-up covers it.
+// A shard's loop sleeps only when both run queues are empty, and then on
+// one deadline-driven clock armed for the next occupied slot; a Submit to
+// a sleeping shard arms it for at once. A job is never released before
+// its wheel-slot boundary, and every shard's boundaries lie on one grid
+// (epoch + k·WheelTick), so shards due in the same quantum wake out of one
+// epoll_wait return. On Linux the clock is a timerfd read through the
+// netpoller, so the loop learns of a boundary as it passes; elsewhere it
+// is a runtime timer, up to 1 ms late. The loop sleeps through empty
+// slots: an empty wheel costs nothing at rest, one holding only a far
+// deadline wakes once per revolution. A boundary that passes while the
+// loop runs a batch is advanced over after that batch, which is as soon as
+// the shard could run its jobs anyway. Known limit: the runtime polls the
+// netpoller only from a P whose run queue is empty (sysmon backstops at
+// 10 ms), so with every P saturated an expiry can be noticed later than a
+// runtime timer would be; bounded catch-up covers it.
 //
 // Periodic jobs fire on a fixed-rate schedule with a bounded catch-up
 // policy: a job that falls behind wall time (slow callback, saturated
@@ -110,7 +114,7 @@ const (
 	// batch-class job when both queues are non-empty.
 	FlowWeight = 4
 	// maxBatch caps how many fired jobs one run batch may carry: beyond
-	// it the timer loop splits the herd into several batches, so queued
+	// it a wheel advance splits the herd into several batches, so queued
 	// batch-class work waits behind at most one of them, and fairness
 	// credit and stats flushes stay fine-grained.
 	maxBatch = 256
@@ -122,7 +126,7 @@ const (
 // Config sizes a Scheduler.
 type Config struct {
 	// Shards is the number of shards — a timer wheel, class run queues
-	// and one worker each (default GOMAXPROCS, capped at 64). It is the
+	// and one goroutine each (default GOMAXPROCS, capped at 64). It is the
 	// process's whole execution capacity: the maximum number of advances
 	// and trial chunks running at any instant.
 	Shards int
@@ -165,8 +169,8 @@ type Scheduler struct {
 	wg        sync.WaitGroup
 }
 
-// New starts a scheduler: a timer loop and a worker per shard, all idle
-// until work arrives. Close releases them.
+// New starts a scheduler: one loop goroutine per shard, each asleep until
+// work arrives. Close releases them.
 func New(cfg Config) *Scheduler { return newScheduler(cfg, defaultWheel, newClock) }
 
 // newScheduler is New over a chosen wheel geometry and shard clock (tests
@@ -185,9 +189,8 @@ func newScheduler(cfg Config, w wheel, newClock func() clock) *Scheduler {
 		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
-		s.wg.Add(2)
-		go sh.timerLoop()
-		go sh.workerLoop()
+		s.wg.Add(1)
+		go sh.loop()
 	}
 	registerScheduler(s)
 	return s
@@ -200,7 +203,7 @@ func (s *Scheduler) Shards() int { return len(s.shards) }
 // Periodic registers tick to run every interval, starting one interval
 // from now. The job is pinned to the shard its id hashes to. onStop, when
 // non-nil, is called exactly once if the job stops itself by returning an
-// error — never on Ticket.Stop. It runs on a worker goroutine after the
+// error — never on Ticket.Stop. It runs on a shard loop after the
 // failing tick has fully returned, so it may take the same locks the
 // caller of Stop holds.
 func (s *Scheduler) Periodic(id string, class Class, interval time.Duration, tick TickFunc, onStop func(error)) (*Ticket, error) {
@@ -283,7 +286,7 @@ func (s *Scheduler) enqueueBatch(j *job) bool {
 	return s.shards[best].enqueue(j)
 }
 
-// Close stops the scheduler: no new work is accepted, every worker
+// Close stops the scheduler: no new work is accepted, every shard loop
 // finishes the job it is executing and exits, and queued-but-unstarted
 // work is abandoned — each abandoned chunked job's onStop is invoked with
 // ErrClosed so its submitter can settle. Drain producers first (stop
@@ -295,12 +298,11 @@ func (s *Scheduler) Close() {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
 			sh.closed = true
-			sh.cond.Signal()
 			sh.clk.arm(time.Time{}) // long past: wakes a loop asleep on any deadline
 			sh.mu.Unlock()
 		}
 		s.wg.Wait()
-		// All workers have exited; whatever is still queued will never
+		// All shard loops have exited; whatever is still queued will never
 		// run. Tell chunked jobs so (periodic jobs are lifecycle-managed
 		// through Ticket.Stop and are simply discarded).
 		for _, sh := range s.shards {

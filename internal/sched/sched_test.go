@@ -278,6 +278,9 @@ func TestFlowsNotStarvedByBatchFlood(t *testing.T) {
 func TestStatsAndGoroutineBound(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{Shards: 4})
+	if n := runtime.NumGoroutine() - before; n != 4 {
+		t.Errorf("New(Config{Shards: 4}) started %d goroutines, want 4: one loop per shard", n)
+	}
 	var ticks atomic.Int64
 	var tks []*Ticket
 	for _, id := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {

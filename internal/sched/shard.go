@@ -25,16 +25,16 @@ type job struct {
 	running bool
 	waiters []chan struct{} // Stop callers awaiting the in-flight run
 	// nextAt is the periodic job's scheduled fire time. It is written by
-	// the worker that just ran the job (under j.mu) and read by the wheel
-	// insert that re-arms it — a strict hand-off, never concurrent.
+	// the shard loop that just ran the job (under j.mu) and read by the
+	// wheel insert that re-arms it — a strict hand-off, never concurrent.
 	nextAt time.Time
 	// armedAt is the wheel-slot boundary the pending fire was armed for,
 	// which fire lag is measured from; handed off exactly as nextAt is.
 	armedAt time.Time
 }
 
-// batch is the unit the run queues hold and workers execute: one or more
-// same-class jobs drained from a single wheel advance (or a single
+// batch is the unit the run queues hold and shard loops execute: one or
+// more same-class jobs drained from a single wheel advance (or a single
 // submitted chunk). Executing per batch instead of per job amortises the
 // shard lock — one pop, one stats flush, one re-arm pass per batch — from
 // O(fired jobs) down to O(advances). Batches are recycled through a
@@ -78,11 +78,11 @@ func (q *fifo) pop() *batch {
 	return b
 }
 
-// batchStats is the per-batch accumulator a worker fills while executing a
-// batch's jobs, flushed into the shard stats and process telemetry in one
-// lock acquisition and a handful of atomic adds — instead of a shard lock
-// and two atomics per execution. A batch is single-class by construction,
-// so one accumulator covers it.
+// batchStats is the per-batch accumulator a shard loop fills while
+// executing a batch's jobs, flushed into the shard stats and process
+// telemetry in one lock acquisition and a handful of atomic adds — instead
+// of a shard lock and two atomics per execution. A batch is single-class
+// by construction, so one accumulator covers it.
 type batchStats struct {
 	executed     uint64
 	lateRuns     uint64
@@ -107,7 +107,7 @@ func (a *latencyAcc) observe(d time.Duration) {
 	}
 }
 
-// batchRun is a worker's reusable scratch for one batch execution: the
+// batchRun is a shard loop's reusable scratch for one batch execution: the
 // stats accumulator plus the periodic re-arms and chunk re-queues the
 // batch produced. Reused across iterations so the drain loop stays
 // allocation-free at steady state.
@@ -130,37 +130,40 @@ func (br *batchRun) reset() {
 }
 
 // shard is one slice of the execution plane: a hashed timer wheel, class
-// run queues of batches, the one worker that drains them, and the stats it
-// accumulates.
+// run queues of batches, the one loop that advances the one and drains the
+// other, and the stats it accumulates.
 type shard struct {
 	idx int
 	sc  *Scheduler
 
 	mu         sync.Mutex
-	cond       *sync.Cond
 	queues     [numClasses]fifo
 	queued     [numClasses]int // jobs queued per class (batches hold many)
 	flowCredit int             // weighted-fairness credit left for the flow class, in jobs
-	execBatch  int             // batch-class jobs the worker is executing right now (load metric)
+	execBatch  int             // batch-class jobs the loop is executing right now (load metric)
 	free       []*batch        // recycled batch headers + job slices
 	closed     bool
 
 	// Timer wheel, also guarded by mu. cur/curAt track the cursor slot and
 	// the wall time of its boundary, always on the scheduler's grid; timers
-	// counts armed entries. wakeAt is the instant clk is armed to wake the
-	// timer loop at (zero: nothing armed, the loop sleeps until an insert).
+	// counts armed entries. asleep is set while the loop sleeps on clk with
+	// nothing queued, and wakeAt is then the instant clk is armed to wake
+	// it at (zero: nothing armed, the loop sleeps until an insert or an
+	// enqueue). While the loop is awake neither is touched: it re-arms
+	// before every sleep.
 	slots  [][]wheelEntry
 	cur    int
 	curAt  time.Time
 	timers int
 	clk    clock
+	asleep bool
 	wakeAt time.Time
 
 	// Stats, guarded by mu.
 	executed     [numClasses]uint64
 	lateRuns     uint64
 	skippedTicks uint64
-	batches      uint64 // batches executed by this shard's worker
+	batches      uint64 // batches executed by this shard's loop
 	batchJobs    uint64 // jobs across those batches
 	maxBatch     int    // largest batch executed here
 	latCounts    [numLatencyBuckets]uint64
@@ -169,15 +172,13 @@ type shard struct {
 }
 
 func newShard(sc *Scheduler, idx int) *shard {
-	sh := &shard{
+	return &shard{
 		idx:        idx,
 		sc:         sc,
 		flowCredit: FlowWeight,
 		slots:      make([][]wheelEntry, sc.wheel.slots),
 		curAt:      sc.epoch,
 	}
-	sh.cond = sync.NewCond(&sh.mu)
-	return sh
 }
 
 // maxFreeBatches bounds the per-shard batch freelist; maxFreeBatchCap
@@ -222,8 +223,9 @@ func (sh *shard) pushLocked(b *batch) {
 // insertTimerLocked arms a periodic job at j.nextAt; sh.mu must be held.
 // Due and past times land in the next slot: the wheel never fires early,
 // and a behind-schedule job fires on the next advance. The clock is
-// re-armed only when the cursor must reach the entry's slot sooner than the
-// loop is already due to wake.
+// re-armed only when the loop is asleep and the cursor must reach the
+// entry's slot sooner than the loop is due to wake: an awake loop arms it
+// before it sleeps.
 func (sh *shard) insertTimerLocked(j *job) {
 	tick, n := sh.sc.wheel.tick, len(sh.slots)
 	if sh.timers == 0 {
@@ -241,6 +243,9 @@ func (sh *shard) insertTimerLocked(j *job) {
 	sh.slots[slot] = append(sh.slots[slot], wheelEntry{j: j, rounds: (offset - 1) / n})
 	sh.timers++
 	j.armedAt = sh.curAt.Add(time.Duration(offset) * tick)
+	if !sh.asleep {
+		return
+	}
 	// An entry with rounds to wait still needs the cursor at its slot once
 	// per revolution, to count them down.
 	wake := sh.curAt.Add(time.Duration((offset-1)%n+1) * tick)
@@ -262,145 +267,39 @@ func (sh *shard) insertTimer(j *job) bool {
 	return true
 }
 
-// timerLoop advances the wheel, draining each advance's due entries into
-// per-class run batches pushed in the same lock acquisition the advance
-// already holds — the fire path costs O(advances) lock work, not O(fired
-// jobs). Between advances it sleeps on the shard clock to the boundary of
-// the next occupied slot — or, the wheel empty, until an insert arms the
-// clock; a boundary already past fires on the next turn. The package doc
-// states what that sleep guarantees.
-func (sh *shard) timerLoop() {
+// loop is the shard's one goroutine. Each turn it advances the wheel to
+// now and runs one queued batch, chosen by the weighted-fairness drain;
+// only with both run queues empty does it arm the clock for the boundary
+// of the next occupied slot — or, the wheel empty, leave it for an insert
+// or enqueue to arm — and sleep on it. A boundary already past fires on
+// the next turn. The package doc states what that sleep guarantees. The
+// loop only ever takes its own shard's lock.
+func (sh *shard) loop() {
 	defer sh.sc.wg.Done()
 	defer sh.clk.close()
-	tick := sh.sc.wheel.tick
-	for {
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			return
-		}
-		now := time.Now() //flowervet:allow wallclock(wheel advancement measures real elapsed time)
-		var fired [numClasses]*batch
-		pushed := 0
-		for sh.timers > 0 && !sh.curAt.Add(tick).After(now) {
-			sh.cur = (sh.cur + 1) % len(sh.slots)
-			sh.curAt = sh.curAt.Add(tick)
-			slot := sh.slots[sh.cur]
-			keep := slot[:0]
-			for _, e := range slot {
-				if e.rounds > 0 {
-					e.rounds--
-					keep = append(keep, e)
-					continue
-				}
-				sh.timers--
-				c := e.j.class
-				if fired[c] == nil {
-					fired[c] = sh.getBatchLocked(c)
-				}
-				fired[c].jobs = append(fired[c].jobs, e.j)
-				if len(fired[c].jobs) >= maxBatch {
-					// Cap batch granularity: queued batch-class work can
-					// then run between the parts of a huge herd instead of
-					// waiting behind one mega-batch.
-					sh.pushLocked(fired[c])
-					pushed++
-					fired[c] = nil
-				}
-			}
-			for i := len(keep); i < len(slot); i++ {
-				slot[i] = wheelEntry{}
-			}
-			sh.slots[sh.cur] = keep
-		}
-		for c := range fired {
-			if fired[c] != nil {
-				sh.pushLocked(fired[c])
-				pushed++
-			}
-		}
-		if pushed > 0 {
-			sh.cond.Signal()
-		}
-		sh.wakeAt = time.Time{}
-		if sh.timers > 0 {
-			ahead := 1
-			for len(sh.slots[(sh.cur+ahead)%len(sh.slots)]) == 0 {
-				ahead++
-			}
-			sh.wakeAt = sh.curAt.Add(time.Duration(ahead) * tick)
-			sh.clk.arm(sh.wakeAt)
-		}
-		sh.mu.Unlock()
-
-		sh.clk.wait()
-		telTimerWakeups.Inc()
-	}
-}
-
-// enqueue wraps a submitted job into a single-job batch on the shard's run
-// queue and wakes the shard's worker.
-func (sh *shard) enqueue(j *job) bool {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return false
-	}
-	b := sh.getBatchLocked(j.class)
-	b.jobs = append(b.jobs, j)
-	sh.pushLocked(b)
-	sh.cond.Signal()
-	sh.mu.Unlock()
-	return true
-}
-
-// popLocked applies the weighted-fairness drain: with both queues
-// non-empty, FlowWeight flow-class jobs run per batch-class job (credit is
-// spent per job, so a many-job flow batch consumes that much credit); with
-// one queue empty, the other drains freely (work-conserving).
-func (sh *shard) popLocked() *batch {
-	nf, nb := sh.queued[ClassFlow], sh.queued[ClassBatch]
-	var c Class
-	switch {
-	case nf == 0 && nb == 0:
-		return nil
-	case nb == 0:
-		c = ClassFlow
-	case nf == 0:
-		c = ClassBatch
-	case sh.flowCredit > 0:
-		c = ClassFlow
-	default:
-		c = ClassBatch
-		sh.flowCredit = FlowWeight
-	}
-	b := sh.queues[c].pop()
-	if b == nil {
-		return nil
-	}
-	if c == ClassFlow && nb > 0 {
-		sh.flowCredit -= len(b.jobs)
-	}
-	sh.queued[c] -= len(b.jobs)
-	return b
-}
-
-// workerLoop drains the shard's run queues batch by batch. It only ever
-// takes its own shard's lock: a periodic job is armed, queued, executed and
-// re-armed on the shard its id hashes to, for its whole life.
-func (sh *shard) workerLoop() {
-	defer sh.sc.wg.Done()
 	var br batchRun
 	sh.mu.Lock()
-	for {
-		for !sh.closed && sh.queued[ClassFlow]+sh.queued[ClassBatch] == 0 {
-			sh.cond.Wait()
-		}
-		if sh.closed {
-			sh.mu.Unlock()
-			return
-		}
+	for !sh.closed {
+		sh.advanceLocked()
 		b := sh.popLocked()
+		if b == nil {
+			sh.wakeAt = time.Time{}
+			if sh.timers > 0 {
+				ahead := 1
+				for len(sh.slots[(sh.cur+ahead)%len(sh.slots)]) == 0 {
+					ahead++
+				}
+				sh.wakeAt = sh.curAt.Add(time.Duration(ahead) * sh.sc.wheel.tick)
+				sh.clk.arm(sh.wakeAt)
+			}
+			sh.asleep = true
+			sh.mu.Unlock()
+			sh.clk.wait()
+			telTimerWakeups.Inc()
+			sh.mu.Lock()
+			sh.asleep = false
+			continue
+		}
 		if b.class == ClassBatch {
 			sh.execBatch += len(b.jobs)
 		}
@@ -446,6 +345,106 @@ func (sh *shard) workerLoop() {
 		}
 		sh.mu.Lock()
 	}
+	sh.mu.Unlock()
+}
+
+// advanceLocked moves the wheel cursor to the last slot boundary at or
+// before now, draining each due entry into a per-class run batch pushed
+// onto the run queues — the fire path costs O(advances) lock work, not
+// O(fired jobs); sh.mu must be held.
+func (sh *shard) advanceLocked() {
+	if sh.timers == 0 {
+		return
+	}
+	tick := sh.sc.wheel.tick
+	now := time.Now() //flowervet:allow wallclock(wheel advancement measures real elapsed time)
+	var fired [numClasses]*batch
+	for sh.timers > 0 && !sh.curAt.Add(tick).After(now) {
+		sh.cur = (sh.cur + 1) % len(sh.slots)
+		sh.curAt = sh.curAt.Add(tick)
+		slot := sh.slots[sh.cur]
+		keep := slot[:0]
+		for _, e := range slot {
+			if e.rounds > 0 {
+				e.rounds--
+				keep = append(keep, e)
+				continue
+			}
+			sh.timers--
+			c := e.j.class
+			if fired[c] == nil {
+				fired[c] = sh.getBatchLocked(c)
+			}
+			fired[c].jobs = append(fired[c].jobs, e.j)
+			if len(fired[c].jobs) >= maxBatch {
+				// Cap batch granularity: queued batch-class work can then
+				// run between the parts of a huge herd instead of waiting
+				// behind one mega-batch.
+				sh.pushLocked(fired[c])
+				fired[c] = nil
+			}
+		}
+		for i := len(keep); i < len(slot); i++ {
+			slot[i] = wheelEntry{}
+		}
+		sh.slots[sh.cur] = keep
+	}
+	for _, b := range fired {
+		if b != nil {
+			sh.pushLocked(b)
+		}
+	}
+}
+
+// enqueue wraps a submitted job into a single-job batch on the shard's run
+// queue, waking the shard's loop if it is asleep.
+func (sh *shard) enqueue(j *job) bool {
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
+		return false
+	}
+	b := sh.getBatchLocked(j.class)
+	b.jobs = append(b.jobs, j)
+	sh.pushLocked(b)
+	if sh.asleep {
+		// The loop pops before it sleeps again, so one wake is enough.
+		sh.asleep = false
+		sh.clk.arm(time.Time{})
+	}
+	sh.mu.Unlock()
+	return true
+}
+
+// popLocked applies the weighted-fairness drain: with both queues
+// non-empty, FlowWeight flow-class jobs run per batch-class job (credit is
+// spent per job, so a many-job flow batch consumes that much credit); with
+// one queue empty, the other drains freely (work-conserving).
+func (sh *shard) popLocked() *batch {
+	nf, nb := sh.queued[ClassFlow], sh.queued[ClassBatch]
+	var c Class
+	switch {
+	case nf == 0 && nb == 0:
+		return nil
+	case nb == 0:
+		c = ClassFlow
+	case nf == 0:
+		c = ClassBatch
+	case sh.flowCredit > 0:
+		c = ClassFlow
+	default:
+		c = ClassBatch
+		sh.flowCredit = FlowWeight
+	}
+	b := sh.queues[c].pop()
+	if b == nil {
+		return nil
+	}
+	if c == ClassFlow && nb > 0 {
+		sh.flowCredit -= len(b.jobs)
+	}
+	sh.queued[c] -= len(b.jobs)
+	return b
 }
 
 // runBatch executes every runnable job of one dequeued batch, accumulating

@@ -57,7 +57,7 @@ type ShardStats struct {
 	LateRuns     uint64
 	SkippedTicks uint64
 	// Batches / BatchJobs count run batches executed by this shard's
-	// worker and the jobs they carried; MaxBatch is the largest batch.
+	// loop and the jobs they carried; MaxBatch is the largest batch.
 	Batches   uint64
 	BatchJobs uint64
 	MaxBatch  int
@@ -82,15 +82,6 @@ type Stats struct {
 	MaxBatch      int
 	// PerShard holds each shard's row.
 	PerShard []ShardStats
-}
-
-// MeanBatch returns the average jobs per executed run batch (0 with none)
-// — the direct measure of how much lock amortisation batching is buying.
-func (s Stats) MeanBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchJobs) / float64(s.Batches)
 }
 
 // Stats snapshots every shard. Shards are locked one at a time, so the

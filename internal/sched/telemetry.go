@@ -27,7 +27,7 @@ var (
 	telRunSecondsByClass [numClasses]*telemetry.Histogram
 
 	telTimerWakeups = telemetry.Default().Counter("flower_sched_timer_wakeups_total",
-		"Returns of a shard's timer loop from its clock sleep: wheel advances plus early re-arms.")
+		"Returns of a shard loop from its clock sleep: wheel advances, early re-arms and wakes by a submitted job.")
 
 	telFireLag = telemetry.Default().HistogramVec("flower_sched_fire_lag_seconds",
 		"Periodic run start minus the wheel-slot boundary the fire was armed for, by class.", latencyBounds[:], "class")
