@@ -1,10 +1,10 @@
 // Repository-level benchmarks: one per simulated paper artefact, each
 // delegating to internal/exper, which runs the artefact's Scenario Lab
-// grid through exper.Run (the ablations GainMemory and Predictive still
-// drive the simulation directly), plus micro-benchmarks of the
-// simulation's hot paths. The two parameter sweeps run the grids
-// cmd/flowerbench farms out; latency, throughput and CPU of the running
-// daemon are measured by cmd/e2ebench, not here.
+// grid through exper.Run (the Predictive ablation still drives the
+// simulation directly), plus micro-benchmarks of the simulation's hot
+// paths. The two parameter sweeps run the grids cmd/flowerbench farms
+// out; latency, throughput and CPU of the running daemon are measured by
+// cmd/e2ebench, not here.
 //
 // The experiment benchmarks report domain metrics (correlation, settling
 // minutes, saving percentages) via b.ReportMetric; wall-clock ns/op is the
@@ -71,8 +71,7 @@ func BenchmarkControllerComparison(b *testing.B) {
 
 // BenchmarkGainMemoryAblation isolates the paper's "memory of recent
 // controller decisions": the adaptive controller with and without gain
-// carry-over across windows, on a sustained ramp with the plant guard off
-// so the raw Eq. 6–7 dynamics are visible.
+// carry-over across windows, on a sustained ramp, as a two-trial lab grid.
 func BenchmarkGainMemoryAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := exper.GainMemory(benchSeed)

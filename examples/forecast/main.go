@@ -59,13 +59,11 @@ func main() {
 	}
 
 	run := func(predictive bool) {
-		opts := sim.Options{Step: 10 * time.Second, Seed: 1}
 		label := "reactive only        "
 		if predictive {
-			opts.Predictive = sim.PredictiveOptions{Enabled: true}
 			label = "reactive + predictive"
 		}
-		h, err := sim.New(build(), opts)
+		h, err := sim.New(build(), sim.Options{Step: 10 * time.Second, Seed: 1, Predictive: predictive})
 		if err != nil {
 			log.Fatal(err)
 		}

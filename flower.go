@@ -157,15 +157,13 @@
 // and a greedy planner resolves selects once, pushes window/resample
 // down to the View layer and evaluates the more selective join side
 // first — ?explain=1 reports every decision without running. The
-// planner's glob-to-flow resolution is memoised per server and
-// invalidated by flow lifecycle events, so repeated queries do not
-// re-walk large registries at plan time. batchQuery
-// and the single-metric route are now sugar over the same executor, so
-// every read surface agrees bucket for bucket. The SDK exposes
-// Query/QueryPlan/QueryExplain, `flowctl query` renders the tables, and
-// query.TestQueryEngineMatchesNaive holds the engine bit-for-bit to a
-// frozen materialize-everything evaluator on a 16-series scan and
-// join+aggregate query. See API.md ("Query plane").
+// planner resolves flow globs against the registry on every plan, with
+// no cache to invalidate. batchQuery and the single-metric route are now
+// sugar over the same executor, so every read surface agrees bucket for
+// bucket. The SDK exposes Query/QueryPlan/QueryExplain, `flowctl query`
+// renders the tables, and query.TestQueryEngineMatchesNaive holds the
+// engine bit-for-bit to a frozen materialize-everything evaluator on a
+// 16-series scan and join+aggregate query. See API.md ("Query plane").
 //
 // # Self-telemetry
 //

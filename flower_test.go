@@ -95,25 +95,3 @@ func TestAnalysisPath(t *testing.T) {
 		t.Fatal("no provisioning plans")
 	}
 }
-
-func TestPredictiveOptionThroughFacade(t *testing.T) {
-	spec, err := flower.DefaultClickstream(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := flower.New(spec, flower.Options{
-		Step: 10 * time.Second, Seed: 3,
-		Predictive: sim.PredictiveOptions{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	// Diurnal rise from the floor: the trend forecaster should have fired
-	// at least once within the hour.
-	if mgr.Harness().PreScaleActions() == 0 {
-		t.Log("no pre-scale actions within an hour (acceptable on flat early diurnal)")
-	}
-}

@@ -8,9 +8,12 @@
 // benchmarks call the artefact functions, so the printed rows and the
 // benchmark metrics always agree.
 //
-// Two ablations still drive internal/sim directly: GainMemory and
-// Predictive need simulation options (no plant guard, forecast
-// pre-provisioning) that a flow spec does not express.
+// One ablation still drives internal/sim directly: Predictive (E8)
+// switches on forecast pre-provisioning, a harness option
+// (sim.Options.Predictive) that no flow spec or lab grid expresses. The
+// forecaster is an experiment beside the paper's reactive controllers,
+// not part of any managed flow, so it stays off the spec rather than
+// widen the wire format for one table.
 package exper
 
 import (

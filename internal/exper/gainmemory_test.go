@@ -7,24 +7,27 @@ import (
 
 // TestGainMemoryAblation pins the paper's §3.3 claim mechanism: carrying
 // the Eq. 7 gain across control periods ("memory of recent controller
-// decisions") tracks a sustained ramp at least as tightly as the ablated
-// memoryless variant, and never worse on catch-up time.
+// decisions") settles on a sustained ramp no later than the ablated
+// memoryless variant and tracks it no worse, on every seed.
 func TestGainMemoryAblation(t *testing.T) {
-	r, err := GainMemory(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + r.Table())
-	if math.IsInf(r.WithMemory.CatchUpMinutes, 1) {
-		t.Fatal("with-memory controller never caught up")
-	}
-	if r.WithMemory.CatchUpMinutes > r.Memoryless.CatchUpMinutes {
-		t.Errorf("with-memory catch-up %.0f min slower than memoryless %.0f min",
-			r.WithMemory.CatchUpMinutes, r.Memoryless.CatchUpMinutes)
-	}
-	if r.WithMemory.MeanAbsError > r.Memoryless.MeanAbsError*1.02 {
-		t.Errorf("with-memory |err| %.2f worse than memoryless %.2f",
-			r.WithMemory.MeanAbsError, r.Memoryless.MeanAbsError)
+	for _, seed := range []int64{1, 2, 3, 7, 8, 42} {
+		r, err := GainMemory(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d\n%s", seed, r.Table())
+		mem, nomem := r.WithMemory, r.Memoryless
+		if math.IsInf(mem.CatchUpMinutes, 1) {
+			t.Errorf("seed %d: with-memory controller never caught up", seed)
+		}
+		if mem.CatchUpMinutes > nomem.CatchUpMinutes {
+			t.Errorf("seed %d: with-memory catch-up %.0f min slower than memoryless %.0f min",
+				seed, mem.CatchUpMinutes, nomem.CatchUpMinutes)
+		}
+		if mem.MeanAbsError > nomem.MeanAbsError {
+			t.Errorf("seed %d: with-memory |err| %.2f worse than memoryless %.2f",
+				seed, mem.MeanAbsError, nomem.MeanAbsError)
+		}
 	}
 }
 

@@ -36,41 +36,32 @@ func (r PredictiveResult) Table() string {
 // Predictive runs experiment E8.
 func Predictive(seed int64) (PredictiveResult, error) {
 	window := 2 * time.Minute
-	build := func() (flow.Spec, error) {
-		// The analytics layer carries a realistic instance-boot delay:
-		// reactive scaling pays it on every step of the ramp, while the
-		// forecaster orders capacity before it is needed — which is the
-		// entire value proposition of prediction.
-		return flow.NewBuilder("clickstream").
-			WithWorkload(flow.WorkloadSpec{
-				Pattern: "ramp",
-				Base:    1000,
-				Peak:    8000,
-				At:      flow.Duration(40 * time.Minute),
-				Length:  flow.Duration(10 * time.Minute),
-				Seed:    seed,
-			}).
-			WithIngestion(2, 1, 50, flow.DefaultAdaptive(60, window, 4)).
-			WithAnalytics(2, 1, 50, flow.DefaultAdaptive(60, window, 4)).
-			WithStorage(200, 50, 20000, flow.DefaultAdaptive(60, window, 400)).
-			WithProvisionDelay(flow.Analytics, 5*time.Minute).
-			Build()
+	// The analytics layer carries a realistic instance-boot delay:
+	// reactive scaling pays it on every step of the ramp, while the
+	// forecaster orders capacity before it is needed — which is the
+	// entire value proposition of prediction.
+	spec, err := flow.NewBuilder("clickstream").
+		WithWorkload(flow.WorkloadSpec{
+			Pattern: "ramp",
+			Base:    1000,
+			Peak:    8000,
+			At:      flow.Duration(40 * time.Minute),
+			Length:  flow.Duration(10 * time.Minute),
+			Seed:    seed,
+		}).
+		WithIngestion(2, 1, 50, flow.DefaultAdaptive(60, window, 4)).
+		WithAnalytics(2, 1, 50, flow.DefaultAdaptive(60, window, 4)).
+		WithStorage(200, 50, 20000, flow.DefaultAdaptive(60, window, 400)).
+		WithProvisionDelay(flow.Analytics, 5*time.Minute).
+		Build()
+	if err != nil {
+		return PredictiveResult{}, err
 	}
 	run := func(predictive bool) (sim.Result, int, error) {
-		spec, err := build()
-		if err != nil {
-			return sim.Result{}, 0, err
-		}
-		opts := sim.Options{Step: 10 * time.Second, Seed: seed}
-		if predictive {
-			// The forecast horizon must cover the boot delay, or predicted
-			// capacity still arrives late; lead by one extra window.
-			opts.Predictive = sim.PredictiveOptions{
-				Enabled: true,
-				Horizon: 8 * time.Minute,
-			}
-		}
-		h, err := sim.New(spec, opts)
+		// The harness sizes the forecast horizon to cover the boot delay
+		// plus one window (8 min here), or predicted capacity would still
+		// arrive late.
+		h, err := sim.New(spec, sim.Options{Step: 10 * time.Second, Seed: seed, Predictive: predictive})
 		if err != nil {
 			return sim.Result{}, 0, err
 		}

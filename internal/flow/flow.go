@@ -108,6 +108,18 @@ type LayerSpec struct {
 	Partitions int `json:"partitions,omitempty"`
 }
 
+// The simulator allocates per shard and per partition, so a spec may not
+// ask for more than these: a create request cannot make the daemon
+// allocate without bound.
+const (
+	// maxShards bounds an ingestion layer's Max. Each shard costs about
+	// 100 B (header, slice slot, id), allocated again on every resize.
+	maxShards = 10_000
+	// maxPartitions bounds a storage layer's Partitions, 32 B of per-tick
+	// accounting each.
+	maxPartitions = 10_000
+)
+
 // WorkloadSpec selects a generator pattern by name with parameters, so the
 // whole flow definition stays JSON-serialisable.
 type WorkloadSpec struct {
@@ -227,6 +239,12 @@ func (s Spec) Validate() error {
 		}
 		if l.Initial < l.Min || l.Initial > l.Max {
 			return fmt.Errorf("flow: %s layer initial %v outside [%v, %v]", l.Kind, l.Initial, l.Min, l.Max)
+		}
+		if l.Kind == Ingestion && l.Max > maxShards {
+			return fmt.Errorf("flow: ingestion max %v exceeds %d shards", l.Max, maxShards)
+		}
+		if l.Kind == Storage && l.Partitions > maxPartitions {
+			return fmt.Errorf("flow: storage partitions %d exceed %d", l.Partitions, maxPartitions)
 		}
 		if err := l.Controller.validate(l.Kind); err != nil {
 			return err

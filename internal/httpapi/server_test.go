@@ -506,13 +506,15 @@ func TestPaceEndpointStartsAndStops(t *testing.T) {
 
 // TestRequestsCannotStartUnboundedWork: one advance request or one pacer
 // tick may run at most a simulated year of steps at the default 10 s step,
-// a pacer tick must move simulated time forward, and a pacer may not tick
-// faster than the scheduler's wheel can fire it. Each request below is
-// refused with 400 and changes nothing: no flow is created, the running
-// pacer keeps its pace, and the advanced flow's clock does not move. The
-// benchmark's pace (40 at the default 250 ms wall tick) is accepted. The
-// cheap refusals come first, so a missing bound fails the test before a
-// costly one can start work.
+// a pacer tick must move simulated time forward, a pacer may not tick
+// faster than the scheduler's wheel can fire it, and a flow spec may not
+// size the simulator's per-shard or per-partition state past its bounds
+// (unbounded, such a create ends in a makeslice panic, a 500). Each
+// request below is refused with 400 and changes nothing: no flow is
+// created, the running pacer keeps its pace, and the advanced flow's clock
+// does not move. The benchmark's pace (40 at the default 250 ms wall tick)
+// is accepted. The cheap refusals come first, so a missing bound fails the
+// test before a costly one can start work.
 func TestRequestsCannotStartUnboundedWork(t *testing.T) {
 	s, reg := newTestServer(t)
 	if rec := do(t, s, http.MethodPost, "/v1/flows/clicks/pace", `{"pace": 40}`, nil); rec.Code != http.StatusOK {
@@ -521,7 +523,29 @@ func TestRequestsCannotStartUnboundedWork(t *testing.T) {
 	if rec := do(t, s, http.MethodPost, "/v1/flows", `{"id": "fine", "step": "1ns"}`, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("create 1 ns flow: status = %d: %s", rec.Code, rec.Body)
 	}
+	// createEdited is a create request for the default flow as "new" with
+	// one layer edited.
+	createEdited := func(kind flow.LayerKind, edit func(*flow.LayerSpec)) string {
+		spec, err := flow.DefaultClickstream(3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range spec.Layers {
+			if spec.Layers[i].Kind == kind {
+				edit(&spec.Layers[i])
+			}
+		}
+		body, err := json.Marshal(apiv1.CreateFlowRequest{ID: "new", Spec: &spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
 	cases := []struct{ name, path, body string }{
+		{"create with 2^50 storage partitions", "/v1/flows",
+			createEdited(flow.Storage, func(l *flow.LayerSpec) { l.Partitions = 1 << 50 })},
+		{"create with 1e15 ingestion shards", "/v1/flows",
+			createEdited(flow.Ingestion, func(l *flow.LayerSpec) { l.Initial, l.Max = 1e15, 1e15 })},
 		{"pace ticking every 100 µs, under the wheel tick", "/v1/flows/clicks/pace", `{"pace": 40, "wall_tick": "100us"}`},
 		{"pace ticking every 1 ms, under the wheel tick", "/v1/flows/clicks/pace", `{"pace": 40, "wall_tick": "1ms"}`},
 		{"pace rounding to 0 ns per tick", "/v1/flows/clicks/pace", `{"pace": 1e-12}`},

@@ -20,42 +20,34 @@ import (
 // load; the reactive loops still own steady-state tracking and all
 // scale-downs.
 
-// PredictiveOptions enables and tunes pre-provisioning.
-type PredictiveOptions struct {
-	// Enabled turns the provisioner on.
-	Enabled bool
-	// Window is the observation/actuation cadence (default 2 minutes).
-	Window time.Duration
-	// Horizon is how far ahead to provision (default 2 windows).
-	Horizon time.Duration
-	// Headroom multiplies the predicted requirement (default 1.1).
-	Headroom float64
-	// TargetUtil is the utilisation the predicted load should produce
-	// (default 60, matching the reactive reference).
-	TargetUtil float64
-}
+// The provisioner's tuning. No caller has needed another value.
+const (
+	// forecastWindow is the observation/actuation cadence.
+	forecastWindow = 2 * time.Minute
+	// forecastHeadroom multiplies the predicted requirement.
+	forecastHeadroom = 1.1
+	// forecastTargetUtil is the utilisation the predicted load should
+	// produce, matching the reactive reference.
+	forecastTargetUtil = 60
+)
 
-func (o PredictiveOptions) withDefaults() PredictiveOptions {
-	if o.Window <= 0 {
-		o.Window = 2 * time.Minute
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 2 * o.Window
-	}
-	if o.Headroom <= 0 {
-		o.Headroom = 1.1
-	}
-	if o.TargetUtil <= 0 {
-		o.TargetUtil = 60
-	}
-	return o
+// forecastHorizon is how far ahead the provisioner sizes each layer: at
+// least two windows, and otherwise one window past the analytics layer's
+// provision delay, so capacity ordered for a forecast is running when the
+// load arrives.
+func forecastHorizon(spec flow.Spec) time.Duration {
+	ana, _ := spec.Layer(flow.Analytics)
+	delay := ana.ProvisionDelay.D()
+	windows := (delay+forecastWindow-1)/forecastWindow + 1
+	return forecastWindow * max(2, windows)
 }
 
 // predictiveProvisioner is the simtime.Ticker implementing the feature.
 type predictiveProvisioner struct {
 	h    *Harness
-	opts PredictiveOptions
 	pred forecast.Predictor
+	// steps is the forecast horizon in windows.
+	steps int
 
 	sizerShards forecast.PredictiveSizer
 	sizerVMs    forecast.PredictiveSizer
@@ -114,8 +106,7 @@ func (h *Harness) prescaleFloor(kind flow.LayerKind, now time.Time) float64 {
 // VMCapacity/cost-per-tuple records/s; one WCU absorbs
 // 1/output-selectivity arrival records/s (each output tuple is one
 // ~256-byte item = one write unit).
-func newPredictiveProvisioner(h *Harness, opts PredictiveOptions) *predictiveProvisioner {
-	opts = opts.withDefaults()
+func newPredictiveProvisioner(h *Harness) *predictiveProvisioner {
 	ing, _ := h.spec.Layer(flow.Ingestion)
 	ana, _ := h.spec.Layer(flow.Analytics)
 	sto, _ := h.spec.Layer(flow.Storage)
@@ -134,20 +125,20 @@ func newPredictiveProvisioner(h *Harness, opts PredictiveOptions) *predictivePro
 		panic(err) // parameters are compile-time constants in range
 	}
 	return &predictiveProvisioner{
-		h:    h,
-		opts: opts,
-		pred: holt,
+		h:     h,
+		pred:  holt,
+		steps: int(forecastHorizon(h.spec) / forecastWindow),
 		sizerShards: forecast.PredictiveSizer{
-			UnitCapacity: 1000, TargetUtil: opts.TargetUtil,
-			Headroom: opts.Headroom, Min: ing.Min, Max: ing.Max,
+			UnitCapacity: 1000, TargetUtil: forecastTargetUtil,
+			Headroom: forecastHeadroom, Min: ing.Min, Max: ing.Max,
 		},
 		sizerVMs: forecast.PredictiveSizer{
-			UnitCapacity: vmUnit, TargetUtil: opts.TargetUtil,
-			Headroom: opts.Headroom, Min: ana.Min, Max: ana.Max,
+			UnitCapacity: vmUnit, TargetUtil: forecastTargetUtil,
+			Headroom: forecastHeadroom, Min: ana.Min, Max: ana.Max,
 		},
 		sizerWCU: forecast.PredictiveSizer{
-			UnitCapacity: wcuUnit, TargetUtil: opts.TargetUtil,
-			Headroom: opts.Headroom, Min: sto.Min, Max: sto.Max,
+			UnitCapacity: wcuUnit, TargetUtil: forecastTargetUtil,
+			Headroom: forecastHeadroom, Min: sto.Min, Max: sto.Max,
 		},
 	}
 }
@@ -158,13 +149,13 @@ func newPredictiveProvisioner(h *Harness, opts PredictiveOptions) *predictivePro
 // outage.
 func (p *predictiveProvisioner) Tick(now time.Time, step time.Duration) {
 	if !p.started {
-		p.nextAt = now.Add(p.opts.Window - step)
+		p.nextAt = now.Add(forecastWindow - step)
 		p.started = true
 	}
 	if now.Before(p.nextAt) {
 		return
 	}
-	p.nextAt = now.Add(p.opts.Window)
+	p.nextAt = now.Add(forecastWindow)
 
 	rate, ok := p.windowRate(now)
 	if !ok {
@@ -174,11 +165,7 @@ func (p *predictiveProvisioner) Tick(now time.Time, step time.Duration) {
 	if !p.pred.Ready() {
 		return
 	}
-	steps := int(p.opts.Horizon / p.opts.Window)
-	if steps < 1 {
-		steps = 1
-	}
-	predicted := p.pred.Forecast(steps)
+	predicted := p.pred.Forecast(p.steps)
 	if predicted < 0 {
 		predicted = 0
 	}
@@ -189,7 +176,7 @@ func (p *predictiveProvisioner) Tick(now time.Time, step time.Duration) {
 	p.floorShards = p.sizerShards.Size(predicted)
 	p.floorVMs = p.sizerVMs.Size(predicted)
 	p.floorWCU = p.sizerWCU.Size(predicted)
-	p.floorUntil = now.Add(2 * p.opts.Window)
+	p.floorUntil = now.Add(2 * forecastWindow)
 
 	if want := int(p.floorShards); want > p.h.Stream.ShardCount() {
 		if err := p.h.Stream.UpdateShardCount(want); err == nil {
@@ -219,7 +206,7 @@ func (p *predictiveProvisioner) windowRate(now time.Time) (float64, bool) {
 		}
 		p.offered = h
 	}
-	perTick, n := p.offered.Stat(now.Add(-p.opts.Window), now.Add(time.Nanosecond), timeseries.AggMean)
+	perTick, n := p.offered.Stat(now.Add(-forecastWindow), now.Add(time.Nanosecond), timeseries.AggMean)
 	if n == 0 {
 		return 0, false
 	}

@@ -27,7 +27,12 @@ import (
 // unset.
 const DefaultStep = 10 * time.Second
 
-// Options tunes a harness independently of the flow definition.
+// Options is what a flow spec does not say about a run: how finely to
+// tick it, how to decorrelate it, whether to forecast, and whether to
+// synthesise every record. Everything else, static layers included
+// (flow.ControllerNone), is in the spec. Every control loop applies the
+// plant-model guard (control.LoopConfig.PlantGuard), as provider
+// autoscalers do.
 type Options struct {
 	// Step is the simulation tick (default DefaultStep). Controllers run
 	// on their own windows on top of this.
@@ -35,19 +40,10 @@ type Options struct {
 	// Seed offsets every stochastic component's seed, so distinct runs of
 	// the same spec can be decorrelated deterministically.
 	Seed int64
-	// DisableControl turns the named layers' controllers off (static
-	// allocation), which the E5 cost experiment uses to compare full-flow
-	// scaling against single-tier scaling.
-	DisableControl []flow.LayerKind
-	// Predictive enables trend-forecast pre-provisioning on top of the
-	// reactive loops (experiment E8); see PredictiveOptions.
-	Predictive PredictiveOptions
-	// NoPlantGuard disables the inverse-proportional plant-model bound on
-	// loop commands (see control.LoopConfig.PlantGuard). The guard is on by
-	// default because every provider autoscaler applies an equivalent
-	// pre-check; ablations that isolate the raw Eq. 6–7 dynamics (e.g. the
-	// gain-memory experiment) turn it off.
-	NoPlantGuard bool
+	// Predictive adds trend-forecast pre-provisioning on top of the
+	// reactive loops (experiment E8), with a horizon that covers the
+	// analytics layer's provision delay; see forecastHorizon.
+	Predictive bool
 	// PerRecord selects the faithful per-record data path (every click
 	// event synthesised, hashed and buffered individually). The default is
 	// the aggregate count-based path, which produces statistically
@@ -55,13 +51,6 @@ type Options struct {
 	// internal/randx and TestAggregateMatchesPerRecord. Use PerRecord when
 	// record payloads matter (e.g. inspecting stream contents).
 	PerRecord bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Step <= 0 {
-		o.Step = DefaultStep
-	}
-	return o
 }
 
 // Harness is one materialised flow under management.
@@ -158,7 +147,9 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	if opts.Step <= 0 {
+		opts.Step = DefaultStep
+	}
 
 	h := &Harness{
 		spec:  spec,
@@ -319,8 +310,8 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 	h.Scheduler.RegisterFunc(h.account)
 	// Predictive pre-provisioning acts before the reactive loops so that a
 	// pre-scaled allocation is what the loops' next decision observes.
-	if opts.Predictive.Enabled {
-		h.predictive = newPredictiveProvisioner(h, opts.Predictive)
+	if opts.Predictive {
+		h.predictive = newPredictiveProvisioner(h)
 		h.Scheduler.Register(h.predictive)
 	}
 	for _, kind := range []flow.LayerKind{flow.Ingestion, flow.Analytics, flow.Storage, flow.StorageReads} {
@@ -346,15 +337,6 @@ func (h *Harness) Allocation() billing.Allocation {
 		WCU:    h.Table.WCU(),
 		RCU:    h.Table.RCU(),
 	}
-}
-
-func (h *Harness) controlDisabled(kind flow.LayerKind) bool {
-	for _, k := range h.opts.DisableControl {
-		if k == kind {
-			return true
-		}
-	}
-	return false
 }
 
 // buildController materialises a flow.ControllerSpec.
@@ -462,7 +444,7 @@ func (h *Harness) buildLoops(ing, ana, sto flow.LayerSpec) error {
 		},
 	}
 	for _, b := range bindings {
-		if b.layer.Controller.Type == flow.ControllerNone || h.controlDisabled(b.layer.Kind) {
+		if b.layer.Controller.Type == flow.ControllerNone {
 			continue
 		}
 		ctrl, err := buildController(b.layer.Controller)
@@ -475,7 +457,7 @@ func (h *Harness) buildLoops(ing, ana, sto flow.LayerSpec) error {
 			Window:     b.layer.Controller.Window.D(),
 			DeadBand:   b.layer.Controller.DeadBand,
 			Quantize:   b.quantize,
-			PlantGuard: !h.opts.NoPlantGuard,
+			PlantGuard: true,
 		}, ctrl, b.sensor, b.actuator)
 		if err != nil {
 			return err
@@ -502,7 +484,7 @@ func (h *Harness) buildReadLoop(dash flow.DashboardSpec) error {
 		DeadBand: dash.Controller.DeadBand,
 		// RCU is a continuous capacity, like WCU.
 		Quantize:   false,
-		PlantGuard: !h.opts.NoPlantGuard,
+		PlantGuard: true,
 	}, ctrl,
 		&control.MetricSensor{
 			Store:      h.Store,

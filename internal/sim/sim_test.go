@@ -179,15 +179,18 @@ func TestManagedBeatsStaticOnViolations(t *testing.T) {
 }
 
 func TestDisableControlFreezesLayer(t *testing.T) {
-	h, err := New(managedSpec(t, 4000), Options{
-		Step:           10 * time.Second,
-		DisableControl: []flow.LayerKind{flow.Ingestion},
-	})
+	spec := managedSpec(t, 4000)
+	for i := range spec.Layers {
+		if spec.Layers[i].Kind == flow.Ingestion {
+			spec.Layers[i].Controller = flow.ControllerSpec{Type: flow.ControllerNone}
+		}
+	}
+	h, err := New(spec, Options{Step: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := h.Loops[flow.Ingestion]; ok {
-		t.Fatal("ingestion loop built despite DisableControl")
+		t.Fatal("ingestion loop built for a layer with no controller")
 	}
 	if _, err := h.Run(time.Hour); err != nil {
 		t.Fatal(err)
@@ -293,11 +296,7 @@ func TestPredictiveModeScalesAheadOfRamp(t *testing.T) {
 		return spec
 	}
 	run := func(predictive bool) (Result, int) {
-		opts := Options{Step: 10 * time.Second, Seed: 3}
-		if predictive {
-			opts.Predictive = PredictiveOptions{Enabled: true}
-		}
-		h, err := New(build(), opts)
+		h, err := New(build(), Options{Step: 10 * time.Second, Seed: 3, Predictive: predictive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,5 +317,28 @@ func TestPredictiveModeScalesAheadOfRamp(t *testing.T) {
 	if predictive.ViolationRate > reactive.ViolationRate {
 		t.Fatalf("predictive violations %.3f worse than reactive %.3f",
 			predictive.ViolationRate, reactive.ViolationRate)
+	}
+}
+
+// TestForecastHorizonCoversProvisionDelay: the forecast looks at least two
+// windows ahead, and one window past the analytics boot delay, so E8's
+// 5-minute boot gets 8 minutes and a flow without a delay keeps 4.
+func TestForecastHorizonCoversProvisionDelay(t *testing.T) {
+	for _, c := range []struct{ delay, want time.Duration }{
+		{0, 4 * time.Minute},
+		{time.Minute, 4 * time.Minute},
+		{2 * time.Minute, 4 * time.Minute},
+		{5 * time.Minute, 8 * time.Minute},
+		{10 * time.Minute, 12 * time.Minute},
+	} {
+		spec := managedSpec(t, 1000)
+		for i := range spec.Layers {
+			if spec.Layers[i].Kind == flow.Analytics {
+				spec.Layers[i].ProvisionDelay = flow.Duration(c.delay)
+			}
+		}
+		if got := forecastHorizon(spec); got != c.want {
+			t.Errorf("analytics delay %v: horizon %v, want %v", c.delay, got, c.want)
+		}
 	}
 }
