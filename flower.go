@@ -39,11 +39,11 @@
 // per-trial summaries (cost, violation rate, utilisation) plus
 // cross-trial aggregates — best/worst, baseline deltas, and the Pareto
 // front over (cost, violation rate). The lab is also served remotely at
-// /v1/experiments (see API.md), driven by `flowctl experiments`, and
-// powers cmd/flowerbench, which farms out the evaluation grids. The
+// /v1/experiments (see API.md) and driven by `flowctl experiments`. The
 // paper's simulated artefacts (Fig. 2 and Eq. 2, the controller and
 // cost comparisons) run as lab grids too; per-trial summaries carry the
-// arrival→CPU dependency fit and the settle time those artefacts report.
+// arrival→CPU dependency fit and the settle time those artefacts report,
+// and EXPERIMENTS.md holds the numbers the scorecard test checks.
 //
 // Lab quickstart — compare two monitoring windows across two workload
 // patterns, eight simulated hours each, all cores busy:

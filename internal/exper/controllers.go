@@ -1,9 +1,7 @@
 package exper
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/flow"
@@ -41,23 +39,6 @@ func (r ControllersResult) Row(name string) (ControllerRow, bool) {
 		}
 	}
 	return ControllerRow{}, false
-}
-
-// Table renders the comparison.
-func (r ControllersResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "E4 — controller comparison on a 4× step workload (paper/[9]: adaptive wins)\n")
-	fmt.Fprintf(&b, "  %-20s %-14s %-12s %-12s %-10s %-8s\n",
-		"controller", "settle (min)", "viol. rate", "|err| (run)", "cost ($)", "actions")
-	for _, row := range r.Rows {
-		settle := fmt.Sprintf("%.0f", row.SettleMinutes)
-		if math.IsInf(row.SettleMinutes, 1) {
-			settle = "never"
-		}
-		fmt.Fprintf(&b, "  %-20s %-14s %-12.3f %-12.1f %-10.3f %-8d\n",
-			row.Name, settle, row.ViolationRate, row.MeanAbsError, row.TotalCost, row.Actions)
-	}
-	return b.String()
 }
 
 // controllerSpecFor builds the per-layer controller spec of the given type

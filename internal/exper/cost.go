@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/flow"
@@ -26,18 +24,6 @@ type CostResult struct {
 
 	FullViolationRate   float64
 	SingleViolationRate float64
-}
-
-// Table renders the comparison.
-func (r CostResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "E5 — multi-tier vs single-tier elasticity over %.0f h of diurnal load\n", r.Hours)
-	fmt.Fprintf(&b, "  %-28s %-12s %-10s %-10s\n", "configuration", "cost ($)", "saving", "viol.rate")
-	fmt.Fprintf(&b, "  %-28s %-12.3f %-10s %-10s\n", "static peak provisioning", r.StaticPeakCost, "—", "—")
-	fmt.Fprintf(&b, "  %-28s %-12.3f %-10.1f%% %-10.3f\n", "analytics tier only", r.SingleTierCost, r.SingleSavingPct, r.SingleViolationRate)
-	fmt.Fprintf(&b, "  %-28s %-12.3f %-10.1f%% %-10.3f\n", "all three tiers (Flower)", r.FullControlCost, r.FullSavingPct, r.FullViolationRate)
-	fmt.Fprintf(&b, "  (paper motivation [15]: ≈65%% multi-tier vs ≈45%% single-tier)\n")
-	return b.String()
 }
 
 // costSpec is the E5 grid: the diurnal flow with peak-sized static
@@ -134,16 +120,6 @@ type RulesResult struct {
 	RuleActions           int
 	AdaptiveCost          float64
 	RuleCost              float64
-}
-
-// Table renders the comparison.
-func (r RulesResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "E6 — flash-crowd response: Flower adaptive vs provider-style rules\n")
-	fmt.Fprintf(&b, "  %-16s %-12s %-10s %-10s\n", "policy", "viol. rate", "actions", "cost ($)")
-	fmt.Fprintf(&b, "  %-16s %-12.3f %-10d %-10.3f\n", "adaptive", r.AdaptiveViolationRate, r.AdaptiveActions, r.AdaptiveCost)
-	fmt.Fprintf(&b, "  %-16s %-12.3f %-10d %-10.3f\n", "rule-based", r.RuleViolationRate, r.RuleActions, r.RuleCost)
-	return b.String()
 }
 
 // rulesSpec is the E6 grid: the default flow under a diurnal day with a

@@ -1,12 +1,11 @@
 // Package exper holds the paper's experiments as Scenario Lab grids: each
 // simulated artefact (figure, equation, or quantitative claim) is a
 // lab.Spec plus a pure reducer from the grid's lab.Results to a structured
-// result with a formatted table matching what the paper reports. Run
-// executes a spec on a private lab engine, the same path /v1/experiments,
-// `flowctl experiments` and cmd/flowerbench take, so a printed row is
-// exactly the trial summary the API serves. The repository-level
-// benchmarks call the artefact functions, so the printed rows and the
-// benchmark metrics always agree.
+// result in the paper's terms. Run executes a spec on a private lab
+// engine, the same path /v1/experiments and `flowctl experiments` take,
+// so a result is exactly the trial summaries the API serves. The package's
+// TestScorecard checks every artefact over several seeds against
+// testdata/scorecard.json, from which EXPERIMENTS.md is generated.
 //
 // One ablation still drives internal/sim directly: Predictive (E8)
 // switches on forecast pre-provisioning, a harness option
@@ -18,7 +17,6 @@ package exper
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/flow"
@@ -118,20 +116,6 @@ type Fig2Result struct {
 	// CPUForFullShard is the predicted CPU% at one shard's max write
 	// rate (60,000 records/minute).
 	CPUForFullShard float64
-}
-
-// Table renders the result in the paper's terms.
-func (r Fig2Result) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 2 — ingestion arrival rate vs analytics CPU (%d min, %d aligned samples)\n", r.Minutes, r.Samples)
-	fmt.Fprintf(&b, "  correlation coefficient: %.3f   (paper: 0.95)\n", r.Correlation)
-	fmt.Fprintf(&b, "  linear fit: CPU ≈ %.6g·InputRecords + %.3g\n", r.Slope, r.Intercept)
-	fmt.Fprintf(&b, "Eq. 2 — analytics CPU as a function of ingestion write volume\n")
-	fmt.Fprintf(&b, "  CPU ≈ %.6g·WriteRecordsPerMin + %.3g   (paper: CPU ≈ 0.0002·WriteCapacity + 4.8)\n",
-		r.Eq2Slope, r.Intercept)
-	fmt.Fprintf(&b, "  R²=%.3f, n=%d\n", r.R2, r.Samples)
-	fmt.Fprintf(&b, "  predicted CPU to absorb one full shard (1000 rec/s): %.1f%%\n", r.CPUForFullShard)
-	return b.String()
 }
 
 // fig2Result reduces the Fig. 2 trial's dependency fit.

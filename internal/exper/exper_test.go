@@ -2,7 +2,6 @@ package exper
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +9,8 @@ import (
 	"repro/internal/lab"
 )
 
-// The long-running experiments (Fig2, Controllers, CostSaving,
-// RuleVsAdaptive) are exercised by the repository benchmarks; the unit
-// tests here cover the grids' shape, the reducers and the shared plumbing.
+// The experiments themselves run in TestScorecard; the unit tests here
+// cover the grids' shape, the reducers and the shared plumbing.
 
 func TestControllerSpecFor(t *testing.T) {
 	kinds := []flow.ControllerType{
@@ -68,6 +66,9 @@ func TestReducers(t *testing.T) {
 	if r, _ := cr.Row("rule"); !math.IsInf(r.SettleMinutes, 1) {
 		t.Fatalf("unsettled trial reduced to settle %v, want +Inf", r.SettleMinutes)
 	}
+	if _, ok := cr.Row("nope"); ok {
+		t.Fatal("Row found a controller the grid does not have")
+	}
 
 	cost := costResult(lab.Results{Trials: []lab.TrialSummary{
 		{Trial: lab.Trial{Controller: "static"}, TotalCost: 10},
@@ -90,42 +91,6 @@ func TestReducers(t *testing.T) {
 	}
 	if eq2 := slope / 6; f2.Eq2Slope != eq2 || f2.CPUForFullShard != intercept+eq2*60000 {
 		t.Fatalf("Eq. 2 form = %v, full shard %v", f2.Eq2Slope, f2.CPUForFullShard)
-	}
-}
-
-func TestResultTables(t *testing.T) {
-	cr := ControllersResult{Rows: []ControllerRow{
-		{Name: "adaptive", SettleMinutes: 12, ViolationRate: 0.05, MeanAbsError: 8, TotalCost: 1.2, Actions: 30},
-		{Name: "fixed-gain", SettleMinutes: math.Inf(1), ViolationRate: 0.2, MeanAbsError: 20, TotalCost: 1.5, Actions: 40},
-	}}
-	table := cr.Table()
-	if !strings.Contains(table, "never") {
-		t.Fatal("infinite settling not rendered as 'never'")
-	}
-	if _, ok := cr.Row("adaptive"); !ok {
-		t.Fatal("Row lookup failed")
-	}
-	if _, ok := cr.Row("nope"); ok {
-		t.Fatal("bogus Row lookup succeeded")
-	}
-
-	cost := CostResult{Hours: 24, StaticPeakCost: 10, FullControlCost: 4, SingleTierCost: 6,
-		FullSavingPct: 60, SingleSavingPct: 40}
-	if !strings.Contains(cost.Table(), "static peak provisioning") {
-		t.Fatal("cost table malformed")
-	}
-
-	rules := RulesResult{AdaptiveViolationRate: 0.02, RuleViolationRate: 0.3}
-	if !strings.Contains(rules.Table(), "rule-based") {
-		t.Fatal("rules table malformed")
-	}
-
-	f2 := Fig2Result{Minutes: 550, Samples: 540, Correlation: 0.96, Slope: 0.001, Intercept: 4, CPUForFullShard: 14.8}
-	if !strings.Contains(f2.Table(), "0.95") {
-		t.Fatal("fig2 table should cite the paper value")
-	}
-	if !strings.Contains(f2.Table(), "0.0002") {
-		t.Fatal("fig2 table should cite the paper's Eq. 2")
 	}
 }
 

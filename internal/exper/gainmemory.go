@@ -1,9 +1,6 @@
 package exper
 
 import (
-	"fmt"
-	"math"
-	"strings"
 	"time"
 
 	"repro/internal/flow"
@@ -38,23 +35,6 @@ type GainMemoryRow struct {
 	ViolationRate float64
 	// Actions counts applied resizes across all layers.
 	Actions int
-}
-
-// Table renders the ablation.
-func (r GainMemoryResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Gain-memory ablation — Eq. 7 with vs without gain carry-over on a sustained ramp\n")
-	fmt.Fprintf(&b, "  %-22s %-16s %-12s %-12s %-8s\n",
-		"controller", "catch-up (min)", "|err| (run)", "viol. rate", "actions")
-	for _, row := range []GainMemoryRow{r.WithMemory, r.Memoryless} {
-		catch := fmt.Sprintf("%.0f", row.CatchUpMinutes)
-		if math.IsInf(row.CatchUpMinutes, 1) {
-			catch = "never"
-		}
-		fmt.Fprintf(&b, "  %-22s %-16s %-12.2f %-12.3f %-8d\n",
-			row.Name, catch, row.MeanAbsError, row.ViolationRate, row.Actions)
-	}
-	return b.String()
 }
 
 // gainMemorySpec is the ablation's grid: an 8× ramp over 90 minutes,

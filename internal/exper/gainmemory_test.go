@@ -10,13 +10,11 @@ import (
 // decisions") settles on a sustained ramp no later than the ablated
 // memoryless variant and tracks it no worse, on every seed.
 func TestGainMemoryAblation(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 7, 8, 42} {
-		r, err := GainMemory(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("seed %d\n%s", seed, r.Table())
-		mem, nomem := r.WithMemory, r.Memoryless
+	for i, a := range measureSeeds(t) {
+		seed := scorecardSeeds[i]
+		mem, nomem := a.e7.WithMemory, a.e7.Memoryless
+		t.Logf("seed %d: catch-up %.0f vs %.0f min, |err| %.2f vs %.2f (with memory vs memoryless)",
+			seed, mem.CatchUpMinutes, nomem.CatchUpMinutes, mem.MeanAbsError, nomem.MeanAbsError)
 		if math.IsInf(mem.CatchUpMinutes, 1) {
 			t.Errorf("seed %d: with-memory controller never caught up", seed)
 		}
@@ -33,21 +31,22 @@ func TestGainMemoryAblation(t *testing.T) {
 
 // TestPredictiveBeatsReactiveOnSteepRamp pins E8's shape: with a steep ramp
 // and a realistic analytics boot delay, forecast pre-provisioning must cut
-// the violation rate materially below reactive-only scaling.
+// the violation rate materially below reactive-only scaling, on every seed.
 func TestPredictiveBeatsReactiveOnSteepRamp(t *testing.T) {
-	r, err := Predictive(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + r.Table())
-	if r.ReactiveViolationRate < 0.05 {
-		t.Fatalf("scenario too easy: reactive violation rate %.3f", r.ReactiveViolationRate)
-	}
-	if r.PredictiveViolationRate > r.ReactiveViolationRate*0.7 {
-		t.Errorf("predictive %.3f not materially better than reactive %.3f",
-			r.PredictiveViolationRate, r.ReactiveViolationRate)
-	}
-	if r.PreScaleActions == 0 {
-		t.Error("no predictive scale-ups applied")
+	for i, a := range measureSeeds(t) {
+		seed, r := scorecardSeeds[i], a.e8
+		t.Logf("seed %d: violation rate reactive %.3f, predictive %.3f, %d pre-scale actions",
+			seed, r.ReactiveViolationRate, r.PredictiveViolationRate, r.PreScaleActions)
+		if r.ReactiveViolationRate < 0.05 {
+			t.Errorf("seed %d: scenario too easy: reactive violation rate %.3f", seed, r.ReactiveViolationRate)
+			continue
+		}
+		if r.PredictiveViolationRate > r.ReactiveViolationRate*0.7 {
+			t.Errorf("seed %d: predictive %.3f not materially better than reactive %.3f",
+				seed, r.PredictiveViolationRate, r.ReactiveViolationRate)
+		}
+		if r.PreScaleActions == 0 {
+			t.Errorf("seed %d: no predictive scale-ups applied", seed)
+		}
 	}
 }

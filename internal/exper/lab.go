@@ -13,8 +13,8 @@ import (
 // Canonical Scenario Lab experiment grids: the studies the repository
 // used to run as hand-written serial loops (examples/controllers,
 // examples/pareto, the exper sweeps), expressed as declarative lab.Spec
-// grids so cmd/flowerbench (whose five suites are exactly these grids),
-// the examples and any API caller can fan them out over the worker pool.
+// grids so the examples, the scorecard and any API caller can fan them
+// out over the worker pool.
 
 // controllerVariant spans all three layers with one controller type, built
 // exactly as experiment E4 (Controllers) builds it: gains scaled to each

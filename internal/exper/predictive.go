@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/flow"
@@ -20,17 +18,6 @@ type PredictiveResult struct {
 	ReactiveCost            float64
 	PredictiveCost          float64
 	PreScaleActions         int
-}
-
-// Table renders the comparison.
-func (r PredictiveResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "E8 — reactive vs predictive elasticity on an 8× ten-minute ramp (5 min VM boot)\n")
-	fmt.Fprintf(&b, "  %-26s %-12s %-10s\n", "policy", "viol. rate", "cost ($)")
-	fmt.Fprintf(&b, "  %-26s %-12.3f %-10.3f\n", "reactive (paper)", r.ReactiveViolationRate, r.ReactiveCost)
-	fmt.Fprintf(&b, "  %-26s %-12.3f %-10.3f\n", "reactive + Holt forecast", r.PredictiveViolationRate, r.PredictiveCost)
-	fmt.Fprintf(&b, "  (%d predictive scale-ups applied)\n", r.PreScaleActions)
-	return b.String()
 }
 
 // Predictive runs experiment E8.

@@ -4,61 +4,15 @@
 // rule-based systems that "fail to adapt to unplanned or unforeseen
 // changes in demand" (§1); the companion line of work behind reference [9]
 // pairs the reactive adaptive controller with workload prediction. This
-// package provides the classical predictors that pairing needs —
-// single/double/triple exponential smoothing and a first-order
-// autoregressive model — plus a PredictiveSizer that converts a rate
-// forecast into a resource allocation, enabling the predictive-vs-reactive
-// ablation (experiment E8).
+// package holds what that pairing runs in experiment E8: Holt's linear
+// trend forecaster and a PredictiveSizer that converts a rate forecast
+// into a resource allocation.
 package forecast
 
 import (
 	"fmt"
 	"math"
 )
-
-// Predictor consumes a series one observation at a time and extrapolates.
-type Predictor interface {
-	// Observe feeds the next observation.
-	Observe(v float64)
-	// Forecast extrapolates `steps` observations ahead (steps >= 1).
-	Forecast(steps int) float64
-	// Ready reports whether enough data has been observed to forecast.
-	Ready() bool
-}
-
-// SES is single exponential smoothing: a flat forecast of the smoothed
-// level. Good for stationary load.
-type SES struct {
-	// Alpha is the smoothing factor in (0, 1].
-	Alpha float64
-
-	level float64
-	n     int
-}
-
-// NewSES validates and constructs the predictor.
-func NewSES(alpha float64) (*SES, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("forecast: SES alpha %v outside (0, 1]", alpha)
-	}
-	return &SES{Alpha: alpha}, nil
-}
-
-// Observe implements Predictor.
-func (s *SES) Observe(v float64) {
-	if s.n == 0 {
-		s.level = v
-	} else {
-		s.level = s.Alpha*v + (1-s.Alpha)*s.level
-	}
-	s.n++
-}
-
-// Ready implements Predictor.
-func (s *SES) Ready() bool { return s.n >= 1 }
-
-// Forecast implements Predictor: SES forecasts are flat.
-func (s *SES) Forecast(int) float64 { return s.level }
 
 // Holt is double exponential smoothing (level + linear trend) — Holt's
 // linear method. Good for ramps.
@@ -78,7 +32,7 @@ func NewHolt(alpha, beta float64) (*Holt, error) {
 	return &Holt{Alpha: alpha, Beta: beta}, nil
 }
 
-// Observe implements Predictor.
+// Observe feeds the next observation.
 func (h *Holt) Observe(v float64) {
 	switch h.n {
 	case 0:
@@ -94,196 +48,16 @@ func (h *Holt) Observe(v float64) {
 	h.n++
 }
 
-// Ready implements Predictor.
+// Ready reports whether enough data has been observed to forecast.
 func (h *Holt) Ready() bool { return h.n >= 2 }
 
-// Forecast implements Predictor: level plus extrapolated trend.
+// Forecast extrapolates steps observations ahead (at least one): level
+// plus extrapolated trend.
 func (h *Holt) Forecast(steps int) float64 {
 	if steps < 1 {
 		steps = 1
 	}
 	return h.level + float64(steps)*h.trend
-}
-
-// HoltWinters is triple exponential smoothing with an additive seasonal
-// component of the given period — the classical model for diurnal website
-// traffic like the demo's click-stream.
-type HoltWinters struct {
-	// Alpha, Beta, Gamma smooth level, trend and season. All in (0, 1].
-	Alpha, Beta, Gamma float64
-	// Period is the season length in observations (e.g. 144 ten-minute
-	// buckets per day).
-	Period int
-
-	level, trend float64
-	season       []float64
-	history      []float64 // first Period observations, for initialisation
-	n            int
-}
-
-// NewHoltWinters validates and constructs the predictor.
-func NewHoltWinters(alpha, beta, gamma float64, period int) (*HoltWinters, error) {
-	if alpha <= 0 || alpha > 1 || beta <= 0 || beta > 1 || gamma <= 0 || gamma > 1 {
-		return nil, fmt.Errorf("forecast: Holt-Winters smoothing factors outside (0, 1]")
-	}
-	if period < 2 {
-		return nil, fmt.Errorf("forecast: Holt-Winters period %d < 2", period)
-	}
-	return &HoltWinters{Alpha: alpha, Beta: beta, Gamma: gamma, Period: period}, nil
-}
-
-// Observe implements Predictor. The first full period initialises the
-// seasonal indices; smoothing starts from the second period.
-func (hw *HoltWinters) Observe(v float64) {
-	hw.n++
-	if hw.season == nil {
-		hw.history = append(hw.history, v)
-		if len(hw.history) < hw.Period {
-			return
-		}
-		// Initialise: level = mean of first season, trend = 0, seasonal
-		// index = deviation from that mean.
-		var sum float64
-		for _, x := range hw.history {
-			sum += x
-		}
-		hw.level = sum / float64(hw.Period)
-		hw.trend = 0
-		hw.season = make([]float64, hw.Period)
-		for i, x := range hw.history {
-			hw.season[i] = x - hw.level
-		}
-		hw.history = nil
-		return
-	}
-	i := (hw.n - 1) % hw.Period
-	prevLevel := hw.level
-	hw.level = hw.Alpha*(v-hw.season[i]) + (1-hw.Alpha)*(hw.level+hw.trend)
-	hw.trend = hw.Beta*(hw.level-prevLevel) + (1-hw.Beta)*hw.trend
-	hw.season[i] = hw.Gamma*(v-hw.level) + (1-hw.Gamma)*hw.season[i]
-}
-
-// Ready implements Predictor.
-func (hw *HoltWinters) Ready() bool { return hw.season != nil }
-
-// Forecast implements Predictor: level + trend·steps + seasonal index of
-// the target slot.
-func (hw *HoltWinters) Forecast(steps int) float64 {
-	if !hw.Ready() {
-		return hw.lastKnown()
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	idx := (hw.n - 1 + steps) % hw.Period
-	return hw.level + float64(steps)*hw.trend + hw.season[idx]
-}
-
-func (hw *HoltWinters) lastKnown() float64 {
-	if len(hw.history) == 0 {
-		return 0
-	}
-	return hw.history[len(hw.history)-1]
-}
-
-// AR1 is a first-order autoregressive model x(t) = c + φ·x(t−1) fitted by
-// least squares over a sliding window.
-type AR1 struct {
-	// Window bounds the history used for fitting (default 256).
-	Window int
-
-	hist []float64
-}
-
-// NewAR1 constructs the model with the given window.
-func NewAR1(window int) (*AR1, error) {
-	if window < 3 {
-		return nil, fmt.Errorf("forecast: AR1 window %d < 3", window)
-	}
-	return &AR1{Window: window}, nil
-}
-
-// Observe implements Predictor.
-func (a *AR1) Observe(v float64) {
-	a.hist = append(a.hist, v)
-	if len(a.hist) > a.Window {
-		a.hist = a.hist[len(a.hist)-a.Window:]
-	}
-}
-
-// Ready implements Predictor.
-func (a *AR1) Ready() bool { return len(a.hist) >= 3 }
-
-// Fit returns the current (c, φ) estimates.
-func (a *AR1) Fit() (c, phi float64, err error) {
-	n := len(a.hist) - 1
-	if n < 2 {
-		return 0, 0, fmt.Errorf("forecast: AR1 needs at least 3 observations")
-	}
-	var mx, my float64
-	for i := 0; i < n; i++ {
-		mx += a.hist[i]
-		my += a.hist[i+1]
-	}
-	mx /= float64(n)
-	my /= float64(n)
-	var sxx, sxy float64
-	for i := 0; i < n; i++ {
-		dx := a.hist[i] - mx
-		sxx += dx * dx
-		sxy += dx * (a.hist[i+1] - my)
-	}
-	if sxx == 0 {
-		// Constant series: φ=0, c=mean.
-		return my, 0, nil
-	}
-	phi = sxy / sxx
-	c = my - phi*mx
-	return c, phi, nil
-}
-
-// Forecast implements Predictor by iterating the fitted recurrence.
-func (a *AR1) Forecast(steps int) float64 {
-	last := 0.0
-	if len(a.hist) > 0 {
-		last = a.hist[len(a.hist)-1]
-	}
-	c, phi, err := a.Fit()
-	if err != nil {
-		return last
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	x := last
-	for s := 0; s < steps; s++ {
-		x = c + phi*x
-	}
-	return x
-}
-
-// Evaluate replays a series through a fresh predictor one step ahead and
-// returns the mean absolute percentage error (MAPE, in percent) over the
-// observations where the predictor was ready. It is the model-selection
-// helper.
-func Evaluate(mk func() Predictor, series []float64) float64 {
-	p := mk()
-	var sum float64
-	var count int
-	for i, v := range series {
-		if i > 0 && p.Ready() {
-			pred := p.Forecast(1)
-			if v != 0 {
-				sum += math.Abs(pred-v) / math.Abs(v) * 100
-				count++
-			}
-		}
-		p.Observe(v)
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return sum / float64(count)
 }
 
 // PredictiveSizer converts a rate forecast into a resource allocation:

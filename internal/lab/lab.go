@@ -15,12 +15,11 @@
 // nsga2.NonDominated, baseline deltas).
 //
 // The subsystem is exposed end to end: /v1/experiments in
-// internal/httpapi, wire types in api/v1, methods in repro/client, the
-// `flowctl experiments` subcommand, and cmd/flowerbench, which farms
-// out internal/exper's grids. It is also the one path the paper's
-// simulated artefacts run on: internal/exper reduces each artefact's
-// grid results (among them the per-trial workload-dependency fit and
-// settle time) to the paper's tables.
+// internal/httpapi, wire types in api/v1, methods in repro/client, and
+// the `flowctl experiments` subcommand. It is also the one path the
+// paper's simulated artefacts run on: internal/exper reduces each
+// artefact's grid results (among them the per-trial workload-dependency
+// fit and settle time) to the numbers the paper reports.
 package lab
 
 import (
@@ -105,7 +104,8 @@ type Trial struct {
 	Workload   string `json:"workload,omitempty"`
 	Controller string `json:"controller,omitempty"`
 	Allocation string `json:"allocation,omitempty"`
-	// Seed is the replicate seed; SimSeed the derived simulation seed.
+	// Seed is the replicate seed; SimSeed the derived simulation seed,
+	// shared by the controller variants of one grid point.
 	Seed    int64 `json:"seed"`
 	SimSeed int64 `json:"sim_seed"`
 
@@ -311,7 +311,7 @@ func (s Spec) Expand() ([]Trial, error) {
 
 	trials := make([]Trial, 0, s.TrialCount())
 	for wi, w := range workloads {
-		for ci, c := range controllers {
+		for _, c := range controllers {
 			for ai, a := range allocations {
 				for si, seed := range s.Seeds {
 					spec := base
@@ -352,8 +352,12 @@ func (s Spec) Expand() ([]Trial, error) {
 						Controller: c.Name,
 						Allocation: a.Name,
 						Seed:       seed,
-						SimSeed:    randx.DeriveSeed(seed, int64(wi), int64(ci), int64(ai)),
-						Spec:       spec,
+						// Controller variants share the noise draw of their
+						// (workload, allocation, seed) point, so a row
+						// difference is the controller's alone: the
+						// controller coordinate is fixed at 0.
+						SimSeed: randx.DeriveSeed(seed, int64(wi), 0, int64(ai)),
+						Spec:    spec,
 					})
 				}
 			}

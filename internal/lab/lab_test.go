@@ -147,8 +147,30 @@ func TestExpandCrossesAxesDeterministically(t *testing.T) {
 			t.Fatalf("expansion is not deterministic at trial %d", i)
 		}
 	}
-	if trials[0].SimSeed == trials[1].SimSeed {
-		t.Fatal("distinct grid points share a sim seed")
+	// Controller variants at one (workload, allocation, seed) point run
+	// on one noise draw; trials that differ in workload, allocation or
+	// seed do not.
+	type point struct {
+		workload, allocation string
+		seed                 int64
+	}
+	simSeeds := map[point]int64{}
+	owner := map[int64]point{}
+	for _, tr := range trials {
+		p := point{tr.Workload, tr.Allocation, tr.Seed}
+		if s, ok := simSeeds[p]; ok {
+			if tr.SimSeed != s {
+				t.Fatalf("%s runs on sim seed %d, its point's other controllers on %d", tr.Name, tr.SimSeed, s)
+			}
+			continue
+		}
+		if q, ok := owner[tr.SimSeed]; ok {
+			t.Fatalf("distinct grid points %+v and %+v share sim seed %d", q, p, tr.SimSeed)
+		}
+		simSeeds[p], owner[tr.SimSeed] = tr.SimSeed, p
+	}
+	if len(simSeeds) != 4 {
+		t.Fatalf("%d distinct (workload, allocation, seed) points, want 4", len(simSeeds))
 	}
 }
 

@@ -45,7 +45,7 @@ func forecastHorizon(spec flow.Spec) time.Duration {
 // predictiveProvisioner is the simtime.Ticker implementing the feature.
 type predictiveProvisioner struct {
 	h    *Harness
-	pred forecast.Predictor
+	pred *forecast.Holt
 	// steps is the forecast horizon in windows.
 	steps int
 
