@@ -16,6 +16,7 @@ package deps
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -141,7 +142,7 @@ func (a *Analyzer) Analyze(from, to MetricRef) (Dependency, error) {
 	bestCorr := regress.Pearson(xs, ys)
 	for lag := 1; lag <= cfg.MaxLag; lag++ {
 		c := regress.CrossCorrelation(xs, ys, lag)
-		if abs(c) > abs(bestCorr) {
+		if math.Abs(c) > math.Abs(bestCorr) {
 			bestCorr = c
 			bestLag = lag
 		}
@@ -185,100 +186,16 @@ func (a *Analyzer) AnalyzeAll(refs []MetricRef) ([]Dependency, error) {
 				// conditions, not failures of the scan.
 				continue
 			}
-			if abs(d.Correlation) >= cfg.MinCorrelation {
+			if math.Abs(d.Correlation) >= cfg.MinCorrelation {
 				out = append(out, d)
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if ci, cj := abs(out[i].Correlation), abs(out[j].Correlation); ci != cj {
+		if ci, cj := math.Abs(out[i].Correlation), math.Abs(out[j].Correlation); ci != cj {
 			return ci > cj
 		}
 		return out[i].String() < out[j].String()
 	})
 	return out, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// MultiDependency is a multiple-regression dependency: one layer's measure
-// explained jointly by several other layers' measures,
-// to ≈ β0 + Σ βj·from[j]. Useful when a layer's resource usage responds to
-// more than one upstream signal (e.g. storage write volume driven by both
-// ingest rate and analytics emit rate).
-type MultiDependency struct {
-	From    []MetricRef
-	To      MetricRef
-	Model   regress.MultipleModel
-	Period  time.Duration
-	Samples int
-}
-
-// String renders the fitted hyperplane.
-func (d MultiDependency) String() string {
-	var b []byte
-	b = fmt.Appendf(b, "%s ≈ %.4g", d.To, d.Model.Coefficients[0])
-	for j, from := range d.From {
-		b = fmt.Appendf(b, " + %.6g·%s", d.Model.Coefficients[j+1], from)
-	}
-	b = fmt.Appendf(b, "  [R²=%.3f, n=%d]", d.Model.R2, d.Samples)
-	return string(b)
-}
-
-// AnalyzeMultiple fits `to` on all `from` measures jointly. All series are
-// aligned pairwise against `to` on the analyzer period; rows where any
-// predictor is missing are dropped by truncating to the shortest aligned
-// length.
-func (a *Analyzer) AnalyzeMultiple(from []MetricRef, to MetricRef) (MultiDependency, error) {
-	cfg := a.defaults()
-	if cfg.Store == nil {
-		return MultiDependency{}, fmt.Errorf("deps: analyzer store is required")
-	}
-	if len(from) == 0 {
-		return MultiDependency{}, fmt.Errorf("deps: at least one predictor is required")
-	}
-	toSeries := rawSeries(cfg.Store, to)
-	if toSeries == nil {
-		return MultiDependency{}, fmt.Errorf("deps: metric %s not found", to)
-	}
-	cols := make([][]float64, len(from))
-	var y []float64
-	n := -1
-	for j, f := range from {
-		fs := rawSeries(cfg.Store, f)
-		if fs == nil {
-			return MultiDependency{}, fmt.Errorf("deps: metric %s not found", f)
-		}
-		xs, ys := timeseries.AlignedValues(fs, toSeries, cfg.Period)
-		if n < 0 || len(xs) < n {
-			n = len(xs)
-		}
-		cols[j] = xs
-		if j == 0 {
-			y = ys
-		}
-	}
-	if n < cfg.MinSamples {
-		return MultiDependency{}, fmt.Errorf("deps: only %d aligned samples, need %d", n, cfg.MinSamples)
-	}
-	// Truncate all columns to the common tail of length n.
-	X := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, len(cols))
-		for j := range cols {
-			row[j] = cols[j][len(cols[j])-n+i]
-		}
-		X[i] = row
-	}
-	y = y[len(y)-n:]
-	model, err := regress.FitMultiple(X, y)
-	if err != nil {
-		return MultiDependency{}, fmt.Errorf("deps: multiple fit: %w", err)
-	}
-	return MultiDependency{From: from, To: to, Model: model, Period: cfg.Period, Samples: n}, nil
 }

@@ -167,55 +167,3 @@ func TestDependencyPredictSupportsEq2Reasoning(t *testing.T) {
 		t.Fatalf("Predict(1000) = %v, want ≈14.8", cpuAtShardMax)
 	}
 }
-
-func TestAnalyzeMultipleJointFit(t *testing.T) {
-	// to = 2 + 0.01·x1 + 0.05·x2 + noise, with x1 and x2 independent.
-	ms := metricstore.NewStore()
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 400; i++ {
-		now := t0.Add(time.Duration(i) * time.Minute)
-		x1 := 1000 + 500*math.Sin(float64(i)/30) + rng.NormFloat64()*20
-		x2 := 200 + 100*math.Cos(float64(i)/17) + rng.NormFloat64()*10
-		y := 2 + 0.01*x1 + 0.05*x2 + rng.NormFloat64()*0.3
-		storePut(ms, "Ingestion/Stream", "IncomingRecords", nil, now, x1)
-		storePut(ms, "Analytics/Compute", "EmittedTuples", nil, now, x2)
-		storePut(ms, "Storage/KVStore", "ConsumedWriteCapacityUnits", nil, now, y)
-	}
-	a := &Analyzer{Store: ms}
-	from := []MetricRef{
-		{Layer: Ingestion, Namespace: "Ingestion/Stream", Name: "IncomingRecords"},
-		{Layer: Analytics, Namespace: "Analytics/Compute", Name: "EmittedTuples"},
-	}
-	to := MetricRef{Layer: Storage, Namespace: "Storage/KVStore", Name: "ConsumedWriteCapacityUnits"}
-	d, err := a.AnalyzeMultiple(from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.Model.Coefficients[1]-0.01) > 0.002 {
-		t.Fatalf("β1 = %v, want ≈0.01", d.Model.Coefficients[1])
-	}
-	if math.Abs(d.Model.Coefficients[2]-0.05) > 0.01 {
-		t.Fatalf("β2 = %v, want ≈0.05", d.Model.Coefficients[2])
-	}
-	if d.Model.R2 < 0.95 {
-		t.Fatalf("R² = %v, want ≥ 0.95", d.Model.R2)
-	}
-	if d.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestAnalyzeMultipleErrors(t *testing.T) {
-	a := &Analyzer{Store: metricstore.NewStore()}
-	to := MetricRef{Layer: Storage, Namespace: "ns", Name: "y"}
-	if _, err := a.AnalyzeMultiple(nil, to); err == nil {
-		t.Fatal("no predictors accepted")
-	}
-	from := []MetricRef{{Layer: Ingestion, Namespace: "ns", Name: "x"}}
-	if _, err := a.AnalyzeMultiple(from, to); err == nil {
-		t.Fatal("missing metrics accepted")
-	}
-	if _, err := (&Analyzer{}).AnalyzeMultiple(from, to); err == nil {
-		t.Fatal("nil store accepted")
-	}
-}

@@ -157,21 +157,30 @@ func TestDurationJSON(t *testing.T) {
 }
 
 func TestWorkloadSpecToPattern(t *testing.T) {
-	cases := []WorkloadSpec{
-		{Pattern: "constant", Base: 100},
-		{Pattern: "step", Base: 100, Peak: 500, At: Duration(time.Hour)},
-		{Pattern: "ramp", Base: 100, Peak: 500, At: Duration(time.Hour), Length: Duration(time.Hour)},
-		{Pattern: "sine", Base: 100, Peak: 200, Period: Duration(time.Hour)},
-		{Pattern: "diurnal", Base: 100, Peak: 1000, Period: Duration(24 * time.Hour)},
-		{Pattern: "spike", Base: 100, Peak: 500, Period: Duration(24 * time.Hour), At: Duration(time.Hour), Length: Duration(10 * time.Minute), Factor: 4},
+	h, day := Duration(time.Hour), Duration(24*time.Hour)
+	cases := []struct {
+		spec WorkloadSpec
+		want workload.Pattern
+	}{
+		{WorkloadSpec{Pattern: "constant", Base: 100}, workload.Constant(100)},
+		{WorkloadSpec{Pattern: "step", Base: 100, Peak: 500, At: h},
+			workload.Step{Before: 100, After: 500, At: time.Hour}},
+		{WorkloadSpec{Pattern: "ramp", Base: 100, Peak: 500, At: h, Length: h},
+			workload.Ramp{From: 100, To: 500, Start: time.Hour, Length: time.Hour}},
+		{WorkloadSpec{Pattern: "sine", Base: 100, Peak: 200, Period: h},
+			workload.Sine{Base: 100, Amplitude: 100, Period: time.Hour}},
+		{WorkloadSpec{Pattern: "diurnal", Base: 100, Peak: 1000, Period: day},
+			workload.Diurnal{Floor: 100, Peak: 1000, Day: 24 * time.Hour}},
+		{WorkloadSpec{Pattern: "spike", Base: 100, Peak: 500, Period: day, At: h, Length: Duration(10 * time.Minute), Factor: 4},
+			workload.Spike{Base: workload.Diurnal{Floor: 100, Peak: 500, Day: 24 * time.Hour}, At: time.Hour, Length: 10 * time.Minute, Factor: 4}},
 	}
-	for _, ws := range cases {
-		p, err := ws.ToPattern()
+	for _, c := range cases {
+		p, err := c.spec.ToPattern()
 		if err != nil {
-			t.Fatalf("%s: %v", ws.Pattern, err)
+			t.Fatalf("%s: %v", c.spec.Pattern, err)
 		}
-		if err := workload.Validate(p, 24*time.Hour); err != nil {
-			t.Fatalf("%s: %v", ws.Pattern, err)
+		if p != c.want {
+			t.Fatalf("%s: pattern = %#v, want %#v", c.spec.Pattern, p, c.want)
 		}
 	}
 	// Spike defaults factor to 3 when unset.

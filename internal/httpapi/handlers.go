@@ -437,13 +437,15 @@ func (s *Server) handleQueryMetrics(w http.ResponseWriter, r *http.Request, f *r
 		Total: total, Offset: offset, Limit: limit,
 		Points: []apiv1.Point{},
 	}
-	end := total
-	if limit > 0 && offset+limit < end {
-		end = offset + limit
+	// Compare against what is left, not offset+limit: both are client
+	// input and their sum can overflow.
+	start, end := min(offset, total), total
+	if limit > 0 && limit < end-start {
+		end = start + limit
 		next := end
 		resp.NextOffset = &next
 	}
-	for i := offset; i < end; i++ {
+	for i := start; i < end; i++ {
 		resp.Points = append(resp.Points, apiv1.Point{T: time.Unix(0, col.ts[i]).UTC(), V: col.vs[i]})
 	}
 	writeJSON(w, http.StatusOK, resp)

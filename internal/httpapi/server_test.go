@@ -3,6 +3,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -412,6 +413,19 @@ func TestMetricsQueryPagination(t *testing.T) {
 	get(t, s, fmt.Sprintf("%s&limit=4&offset=%d", base, total+5), &empty)
 	if len(empty.Points) != 0 || empty.NextOffset != nil {
 		t.Errorf("past-end page: %d points, next %v", len(empty.Points), empty.NextOffset)
+	}
+
+	// Client-supplied offset and limit near MaxInt must not overflow
+	// offset+limit: the page runs to the end with no next_offset.
+	var rest apiv1.Series
+	get(t, s, fmt.Sprintf("%s&offset=1&limit=%d", base, math.MaxInt), &rest)
+	if len(rest.Points) != total-1 || rest.NextOffset != nil {
+		t.Errorf("offset=1, limit=MaxInt: %d points, next %v; want %d, none", len(rest.Points), rest.NextOffset, total-1)
+	}
+	var far apiv1.Series
+	get(t, s, fmt.Sprintf("%s&offset=%d&limit=4", base, math.MaxInt), &far)
+	if len(far.Points) != 0 || far.NextOffset != nil {
+		t.Errorf("offset=MaxInt: %d points, next %v; want 0, none", len(far.Points), far.NextOffset)
 	}
 }
 

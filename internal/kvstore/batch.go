@@ -12,7 +12,7 @@ import "time"
 // uniformly over the table's partitions, consuming WCU. Items beyond the
 // provisioned-plus-burst capacity are throttled. It returns the accepted
 // and throttled counts. The items are accounted (capacity, metrics, item
-// count) but not materialised; GetItem cannot retrieve them.
+// count) but not materialised.
 func (t *Table) PutItemsUniform(now time.Time, n, size int) (accepted, throttled int) {
 	_ = now // mirrors PutItem's shape; the table is tick-clocked internally
 	if n <= 0 {

@@ -54,12 +54,6 @@ const (
 // capacity, mirroring DynamoDB's ProvisionedThroughputExceededException.
 var ErrThrottled = errors.New("kvstore: provisioned throughput exceeded")
 
-// Item is a stored value.
-type Item struct {
-	Key   string
-	Value []byte
-}
-
 // Table is a simulated provisioned-throughput table.
 type Table struct {
 	name string
@@ -69,8 +63,8 @@ type Table struct {
 	minWCU, maxWCU float64
 	minRCU, maxRCU float64
 
-	items    map[string][]byte
-	aggItems int // distinct items written through the batch path
+	items    map[string]struct{} // keys written through PutItem
+	aggItems int                 // distinct items written through the batch path
 
 	// Per-tick consumption and throttle counters, reset on Tick.
 	tickWCU, tickRCU                    float64
@@ -152,7 +146,7 @@ func NewTable(cfg Config, store *metricstore.Store) (*Table, error) {
 		maxWCU:      cfg.MaxWCU,
 		minRCU:      cfg.MinRCU,
 		maxRCU:      cfg.MaxRCU,
-		items:       make(map[string][]byte),
+		items:       make(map[string]struct{}),
 		stepSeconds: 1,
 		store:       store,
 		dims:        map[string]string{"TableName": cfg.Name},
@@ -271,39 +265,8 @@ func (t *Table) PutItem(key string, value []byte) error {
 		t.writeBurst -= over
 	}
 	t.tickWCU += units
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	t.items[key] = cp
+	t.items[key] = struct{}{}
 	return nil
-}
-
-// GetItem reads an item, consuming RCU; ok reports presence. A throttled
-// read returns ErrThrottled and no value.
-func (t *Table) GetItem(key string) (value []byte, ok bool, err error) {
-	stored, present := t.items[key]
-	units := readUnits(len(stored))
-	if len(t.partitions) > 1 && !t.chargeReadPartition(key, units) {
-		t.tickReadThrottle++
-		return nil, false, fmt.Errorf("%w: table %s hot partition (read)", ErrThrottled, t.name)
-	}
-	budget := t.rcu * t.stepSeconds
-	if over := t.tickRCU + units - budget; over > 0 {
-		if over > units {
-			over = units
-		}
-		if over > t.readBurst {
-			t.tickReadThrottle++
-			return nil, false, fmt.Errorf("%w: table %s read", ErrThrottled, t.name)
-		}
-		t.readBurst -= over
-	}
-	t.tickRCU += units
-	if !present {
-		return nil, false, nil
-	}
-	cp := make([]byte, len(stored))
-	copy(cp, stored)
-	return cp, true, nil
 }
 
 // TickWCUConsumed reports write units consumed so far this tick.

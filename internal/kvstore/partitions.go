@@ -12,9 +12,10 @@ import (
 // raising a table's WCU does not help a workload that hammers one key.
 //
 // A Table is created with Config.Partitions (default 1 = the uniform model
-// used by the flow experiments). With P > 1 partitions, each request is
+// used by the flow experiments). With P > 1 partitions, each PutItem is
 // routed by key hash and charged against that partition's 1/P share of the
-// per-tick budget and burst credit.
+// per-tick budget and burst credit; the uniform batch writes and reads
+// (batch.go) charge each partition an even share.
 
 // partitionState tracks one partition's per-tick consumption and burst.
 type partitionState struct {
@@ -56,7 +57,7 @@ func (t *Table) partitionBudget(total float64) float64 {
 	return total / float64(t.Partitions())
 }
 
-// chargePartition charges units against the key's partition slice of the
+// chargeWritePartition charges units against the key's partition slice of the
 // per-tick budget; returns false when the partition (budget + burst) is
 // exhausted. Only called when partitioning is enabled.
 func (t *Table) chargeWritePartition(key string, units float64) bool {
@@ -72,22 +73,6 @@ func (t *Table) chargeWritePartition(key string, units float64) bool {
 		p.writeBurst -= over
 	}
 	p.tickWCU += units
-	return true
-}
-
-func (t *Table) chargeReadPartition(key string, units float64) bool {
-	p := &t.partitions[partitionFor(key, len(t.partitions))]
-	budget := t.partitionBudget(t.rcu * t.stepSeconds)
-	if over := p.tickRCU + units - budget; over > 0 {
-		if over > units {
-			over = units
-		}
-		if over > p.readBurst {
-			return false
-		}
-		p.readBurst -= over
-	}
-	p.tickRCU += units
 	return true
 }
 

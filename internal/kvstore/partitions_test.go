@@ -96,15 +96,25 @@ func TestPartitionBurstBanksAndCaps(t *testing.T) {
 
 func TestPartitionReadThrottling(t *testing.T) {
 	tb := mustTable(t, Config{Name: "t", WCU: 40, RCU: 8, Partitions: 4}, nil)
-	tb.PutItem("hot", []byte("v"))
-	var ok int
-	for i := 0; i < 20; i++ {
-		if _, _, err := tb.GetItem("hot"); err == nil {
-			ok++
-		}
+	// 8 RCU / 4 partitions = 2 reads per partition per second.
+	if acc, rej := tb.ReadItemsUniform(t0, 20, 1); acc != 8 || rej != 12 {
+		t.Fatalf("accepted/throttled = %d/%d, want 8/12", acc, rej)
 	}
-	if ok != 2 { // 8 RCU / 4 partitions = 2 per second for one key
-		t.Fatalf("hot reads accepted = %d, want 2", ok)
+	// A saturated tick banks nothing; three quiet ones bank 3×2 per partition.
+	for i := 0; i < 4; i++ {
+		tb.Tick(time.Unix(int64(i), 0), time.Second)
+	}
+	if acc, rej := tb.ReadItemsUniform(t0, 40, 1); acc != 8+24 || rej != 8 {
+		t.Fatalf("accepted/throttled with burst = %d/%d, want 32/8", acc, rej)
+	}
+	// Cap: read burst never exceeds 300s of the partition slice.
+	for i := 0; i < 1000; i++ {
+		tb.Tick(time.Unix(int64(10+i), 0), time.Second)
+	}
+	for i := range tb.partitions {
+		if max := 2.0 * BurstSeconds; tb.partitions[i].readBurst > max+1e-9 {
+			t.Fatalf("partition %d read burst %v exceeds cap %v", i, tb.partitions[i].readBurst, max)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package metricstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/timeseries"
@@ -126,7 +127,7 @@ func (s *Store) EvaluateAlarms(now time.Time) []string {
 		names = append(names, n)
 	}
 	s.mu.RUnlock()
-	sortStrings(names)
+	slices.Sort(names)
 
 	var firing []string
 	for _, n := range names {
@@ -172,11 +173,3 @@ func (a *Alarm) State() AlarmState { return a.state }
 
 // Transitions reports how many state changes the alarm has undergone.
 func (a *Alarm) Transitions() int { return a.transitions }
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
-}

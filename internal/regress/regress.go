@@ -143,27 +143,4 @@ func CrossCorrelation(x, y []float64, lag int) float64 {
 	return CrossCorrelation(y, x, -lag)
 }
 
-// BestLag scans lags in [-maxLag, maxLag] and returns the lag with the
-// highest absolute cross-correlation, together with that correlation.
-// The dependency analyzer uses it to discover that ingestion-layer load
-// leads analytics-layer CPU.
-func BestLag(x, y []float64, maxLag int) (lag int, corr float64) {
-	best := math.Inf(-1)
-	for l := -maxLag; l <= maxLag; l++ {
-		c := CrossCorrelation(x, y, l)
-		if math.IsNaN(c) {
-			continue
-		}
-		if a := math.Abs(c); a > best {
-			best = a
-			lag = l
-			corr = c
-		}
-	}
-	if math.IsInf(best, -1) {
-		return 0, math.NaN()
-	}
-	return lag, corr
-}
-
 func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }

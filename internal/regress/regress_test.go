@@ -99,6 +99,56 @@ func TestPearsonMatchesFitR(t *testing.T) {
 	}
 }
 
+func TestPearsonPerfect(t *testing.T) {
+	x := []float64{1, 2, 3, 4, 5}
+	y := []float64{2, 4, 6, 8, 10}
+	if got := Pearson(x, y); !approx(got, 1, 1e-12) {
+		t.Fatalf("Pearson = %v, want 1", got)
+	}
+	neg := []float64{10, 8, 6, 4, 2}
+	if got := Pearson(x, neg); !approx(got, -1, 1e-12) {
+		t.Fatalf("Pearson = %v, want -1", got)
+	}
+}
+
+func TestPearsonDegenerate(t *testing.T) {
+	if !math.IsNaN(Pearson([]float64{1, 1, 1}, []float64{1, 2, 3})) {
+		t.Fatal("zero-variance correlation should be NaN")
+	}
+	if !math.IsNaN(Pearson([]float64{1}, []float64{2})) {
+		t.Fatal("single-point correlation should be NaN")
+	}
+	if !math.IsNaN(Pearson([]float64{1, 2, 3}, []float64{1, 2})) {
+		t.Fatal("length mismatch should be NaN")
+	}
+}
+
+// Property: correlation is symmetric and within [-1, 1].
+func TestPearsonBoundsProperty(t *testing.T) {
+	f := func(pairs []struct{ X, Y int16 }) bool {
+		if len(pairs) < 3 {
+			return true
+		}
+		xs := make([]float64, len(pairs))
+		ys := make([]float64, len(pairs))
+		for i, p := range pairs {
+			xs[i] = float64(p.X)
+			ys[i] = float64(p.Y)
+		}
+		r := Pearson(xs, ys)
+		if math.IsNaN(r) {
+			return true // degenerate variance
+		}
+		if r < -1-1e-9 || r > 1+1e-9 {
+			return false
+		}
+		return approx(r, Pearson(ys, xs), 1e-9)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCrossCorrelationFindsLag(t *testing.T) {
 	// y is x delayed by 3 samples.
 	n := 120
@@ -113,17 +163,19 @@ func TestCrossCorrelationFindsLag(t *testing.T) {
 			y[i] = x[i-3]
 		}
 	}
-	lag, corr := BestLag(x, y, 10)
-	if lag != 3 {
-		t.Fatalf("BestLag = %d (corr %v), want 3", lag, corr)
+	// The correlation peaks at lag 3 over [-10, 10]; with x delayed
+	// relative to y instead, it peaks at lag -3.
+	at3 := CrossCorrelation(x, y, 3)
+	if at3 < 0.9 {
+		t.Fatalf("corr at lag 3 = %v, want > 0.9", at3)
 	}
-	if corr < 0.9 {
-		t.Fatalf("corr at best lag = %v, want > 0.9", corr)
-	}
-	// Symmetric case: x delayed relative to y gives negative lag.
-	lag2, _ := BestLag(y, x, 10)
-	if lag2 != -3 {
-		t.Fatalf("reverse BestLag = %d, want -3", lag2)
+	for l := -10; l <= 10; l++ {
+		if c := CrossCorrelation(x, y, l); l != 3 && c >= at3 {
+			t.Fatalf("corr at lag %d = %v, not below lag 3's %v", l, c, at3)
+		}
+		if c := CrossCorrelation(y, x, l); l != -3 && c >= at3 {
+			t.Fatalf("reverse corr at lag %d = %v, not below lag -3's %v", l, c, at3)
+		}
 	}
 }
 
@@ -131,8 +183,11 @@ func TestCrossCorrelationEdges(t *testing.T) {
 	if !math.IsNaN(CrossCorrelation([]float64{1, 2}, []float64{1, 2}, 5)) {
 		t.Fatal("lag beyond series should be NaN")
 	}
-	if _, c := BestLag([]float64{1}, []float64{1}, 2); !math.IsNaN(c) {
-		t.Fatal("degenerate BestLag should be NaN")
+	if !math.IsNaN(CrossCorrelation([]float64{1, 2}, []float64{1, 2}, -5)) {
+		t.Fatal("negative lag beyond series should be NaN")
+	}
+	if !math.IsNaN(CrossCorrelation([]float64{1, 2, 3}, []float64{4, 4, 4}, 0)) {
+		t.Fatal("zero-variance overlap should be NaN")
 	}
 }
 
@@ -180,99 +235,5 @@ func TestFitDiagnosticsBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFitMultipleExact(t *testing.T) {
-	// y = 1 + 2·x1 − 3·x2.
-	X := [][]float64{
-		{1, 1}, {2, 1}, {3, 5}, {4, 2}, {0, 7}, {6, 1}, {2, 9},
-	}
-	y := make([]float64, len(X))
-	for i, row := range X {
-		y[i] = 1 + 2*row[0] - 3*row[1]
-	}
-	m, err := FitMultiple(X, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, -3}
-	for i, w := range want {
-		if !approx(m.Coefficients[i], w, 1e-9) {
-			t.Fatalf("coef[%d] = %v, want %v", i, m.Coefficients[i], w)
-		}
-	}
-	if !approx(m.R2, 1, 1e-9) {
-		t.Fatalf("R2 = %v, want 1", m.R2)
-	}
-	pred, err := m.Predict([]float64{10, 10})
-	if err != nil || !approx(pred, 1+20-30, 1e-9) {
-		t.Fatalf("Predict = %v err=%v, want -9", pred, err)
-	}
-	if _, err := m.Predict([]float64{1}); err == nil {
-		t.Fatal("wrong predictor count accepted")
-	}
-}
-
-func TestFitMultipleNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 300
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		X[i] = []float64{rng.Float64() * 10, rng.Float64() * 5}
-		y[i] = 2 + 0.5*X[i][0] + 1.5*X[i][1] + rng.NormFloat64()*0.1
-	}
-	m, err := FitMultiple(X, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(m.Coefficients[1], 0.5, 0.05) || !approx(m.Coefficients[2], 1.5, 0.05) {
-		t.Fatalf("coefs = %v", m.Coefficients)
-	}
-	if m.R2 < 0.98 {
-		t.Fatalf("R2 = %v", m.R2)
-	}
-}
-
-func TestFitMultipleErrors(t *testing.T) {
-	if _, err := FitMultiple(nil, nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := FitMultiple([][]float64{{1}, {2}}, []float64{1}); err == nil {
-		t.Fatal("row mismatch accepted")
-	}
-	if _, err := FitMultiple([][]float64{{1, 2}, {2, 3}, {3, 5}}, []float64{1, 2, 3}); err == nil {
-		t.Fatal("too few observations accepted")
-	}
-	// Collinear predictors: x2 = 2·x1.
-	X := [][]float64{{1, 2}, {2, 4}, {3, 6}, {4, 8}, {5, 10}}
-	if _, err := FitMultiple(X, []float64{1, 2, 3, 4, 5}); err == nil {
-		t.Fatal("collinear design accepted")
-	}
-	// Ragged matrix.
-	if _, err := FitMultiple([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
-		t.Fatal("ragged matrix accepted")
-	}
-}
-
-func TestFitMultipleMatchesSimpleFit(t *testing.T) {
-	x := []float64{1, 3, 4, 7, 9, 12}
-	y := []float64{2, 5, 9, 13, 18, 24}
-	simple, err := Fit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	X := make([][]float64, len(x))
-	for i, v := range x {
-		X[i] = []float64{v}
-	}
-	multi, err := FitMultiple(X, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(multi.Coefficients[0], simple.Intercept, 1e-9) ||
-		!approx(multi.Coefficients[1], simple.Slope, 1e-9) {
-		t.Fatalf("multiple %v vs simple (%v, %v)", multi.Coefficients, simple.Intercept, simple.Slope)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Aggregate (count-based) ingest. The per-record API (PutRecord/GetRecords)
+// Aggregate (count-based) ingest. The per-record API (PutRecord/DrainAll)
 // models Kinesis faithfully but costs O(records) per tick; experiment runs
 // push 10^8 records, which dominates the whole benchmark suite. The batch
 // API below carries the same per-shard accounting — record and byte budgets,

@@ -249,24 +249,6 @@ func (s *Stream) PutRecord(now time.Time, partitionKey string, data []byte) (uin
 	return s.nextSeq, nil
 }
 
-// GetRecords consumes up to max buffered records from the shard with the
-// given ID, in arrival order. It returns an error for unknown shards.
-func (s *Stream) GetRecords(shardID string, max int) ([]Record, error) {
-	for _, sh := range s.shards {
-		if sh.ID != shardID {
-			continue
-		}
-		n := len(sh.buffer)
-		if n > max {
-			n = max
-		}
-		out := sh.buffer[:n:n]
-		sh.buffer = sh.buffer[n:]
-		return out, nil
-	}
-	return nil, fmt.Errorf("stream: unknown shard %q", shardID)
-}
-
 // DrainAll consumes up to max records across all shards round-robin,
 // preserving per-shard order. It is the convenience the analytics layer's
 // spout uses.

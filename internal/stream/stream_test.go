@@ -78,29 +78,6 @@ func TestPutAndGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGetRecordsPerShard(t *testing.T) {
-	s := mustNew(t, 1, nil)
-	for i := 0; i < 5; i++ {
-		if _, err := s.PutRecord(t0, fmt.Sprintf("k%d", i), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	id := s.Shards()[0].ID
-	recs, err := s.GetRecords(id, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	if s.BacklogRecords() != 2 {
-		t.Fatalf("backlog = %d, want 2", s.BacklogRecords())
-	}
-	if _, err := s.GetRecords("no-such-shard", 1); err == nil {
-		t.Fatal("unknown shard did not error")
-	}
-}
-
 func TestThrottlingAtShardRecordLimit(t *testing.T) {
 	s := mustNew(t, 1, nil)
 	var throttled int

@@ -479,34 +479,9 @@ func (sc *AggScratch) sortBuf(n int) []float64 {
 	return sc.buf[:n]
 }
 
-// Correlation returns the Pearson correlation coefficient between x and y,
-// which must have equal length. It returns NaN when either input has zero
-// variance or fewer than two points.
-func Correlation(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("timeseries: correlation length mismatch %d vs %d", len(x), len(y)))
-	}
-	n := len(x)
-	if n < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // AlignedValues trims x and y to their overlapping time range, resamples both
 // onto period buckets with the mean aggregate, and returns equal-length value
-// slices ready for Correlation or regression. It returns nil slices when the
+// slices ready for correlation or regression. It returns nil slices when the
 // series do not overlap.
 func AlignedValues(x, y *Series, period time.Duration) (xs, ys []float64) {
 	if x.Len() == 0 || y.Len() == 0 {

@@ -10,7 +10,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -118,55 +117,4 @@ func (s Spike) Rate(elapsed time.Duration) float64 {
 		return r * s.Factor
 	}
 	return r
-}
-
-// Composite sums several patterns.
-type Composite []Pattern
-
-// Rate implements Pattern.
-func (c Composite) Rate(elapsed time.Duration) float64 {
-	var total float64
-	for _, p := range c {
-		total += p.Rate(elapsed)
-	}
-	return total
-}
-
-// Trace replays a recorded rate profile with the given resolution,
-// holding the last value beyond the end.
-type Trace struct {
-	Rates      []float64
-	Resolution time.Duration
-}
-
-// Rate implements Pattern.
-func (t Trace) Rate(elapsed time.Duration) float64 {
-	if len(t.Rates) == 0 || t.Resolution <= 0 {
-		return 0
-	}
-	i := int(elapsed / t.Resolution)
-	if i >= len(t.Rates) {
-		i = len(t.Rates) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return t.Rates[i]
-}
-
-// Validate sanity-checks a pattern over a horizon: rates must be finite
-// and non-negative at a sampling of instants.
-func Validate(p Pattern, horizon time.Duration) error {
-	if p == nil {
-		return fmt.Errorf("workload: nil pattern")
-	}
-	samples := 100
-	for i := 0; i <= samples; i++ {
-		at := time.Duration(float64(horizon) * float64(i) / float64(samples))
-		r := p.Rate(at)
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-			return fmt.Errorf("workload: pattern rate %v at %v is invalid", r, at)
-		}
-	}
-	return nil
 }

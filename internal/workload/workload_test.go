@@ -83,36 +83,6 @@ func TestSpike(t *testing.T) {
 	}
 }
 
-func TestCompositeAndTrace(t *testing.T) {
-	c := Composite{Constant(100), Constant(50)}
-	if got := c.Rate(0); got != 150 {
-		t.Fatalf("composite = %v", got)
-	}
-	tr := Trace{Rates: []float64{10, 20, 30}, Resolution: time.Minute}
-	if got := tr.Rate(90 * time.Second); got != 20 {
-		t.Fatalf("trace mid = %v", got)
-	}
-	if got := tr.Rate(time.Hour); got != 30 {
-		t.Fatalf("trace beyond end = %v", got)
-	}
-	if got := (Trace{}).Rate(0); got != 0 {
-		t.Fatalf("empty trace = %v", got)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := Validate(nil, time.Hour); err == nil {
-		t.Fatal("nil pattern accepted")
-	}
-	if err := Validate(Constant(100), time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	bad := Trace{Rates: []float64{math.NaN()}, Resolution: time.Minute}
-	if err := Validate(bad, time.Hour); err == nil {
-		t.Fatal("NaN pattern accepted")
-	}
-}
-
 // Property: every built-in pattern yields finite non-negative rates.
 func TestPatternNonNegativeProperty(t *testing.T) {
 	f := func(base, amp float64, minutes uint16) bool {
