@@ -15,6 +15,36 @@ import (
 	"repro/internal/flow"
 )
 
+// staticSpec is a Poisson flow with fixed allocations and no controllers.
+func staticSpec(t *testing.T) flow.Spec {
+	t.Helper()
+	spec, err := flow.NewBuilder("static").
+		WithWorkload(flow.WorkloadSpec{Pattern: "constant", Base: 4000, Poisson: true}).
+		WithIngestion(10, 10, 10, flow.ControllerSpec{Type: flow.ControllerNone}).
+		WithAnalytics(10, 10, 10, flow.ControllerSpec{Type: flow.ControllerNone}).
+		WithStorage(1000, 1000, 1000, flow.ControllerSpec{Type: flow.ControllerNone}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// overloadSpec offers twice its fixed ingestion capacity.
+func overloadSpec(t *testing.T) flow.Spec {
+	t.Helper()
+	spec, err := flow.NewBuilder("overload").
+		WithWorkload(flow.WorkloadSpec{Pattern: "constant", Base: 4000}).
+		WithIngestion(2, 2, 2, flow.ControllerSpec{Type: flow.ControllerNone}).
+		WithAnalytics(8, 8, 8, flow.ControllerSpec{Type: flow.ControllerNone}).
+		WithStorage(500, 500, 500, flow.ControllerSpec{Type: flow.ControllerNone}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 // runBoth materialises the same spec under both data paths and returns
 // (aggregate, perRecord) results.
 func runBoth(t *testing.T, spec flow.Spec, d time.Duration) (Result, Result) {
@@ -73,16 +103,7 @@ func TestAggregateMatchesPerRecordStatic(t *testing.T) {
 	}
 	// A static flow isolates the substrates from controller feedback: the
 	// utilisation means must line up tightly when nothing reacts.
-	spec, err := flow.NewBuilder("static").
-		WithWorkload(flow.WorkloadSpec{Pattern: "constant", Base: 4000, Poisson: true}).
-		WithIngestion(10, 10, 10, flow.ControllerSpec{Type: flow.ControllerNone}).
-		WithAnalytics(10, 10, 10, flow.ControllerSpec{Type: flow.ControllerNone}).
-		WithStorage(1000, 1000, 1000, flow.ControllerSpec{Type: flow.ControllerNone}).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggRes, perRes := runBoth(t, spec, 20*time.Minute)
+	aggRes, perRes := runBoth(t, staticSpec(t), 20*time.Minute)
 
 	for kind, perU := range perRes.MeanUtil {
 		aggU := aggRes.MeanUtil[kind]
@@ -102,16 +123,7 @@ func TestAggregateThrottlesLikePerRecord(t *testing.T) {
 	}
 	// Offered load at 2x the static ingestion capacity: both paths must
 	// throttle approximately half the records.
-	spec, err := flow.NewBuilder("overload").
-		WithWorkload(flow.WorkloadSpec{Pattern: "constant", Base: 4000}).
-		WithIngestion(2, 2, 2, flow.ControllerSpec{Type: flow.ControllerNone}).
-		WithAnalytics(8, 8, 8, flow.ControllerSpec{Type: flow.ControllerNone}).
-		WithStorage(500, 500, 500, flow.ControllerSpec{Type: flow.ControllerNone}).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggRes, perRes := runBoth(t, spec, 10*time.Minute)
+	aggRes, perRes := runBoth(t, overloadSpec(t), 10*time.Minute)
 
 	aggFrac := float64(aggRes.Rejected) / float64(aggRes.Offered)
 	perFrac := float64(perRes.Rejected) / float64(perRes.Offered)

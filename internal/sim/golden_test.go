@@ -87,19 +87,61 @@ func TestGoldenClickstreamRun(t *testing.T) {
 	if _, err := h.Run(6 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	got := runFingerprint(t, h)
+	checkGolden(t, golden, runFingerprint(t, h))
+}
+
+// checkGolden compares a run fingerprint with the hash committed at path,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != strings.TrimSpace(string(want)) {
-		t.Fatalf("decision log + metric columns after 6h hash to %s, golden is %s", got, strings.TrimSpace(string(want)))
+		t.Fatalf("decision log + metric columns hash to %s, %s holds %s", got, path, strings.TrimSpace(string(want)))
+	}
+}
+
+// TestGoldenPerRecordRuns pins the faithful per-record path's decision
+// logs and metric columns on the default flow and on the three
+// equivalence specs, so a change to how that path represents records is
+// checked bit for bit. Regenerate with -update only when a change is meant
+// to alter the per-record simulation's output.
+func TestGoldenPerRecordRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs per-record simulations")
+	}
+	def, err := flow.DefaultClickstream(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec flow.Spec
+		d    time.Duration
+	}{
+		{"default", def, time.Hour},
+		{"managed", managedSpec(t, 3000), 30 * time.Minute},
+		{"static", staticSpec(t), 20 * time.Minute},
+		{"overload", overloadSpec(t), 10 * time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := New(tc.spec, Options{Seed: 7, PerRecord: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Run(tc.d); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "testdata/perrecord_"+tc.name+".sha256", runFingerprint(t, h))
+		})
 	}
 }
 
