@@ -51,17 +51,14 @@ func BenchmarkStreamPutRecord(b *testing.B) {
 		b.Fatal(err)
 	}
 	now := time.Now()
-	payload := []byte("user-1,/page/2,https://example.com,flower-loadgen/1.0,1503878400")
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = "user-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-	}
+	const size = len("user-1,/page/2,https://example.com,flower-loadgen/1.0,1503878400")
+	users := stream.UniformUserPopulation(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.PutRecord(now, keys[i%len(keys)], payload)
+		st.PutRecord(users.Hash(i%users.Size()), size)
 		if i%1000 == 999 {
 			b.StopTimer()
-			st.DrainAll(1 << 20)
+			st.DrainCount(1 << 20)
 			st.Tick(now, time.Second)
 			b.StartTimer()
 		}
@@ -85,7 +82,7 @@ func BenchmarkGeneratorTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Tick(now, time.Second)
 		b.StopTimer()
-		st.DrainAll(1 << 20)
+		st.DrainCount(1 << 20)
 		st.Tick(now, time.Second)
 		b.StartTimer()
 	}

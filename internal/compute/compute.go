@@ -99,19 +99,10 @@ func (t Topology) OutputSelectivity() float64 {
 	return mult
 }
 
-// Source supplies input tuples each tick. *stream.Stream is adapted via
-// StreamSource.
+// Source supplies input tuples each tick. The analytics topology only
+// needs tuple counts: payloads never affect the CPU model. *stream.Stream
+// is adapted via StreamSource.
 type Source interface {
-	// Poll removes and returns up to max pending records.
-	Poll(max int) []stream.Record
-}
-
-// CountSource is an optional fast-path refinement of Source: the analytics
-// topology only needs tuple counts (payloads never affect the CPU model),
-// so a source that can report a drained count without materialising records
-// avoids the per-record cost entirely. Cluster.Tick prefers this interface
-// when the source implements it.
-type CountSource interface {
 	// PollCount removes up to max pending records and returns how many.
 	PollCount(max int) int
 }
@@ -119,11 +110,7 @@ type CountSource interface {
 // StreamSource adapts a stream.Stream into a Source.
 type StreamSource struct{ Stream *stream.Stream }
 
-// Poll drains up to max records from all shards.
-func (s StreamSource) Poll(max int) []stream.Record { return s.Stream.DrainAll(max) }
-
-// PollCount drains up to max backlog records (counted and materialised)
-// and returns the count, implementing CountSource.
+// PollCount drains up to max backlog records and returns the count.
 func (s StreamSource) PollCount(max int) int { return s.Stream.DrainCount(max) }
 
 // Sink receives the topology's output tuples. The storage layer adapts its
@@ -325,11 +312,7 @@ func (c *Cluster) Tick(now time.Time, step time.Duration) {
 	// Pull everything the source has; admission control is the queue cap.
 	pulled := 0
 	if c.source != nil {
-		if cs, ok := c.source.(CountSource); ok {
-			pulled = cs.PollCount(1 << 30)
-		} else {
-			pulled = len(c.source.Poll(1 << 30))
-		}
+		pulled = c.source.PollCount(1 << 30)
 		c.queue += pulled
 		c.capQueue()
 	}

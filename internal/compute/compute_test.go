@@ -207,7 +207,7 @@ func TestStreamSourceIntegration(t *testing.T) {
 	}
 	cl := mustCluster(t, cfg(), StreamSource{Stream: st}, nil, ms)
 	for i := 0; i < 600; i++ {
-		if _, err := st.PutRecord(t0, string(rune('a'+i%26))+"-key", []byte("x")); err != nil {
+		if err := st.PutRecord(uint64(i%26)<<59, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -240,10 +240,10 @@ func readUnits(size int) float64 {
 	return float64((size + ReadUnitBytes - 1) / ReadUnitBytes)
 }
 
-// PutItem writes an item, consuming WCU. When the tick budget plus burst
-// credit is exhausted the write is rejected with ErrThrottled.
-func (t *Table) PutItem(key string, value []byte) error {
-	units := writeUnits(len(value))
+// PutItem writes an item of size bytes, consuming WCU. When the tick budget
+// plus burst credit is exhausted the write is rejected with ErrThrottled.
+func (t *Table) PutItem(key string, size int) error {
+	units := writeUnits(size)
 	// With the hot-partition model, the key's partition slice must have
 	// room; the partition budgets sum to the table budget, so an accepted
 	// partition charge implies table-level feasibility up to burst skew.

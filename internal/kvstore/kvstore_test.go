@@ -36,7 +36,7 @@ func TestNewTableValidation(t *testing.T) {
 func TestPutItemOverwriteKeepsOneItem(t *testing.T) {
 	tb := mustTable(t, Config{Name: "agg", WCU: 100, RCU: 100}, nil)
 	for _, key := range []string{"page:/home", "page:/home", "page:/cart"} {
-		if err := tb.PutItem(key, []byte("42")); err != nil {
+		if err := tb.PutItem(key, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestWriteThrottlingWithoutBurst(t *testing.T) {
 	// No burst banked yet (no prior quiet ticks): 11th 1-unit write throttles.
 	var throttles int
 	for i := 0; i < 15; i++ {
-		if err := tb.PutItem(fmt.Sprintf("k%d", i), []byte("x")); err != nil {
+		if err := tb.PutItem(fmt.Sprintf("k%d", i), 1); err != nil {
 			if !errors.Is(err, ErrThrottled) {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -95,7 +95,7 @@ func TestBurstCreditAbsorbsSpike(t *testing.T) {
 	// Spike of 35 writes against budget 10: 25 served from burst, rest throttle.
 	var ok, throttled int
 	for i := 0; i < 40; i++ {
-		if err := tb.PutItem(fmt.Sprintf("s%d", i), []byte("x")); err != nil {
+		if err := tb.PutItem(fmt.Sprintf("s%d", i), 1); err != nil {
 			throttled++
 		} else {
 			ok++
@@ -154,7 +154,7 @@ func TestTickScalesBudgetWithStep(t *testing.T) {
 	tb.Tick(t0, time.Minute) // budget now 600 units/tick
 	var accepted int
 	for i := 0; i < 700; i++ {
-		if err := tb.PutItem(fmt.Sprintf("k%d", i), []byte("x")); err == nil {
+		if err := tb.PutItem(fmt.Sprintf("k%d", i), 1); err == nil {
 			accepted++
 		}
 	}
@@ -168,7 +168,7 @@ func TestMetricsPublished(t *testing.T) {
 	ms := metricstore.NewStore()
 	tb := mustTable(t, Config{Name: "agg", WCU: 20, RCU: 10}, ms)
 	for i := 0; i < 10; i++ {
-		tb.PutItem(fmt.Sprintf("k%d", i), []byte("x"))
+		tb.PutItem(fmt.Sprintf("k%d", i), 1)
 	}
 	tb.Tick(t0, time.Second)
 	d := map[string]string{"TableName": "agg"}
@@ -193,8 +193,8 @@ func TestMetricsPublished(t *testing.T) {
 func TestThrottleCountersResetEachTick(t *testing.T) {
 	ms := metricstore.NewStore()
 	tb := mustTable(t, Config{Name: "t", WCU: 1, RCU: 1}, ms)
-	tb.PutItem("a", []byte("x"))
-	tb.PutItem("b", []byte("x")) // throttled
+	tb.PutItem("a", 1)
+	tb.PutItem("b", 1) // throttled
 	tb.Tick(t0, time.Second)
 	d := map[string]string{"TableName": "t"}
 	th, _ := storeLatest(ms, Namespace, MetricThrottledWrites, d)

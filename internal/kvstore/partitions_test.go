@@ -37,7 +37,7 @@ func TestHotKeyThrottlesDespiteAggregateHeadroom(t *testing.T) {
 	tb := mustTable(t, Config{Name: "t", WCU: 40, RCU: 40, Partitions: 4}, nil)
 	var ok, throttled int
 	for i := 0; i < 40; i++ {
-		if err := tb.PutItem("hot-key", []byte("x")); err != nil {
+		if err := tb.PutItem("hot-key", 1); err != nil {
 			if !errors.Is(err, ErrThrottled) {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestSpreadKeysUseFullAggregate(t *testing.T) {
 	tb := mustTable(t, Config{Name: "t", WCU: 40, RCU: 40, Partitions: 4}, nil)
 	var ok int
 	for i := 0; i < 200; i++ {
-		if err := tb.PutItem(fmt.Sprintf("key-%d", i), []byte("x")); err == nil {
+		if err := tb.PutItem(fmt.Sprintf("key-%d", i), 1); err == nil {
 			ok++
 		}
 	}
@@ -77,7 +77,7 @@ func TestPartitionBurstBanksAndCaps(t *testing.T) {
 	}
 	var ok int
 	for i := 0; i < 60; i++ {
-		if err := tb.PutItem("hot-key", []byte("x")); err == nil {
+		if err := tb.PutItem("hot-key", 1); err == nil {
 			ok++
 		}
 	}

@@ -29,7 +29,7 @@ func TestWriteNeverExceedsBudgetPlusBurstProperty(t *testing.T) {
 			for n := 0; n < 40 && idx < len(sizesRaw); n++ {
 				size := int(sizesRaw[idx]%4096) + 1
 				idx++
-				_ = tb.PutItem(fmt.Sprintf("k-%d-%d", tick, n), make([]byte, size))
+				_ = tb.PutItem(fmt.Sprintf("k-%d-%d", tick, n), size)
 			}
 			if tb.TickWCUConsumed() > budget+burstBefore+1e-9 {
 				return false
@@ -71,9 +71,8 @@ func TestBatchMatchesPerItemProperty(t *testing.T) {
 
 		accB, rejB := batch.PutItemsUniform(propNow(), n, size)
 		accP := 0
-		payload := make([]byte, size)
 		for i := 0; i < n; i++ {
-			if err := perItem.PutItem(fmt.Sprintf("k-%d", i), payload); err == nil {
+			if err := perItem.PutItem(fmt.Sprintf("k-%d", i), size); err == nil {
 				accP++
 			}
 		}

@@ -20,58 +20,81 @@ import (
 
 var footprintSink *Harness
 
-// newFlow is one benchmark iteration: materialise the flow and, with
-// firstTick, advance it by one default step. The process-wide setup a first
-// flow pays once (the shared key population) is done before the timer
-// starts, so every iteration measures the marginal flow.
-func newFlow(b *testing.B, firstTick bool) {
+// marginalFlow materialises a flow of spec and, with firstTick, advances it
+// by one default step.
+func marginalFlow(spec flow.Spec, firstTick bool) error {
+	h, err := New(spec, Options{})
+	if err == nil && firstTick {
+		err = h.Advance(10 * time.Second)
+	}
+	footprintSink = h
+	return err
+}
+
+// warmSpec returns the default flow's spec after one flow has paid the
+// process-wide setup a first flow pays once (the shared key population), so
+// every later flow measures the marginal cost.
+func warmSpec(tb testing.TB) flow.Spec {
+	tb.Helper()
 	spec, err := flow.DefaultClickstream(3000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm, err := New(spec, Options{})
 	if err == nil {
-		err = warm.Advance(10 * time.Second)
+		err = marginalFlow(spec, true)
 	}
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return spec
+}
+
+func newFlow(b *testing.B, firstTick bool) {
+	spec := warmSpec(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, err := New(spec, Options{})
-		if err != nil {
+		if err := marginalFlow(spec, firstTick); err != nil {
 			b.Fatal(err)
 		}
-		if firstTick {
-			if err := h.Advance(10 * time.Second); err != nil {
-				b.Fatal(err)
-			}
-		}
-		footprintSink = h
 	}
 }
 
 func BenchmarkNew(b *testing.B)          { newFlow(b, false) }
 func BenchmarkNewFirstTick(b *testing.B) { newFlow(b, true) }
 
+// TestFlowFootprint counts allocations with testing.AllocsPerRun and bytes
+// as the runtime.MemStats.TotalAlloc delta over the same calls. Both are
+// counts, so no timed benchmark loop is needed.
 func TestFlowFootprint(t *testing.T) {
+	spec := warmSpec(t)
+	const runs = 20
 	for _, tc := range []struct {
 		name      string
-		bench     func(*testing.B)
-		maxBytes  int64
-		maxAllocs int64
+		firstTick bool
+		maxBytes  uint64
+		maxAllocs float64
 	}{
-		{"New", BenchmarkNew, 64 << 10, 500},
-		{"New+first tick", BenchmarkNewFirstTick, 100 << 10, 1000},
+		{"New", false, 64 << 10, 500},
+		{"New+first tick", true, 100 << 10, 1000},
 	} {
-		r := testing.Benchmark(tc.bench)
-		t.Logf("%s: %d B/op, %d allocs/op, %v/op", tc.name, r.AllocedBytesPerOp(), r.AllocsPerOp(), time.Duration(r.NsPerOp()))
-		if got := r.AllocedBytesPerOp(); got > tc.maxBytes {
-			t.Errorf("%s allocates %d B per flow, budget %d", tc.name, got, tc.maxBytes)
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if e := marginalFlow(spec, tc.firstTick); e != nil {
+				err = e
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := r.AllocsPerOp(); got > tc.maxAllocs {
-			t.Errorf("%s makes %d allocations per flow, budget %d", tc.name, got, tc.maxAllocs)
+		// AllocsPerRun makes one warm-up call before its measured runs.
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("%s: %d B, %.0f allocs per flow", tc.name, bytes, allocs)
+		if bytes > tc.maxBytes {
+			t.Errorf("%s allocates %d B per flow, budget %d", tc.name, bytes, tc.maxBytes)
+		}
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s makes %.0f allocations per flow, budget %.0f", tc.name, allocs, tc.maxAllocs)
 		}
 	}
 }
@@ -121,7 +144,7 @@ func TestFlowHistoryFootprint(t *testing.T) {
 
 // liveHeap returns the bytes of live heap objects after a full collection.
 // The second collection frees what the first only moved to sync.Pool's
-// victim cache, which TestFlowFootprint's benchmarks leave behind.
+// victim cache, which earlier tests can leave behind.
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()

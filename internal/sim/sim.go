@@ -44,12 +44,15 @@ type Options struct {
 	// reactive loops (experiment E8), with a horizon that covers the
 	// analytics layer's provision delay; see forecastHorizon.
 	Predictive bool
-	// PerRecord selects the faithful per-record data path (every click
-	// event synthesised, hashed and buffered individually). The default is
+	// PerRecord selects the faithful per-record data path: every click
+	// event draws its own user and page, is routed to a shard by its key
+	// hash and throttled against that shard's budget one record at a
+	// time, and every output tuple is a separate keyed table write. No
+	// payload is built; an event is its key hash and size. The default is
 	// the aggregate count-based path, which produces statistically
 	// identical metrics at O(shards) instead of O(records) per tick; see
-	// internal/randx and TestAggregateMatchesPerRecord. Use PerRecord when
-	// record payloads matter (e.g. inspecting stream contents).
+	// internal/randx and TestAggregateMatchesPerRecord. PerRecord is that
+	// path's oracle.
 	PerRecord bool
 }
 
@@ -232,11 +235,10 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 				table.PutItemsUniform(now, n, avgBytes)
 				return
 			}
-			payload := make([]byte, avgBytes)
 			for i := 0; i < n; i++ {
 				// Aggregated page counters keyed by item index; errors are
 				// throttles, which the table already counts.
-				_ = table.PutItem(fmt.Sprintf("agg-%d", i), payload)
+				_ = table.PutItem(fmt.Sprintf("agg-%d", i), avgBytes)
 			}
 		}),
 		h.Store)

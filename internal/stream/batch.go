@@ -2,22 +2,23 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// Aggregate (count-based) ingest. The per-record API (PutRecord/DrainAll)
-// models Kinesis faithfully but costs O(records) per tick; experiment runs
-// push 10^8 records, which dominates the whole benchmark suite. The batch
-// API below carries the same per-shard accounting — record and byte budgets,
-// throttle counts, utilisation metrics, backlog — while representing the
-// records themselves only as counts. Per-shard arrival counts are supplied
-// by the caller (the workload generator samples them multinomially from the
-// key-population weights, which is exactly the distribution the per-record
-// path induces; see internal/randx). Both paths can be mixed freely on one
-// stream: counted and materialised backlog are drained together.
+// Aggregate (count-based) ingest. PutRecord routes and throttles one
+// record at a time, which costs O(records) per tick; experiment runs push
+// 10^8 records, which dominates the whole benchmark suite. PutCounts below
+// carries the same per-shard accounting — record and byte budgets, throttle
+// counts, utilisation metrics, backlog — for a whole tick's per-shard
+// arrival counts. The caller supplies those counts (the workload generator
+// samples them multinomially from the key-population weights, which is
+// exactly the distribution the per-record path induces; see
+// internal/randx). Both paths share each shard's budgets and backlog, so
+// they can be mixed freely on one stream.
 
 // PutCounts offers counts[i] records of avgBytes each to shard i. Each
 // shard accepts records up to its per-tick record and byte budgets; the
@@ -53,8 +54,7 @@ func (s *Stream) PutCounts(now time.Time, counts []int, avgBytes int) (accepted,
 		}
 		sh.tickRecords += ok
 		sh.tickBytes += ok * avgBytes
-		sh.countBuffer += ok
-		s.nextSeq += uint64(ok)
+		sh.backlog += ok
 		accepted += ok
 		rej := n - ok
 		s.tickThrottled += rej
@@ -63,49 +63,33 @@ func (s *Stream) PutCounts(now time.Time, counts []int, avgBytes int) (accepted,
 	return accepted, throttled, nil
 }
 
-// DrainCount consumes up to max backlog records across all shards —
-// counted backlog first, then materialised records — returning only how
-// many were consumed. It is the consumption path for count-based pipelines
-// (the analytics layer's spout does not inspect record payloads).
+// DrainCount consumes up to max backlog records across all shards,
+// returning how many were consumed. It is the analytics layer's spout,
+// which needs only tuple counts.
 func (s *Stream) DrainCount(max int) int {
 	drained := 0
-	remaining := max
 	for _, sh := range s.shards {
-		if remaining <= 0 {
-			break
+		n := min(sh.backlog, max-drained)
+		if n <= 0 {
+			continue
 		}
-		if n := sh.countBuffer; n > 0 {
-			if n > remaining {
-				n = remaining
-			}
-			sh.countBuffer -= n
-			remaining -= n
-			drained += n
-		}
-		if remaining <= 0 {
-			break
-		}
-		if n := len(sh.buffer); n > 0 {
-			if n > remaining {
-				n = remaining
-			}
-			sh.buffer = sh.buffer[n:]
-			remaining -= n
-			drained += n
-		}
+		sh.backlog -= n
+		drained += n
 	}
 	return drained
 }
 
-// KeyPopulation is a precomputed set of partition-key hashes used to derive
-// per-shard arrival weights: with keys drawn uniformly from the population,
-// the probability a record lands on a shard equals the fraction of the
-// population hashing into that shard's range.
+// KeyPopulation is a precomputed set of partition-key hashes. The
+// per-record path reads key i's hash from it (Hash); the aggregate path
+// derives per-shard arrival weights from it: with keys drawn uniformly from
+// the population, the probability a record lands on a shard equals the
+// fraction of the population hashing into that shard's range.
 //
 // A KeyPopulation is immutable once built: no method writes to it, so one
 // instance may be shared by any number of streams and goroutines.
 type KeyPopulation struct {
-	hashes []uint64 // sorted
+	byKey  []uint64 // hash of keys[i]
+	sorted []uint64
 }
 
 // NewKeyPopulation hashes the given keys.
@@ -114,15 +98,16 @@ func NewKeyPopulation(keys []string) *KeyPopulation {
 	for i, k := range keys {
 		h[i] = hashKey(k)
 	}
-	sort.Slice(h, func(i, j int) bool { return h[i] < h[j] })
-	return &KeyPopulation{hashes: h}
+	sorted := slices.Clone(h)
+	slices.Sort(sorted)
+	return &KeyPopulation{byKey: h, sorted: sorted}
 }
 
 // uniformPops memoises UniformUserPopulation by size. The population is a
 // pure function of its size, and every flow of a fleet asks for the same
 // one on its first tick. Entries are never evicted: sizes come from code
 // (workload.GeneratorConfig.Users), not from request input, and one costs
-// 8 bytes per key.
+// 16 bytes per key.
 var uniformPops struct {
 	sync.Mutex
 	bySize map[int]*KeyPopulation
@@ -152,22 +137,26 @@ func UniformUserPopulation(n int) *KeyPopulation {
 }
 
 // Size reports the population size.
-func (p *KeyPopulation) Size() int { return len(p.hashes) }
+func (p *KeyPopulation) Size() int { return len(p.byKey) }
+
+// Hash returns the partition-key hash of the population's i-th key.
+func (p *KeyPopulation) Hash(i int) uint64 { return p.byKey[i] }
 
 // Weights returns, for each shard, the fraction of the population hashing
 // into its range. The weights sum to 1 when the population is non-empty
 // (shard ranges tile the hash space).
 func (p *KeyPopulation) Weights(shards []*Shard) []float64 {
 	w := make([]float64, len(shards))
-	if len(p.hashes) == 0 {
+	hs := p.sorted
+	if len(hs) == 0 {
 		return w
 	}
-	total := float64(len(p.hashes))
+	total := float64(len(hs))
 	for i, sh := range shards {
-		lo := sort.Search(len(p.hashes), func(j int) bool { return p.hashes[j] >= sh.HashStart })
-		hi := len(p.hashes)
+		lo := sort.Search(len(hs), func(j int) bool { return hs[j] >= sh.HashStart })
+		hi := len(hs)
 		if sh.HashEnd < ^uint64(0) {
-			hi = sort.Search(len(p.hashes), func(j int) bool { return p.hashes[j] > sh.HashEnd })
+			hi = sort.Search(len(hs), func(j int) bool { return hs[j] > sh.HashEnd })
 		}
 		w[i] = float64(hi-lo) / total
 	}

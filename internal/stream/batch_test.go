@@ -71,7 +71,7 @@ func TestPutCountsMixesWithPutRecord(t *testing.T) {
 	// 700 per-record then 700 counted: the second batch must see the
 	// shard's remaining budget (300), not a fresh one.
 	for i := 0; i < 700; i++ {
-		if _, err := s.PutRecord(now(), "k", []byte("x")); err != nil {
+		if err := put(s, "k", 1); err != nil {
 			t.Fatalf("record %d throttled unexpectedly: %v", i, err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestDrainCountDrainsBothKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := s.PutRecord(now(), "k", []byte("x")); err != nil {
+		if err := put(s, "k", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestReshardCarriesCountedBacklog(t *testing.T) {
 	// Even spread with remainder on the first shard.
 	counts := make([]int, 0, 5)
 	for _, sh := range s.Shards() {
-		counts = append(counts, sh.countBuffer)
+		counts = append(counts, sh.backlog)
 	}
 	sum := 0
 	for _, c := range counts {
@@ -204,15 +204,14 @@ func TestKeyPopulationWeightsMatchPerRecordRouting(t *testing.T) {
 	}
 	w := pop.Weights(s.Shards())
 
-	counts := make(map[string]int)
+	counts := make(map[*Shard]int)
 	rng := rand.New(rand.NewSource(1))
 	const draws = 200000
 	for i := 0; i < draws; i++ {
-		key := "user-" + itoa(rng.Intn(users))
-		counts[s.shardFor(key).ID]++
+		counts[s.shardFor(pop.Hash(rng.Intn(users)))]++
 	}
 	for i, sh := range s.Shards() {
-		frac := float64(counts[sh.ID]) / draws
+		frac := float64(counts[sh]) / draws
 		if math.Abs(frac-w[i]) > 0.01 {
 			t.Errorf("shard %d: empirical %.4f vs weight %.4f", i, frac, w[i])
 		}
@@ -270,6 +269,11 @@ func TestUniformUserPopulationSharedAndEqualToPrivate(t *testing.T) {
 	}
 	if got[0].Size() != users {
 		t.Fatalf("Size = %d, want %d", got[0].Size(), users)
+	}
+	for i, k := range keys {
+		if h, want := got[0].Hash(i), hashKey(k); h != want {
+			t.Fatalf("Hash(%d) = %x, want the hash of %q, %x", i, h, k, want)
+		}
 	}
 }
 

@@ -57,33 +57,22 @@ const (
 // ProvisionedThroughputExceededException.
 var ErrThroughputExceeded = errors.New("stream: provisioned throughput exceeded")
 
-// Record is one ingested datum.
-type Record struct {
-	SequenceNumber uint64
-	PartitionKey   string
-	Data           []byte
-	ArrivedAt      time.Time
-}
-
 // Shard is one unit of provisioned stream capacity covering a contiguous
-// range of the 64-bit hash space.
+// range of the 64-bit hash space. Records are represented by their count
+// and size only: no reader of the stream looks at a payload.
 type Shard struct {
-	ID        string
 	HashStart uint64 // inclusive
 	HashEnd   uint64 // inclusive
 
-	buffer      []Record // records awaiting consumption
-	countBuffer int      // counted (non-materialised) records awaiting consumption
-	tickRecords int      // accepted this tick
-	tickBytes   int      // accepted bytes this tick
+	backlog     int // accepted records awaiting consumption
+	tickRecords int // accepted this tick
+	tickBytes   int // accepted bytes this tick
 }
 
 // Stream is the simulated sharded stream.
 type Stream struct {
-	name     string
-	shards   []*Shard
-	nextSeq  uint64
-	shardSeq int // for shard ID generation
+	name   string
+	shards []*Shard
 
 	store *metricstore.Store
 	dims  map[string]string
@@ -137,35 +126,24 @@ func New(name string, shardCount int, store *metricstore.Store) (*Stream, error)
 		s.mOfferedUtil = store.MustHandle(Namespace, MetricOfferedUtilization, s.dims)
 		s.mBacklog = store.MustHandle(Namespace, MetricBacklogRecords, s.dims)
 	}
-	s.shards = s.makeShards(shardCount)
+	s.shards = makeShards(shardCount)
 	return s, nil
 }
 
 // makeShards splits the full 64-bit hash space into n near-equal contiguous
-// ranges and carries over any buffered records by re-routing them.
-func (s *Stream) makeShards(n int) []*Shard {
+// ranges.
+func makeShards(n int) []*Shard {
 	shards := make([]*Shard, n)
-	span := new(big64).full()
-	for i := 0; i < n; i++ {
-		lo, hi := span.slice(i, n)
-		s.shardSeq++
-		shards[i] = &Shard{
-			ID:        fmt.Sprintf("shard-%06d", s.shardSeq),
-			HashStart: lo,
-			HashEnd:   hi,
-		}
+	for i := range shards {
+		lo, hi := shardRange(i, n)
+		shards[i] = &Shard{HashStart: lo, HashEnd: hi}
 	}
 	return shards
 }
 
-// big64 helps split the uint64 space without overflow.
-type big64 struct{}
-
-func (big64) full() big64 { return big64{} }
-
-// slice returns the [lo, hi] range of the i-th of n equal partitions of the
-// uint64 space.
-func (big64) slice(i, n int) (lo, hi uint64) {
+// shardRange returns the [lo, hi] range of the i-th of n equal partitions
+// of the uint64 space.
+func shardRange(i, n int) (lo, hi uint64) {
 	// Use float-free integer arithmetic: width = 2^64 / n computed via
 	// (MaxUint64 / n) with remainder spread over the first shards.
 	w := math.MaxUint64 / uint64(n)
@@ -202,9 +180,8 @@ func hashKey(key string) uint64 {
 	return h.Sum64()
 }
 
-// shardFor locates the shard owning the key's hash.
-func (s *Stream) shardFor(key string) *Shard {
-	h := hashKey(key)
+// shardFor locates the shard owning a partition-key hash.
+func (s *Stream) shardFor(h uint64) *Shard {
 	// Shards are sorted by range; binary search.
 	lo, hi := 0, len(s.shards)-1
 	for lo <= hi {
@@ -223,67 +200,42 @@ func (s *Stream) shardFor(key string) *Shard {
 	return s.shards[len(s.shards)-1]
 }
 
-// PutRecord offers one record to the stream. On success the record is
-// buffered on its shard for consumption and its sequence number returned.
-// If the shard's write budget for the current tick is exhausted the record
-// is rejected with ErrThroughputExceeded and counted as throttled.
-func (s *Stream) PutRecord(now time.Time, partitionKey string, data []byte) (uint64, error) {
+// PutRecord offers one record of size bytes whose partition key hashes to
+// keyHash. On success the record joins its shard's backlog for
+// consumption. If the shard's write budget for the current tick is
+// exhausted the record is rejected with ErrThroughputExceeded and counted
+// as throttled.
+func (s *Stream) PutRecord(keyHash uint64, size int) error {
 	s.tickIncoming++
-	s.tickBytes += len(data)
-	sh := s.shardFor(partitionKey)
+	s.tickBytes += size
+	sh := s.shardFor(keyHash)
 	recBudget := int(MaxRecordsPerShardPerSecond * s.stepSeconds)
 	byteBudget := int(MaxBytesPerShardPerSecond * s.stepSeconds)
-	if sh.tickRecords >= recBudget || sh.tickBytes+len(data) > byteBudget {
+	if sh.tickRecords >= recBudget || sh.tickBytes+size > byteBudget {
 		s.tickThrottled++
-		return 0, fmt.Errorf("%w: shard %s", ErrThroughputExceeded, sh.ID)
+		return ErrThroughputExceeded
 	}
 	sh.tickRecords++
-	sh.tickBytes += len(data)
-	s.nextSeq++
-	sh.buffer = append(sh.buffer, Record{
-		SequenceNumber: s.nextSeq,
-		PartitionKey:   partitionKey,
-		Data:           data,
-		ArrivedAt:      now,
-	})
-	return s.nextSeq, nil
+	sh.tickBytes += size
+	sh.backlog++
+	return nil
 }
 
-// DrainAll consumes up to max records across all shards round-robin,
-// preserving per-shard order. It is the convenience the analytics layer's
-// spout uses.
-func (s *Stream) DrainAll(max int) []Record {
-	var out []Record
-	remaining := max
-	for _, sh := range s.shards {
-		if remaining <= 0 {
-			break
-		}
-		n := len(sh.buffer)
-		if n > remaining {
-			n = remaining
-		}
-		out = append(out, sh.buffer[:n]...)
-		sh.buffer = sh.buffer[n:]
-		remaining -= n
-	}
-	return out
-}
-
-// BacklogRecords reports the records buffered and not yet consumed,
-// including records ingested through the counted batch path.
+// BacklogRecords reports the records accepted and not yet consumed.
 func (s *Stream) BacklogRecords() int {
 	total := 0
 	for _, sh := range s.shards {
-		total += len(sh.buffer) + sh.countBuffer
+		total += sh.backlog
 	}
 	return total
 }
 
-// UpdateShardCount reshards the stream to n shards (split or merge). All
-// buffered records are re-routed onto the new shards by partition key, so
-// no data is lost. This is the actuator Flower's ingestion controller
-// calls ("increasing or decreasing number of Shards", §2).
+// UpdateShardCount reshards the stream to n shards (split or merge). The
+// backlog is spread evenly over the new shards, so no record is lost; only
+// its total is ever read (BacklogRecords, and DrainCount, which the
+// analytics layer calls with a limit above any backlog). This is the
+// actuator Flower's ingestion controller calls ("increasing or decreasing
+// number of Shards", §2).
 func (s *Stream) UpdateShardCount(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("stream: shard count must be positive, got %d", n)
@@ -291,26 +243,13 @@ func (s *Stream) UpdateShardCount(n int) error {
 	if n == len(s.shards) {
 		return nil
 	}
-	pending := make([]Record, 0, s.BacklogRecords())
-	counted := 0
-	for _, sh := range s.shards {
-		pending = append(pending, sh.buffer...)
-		counted += sh.countBuffer
-	}
-	s.shards = s.makeShards(n)
-	for _, r := range pending {
-		sh := s.shardFor(r.PartitionKey)
-		sh.buffer = append(sh.buffer, r)
-	}
-	// Counted backlog has no keys to re-route by; spread it evenly (the
-	// counted path's populations are near-uniform over the hash space).
-	if counted > 0 {
-		each, rem := counted/n, counted%n
-		for i, sh := range s.shards {
-			sh.countBuffer = each
-			if i < rem {
-				sh.countBuffer++
-			}
+	backlog := s.BacklogRecords()
+	s.shards = makeShards(n)
+	each, rem := backlog/n, backlog%n
+	for i, sh := range s.shards {
+		sh.backlog = each
+		if i < rem {
+			sh.backlog++
 		}
 	}
 	s.reshardEvents++

@@ -53,25 +53,21 @@ func TestShardRangesTileHashSpace(t *testing.T) {
 	}
 }
 
+// put offers one record keyed by key's hash.
+func put(s *Stream, key string, size int) error { return s.PutRecord(hashKey(key), size) }
+
 func TestPutAndGetRoundTrip(t *testing.T) {
 	s := mustNew(t, 2, nil)
-	seq1, err := s.PutRecord(t0, "user-1", []byte("click-a"))
-	if err != nil {
-		t.Fatal(err)
+	for _, size := range []int{7, 7} {
+		if err := put(s, "user-1", size); err != nil {
+			t.Fatal(err)
+		}
 	}
-	seq2, err := s.PutRecord(t0, "user-1", []byte("click-b"))
-	if err != nil {
-		t.Fatal(err)
+	if got := s.BacklogRecords(); got != 2 {
+		t.Fatalf("backlog = %d after two puts, want 2", got)
 	}
-	if seq2 <= seq1 {
-		t.Fatalf("sequence numbers not increasing: %d then %d", seq1, seq2)
-	}
-	recs := s.DrainAll(10)
-	if len(recs) != 2 {
-		t.Fatalf("drained %d records, want 2", len(recs))
-	}
-	if string(recs[0].Data) != "click-a" || string(recs[1].Data) != "click-b" {
-		t.Fatalf("record order/content wrong: %q %q", recs[0].Data, recs[1].Data)
+	if got := s.DrainCount(10); got != 2 {
+		t.Fatalf("drained %d records, want 2", got)
 	}
 	if s.BacklogRecords() != 0 {
 		t.Fatalf("backlog = %d after drain, want 0", s.BacklogRecords())
@@ -83,9 +79,8 @@ func TestThrottlingAtShardRecordLimit(t *testing.T) {
 	var throttled int
 	// Offer 1200 records in one 1s tick against a 1000 records/s shard.
 	for i := 0; i < 1200; i++ {
-		_, err := s.PutRecord(t0, fmt.Sprintf("k%d", i), []byte("x"))
-		if err != nil {
-			if !errors.Is(err, ErrThroughputExceeded) {
+		if err := put(s, fmt.Sprintf("k%d", i), 1); err != nil {
+			if err != ErrThroughputExceeded {
 				t.Fatalf("unexpected error type: %v", err)
 			}
 			throttled++
@@ -101,14 +96,14 @@ func TestThrottlingAtShardRecordLimit(t *testing.T) {
 
 func TestThrottlingAtShardByteLimit(t *testing.T) {
 	s := mustNew(t, 1, nil)
-	big := make([]byte, 512*1024) // 0.5 MiB
+	const big = 512 * 1024 // 0.5 MiB
 	for i := 0; i < 2; i++ {
-		if _, err := s.PutRecord(t0, fmt.Sprintf("k%d", i), big); err != nil {
+		if err := put(s, fmt.Sprintf("k%d", i), big); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 	// Third half-MiB record exceeds the 1 MiB/s shard byte budget.
-	if _, err := s.PutRecord(t0, "k2", big); !errors.Is(err, ErrThroughputExceeded) {
+	if err := put(s, "k2", big); !errors.Is(err, ErrThroughputExceeded) {
 		t.Fatalf("expected byte-limit throttle, got %v", err)
 	}
 }
@@ -116,17 +111,17 @@ func TestThrottlingAtShardByteLimit(t *testing.T) {
 func TestTickResetsBudgetsAndScalesWithStep(t *testing.T) {
 	s := mustNew(t, 1, nil)
 	for i := 0; i < 1000; i++ {
-		if _, err := s.PutRecord(t0, fmt.Sprintf("k%d", i), nil); err != nil {
+		if err := put(s, fmt.Sprintf("k%d", i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.PutRecord(t0, "overflow", nil); err == nil {
+	if err := put(s, "overflow", 0); err == nil {
 		t.Fatal("expected throttle at limit")
 	}
-	s.DrainAll(1 << 20)
+	s.DrainCount(1 << 20)
 	s.Tick(t0.Add(time.Minute), time.Minute) // budget now 60_000 records
 	for i := 0; i < 5000; i++ {
-		if _, err := s.PutRecord(t0.Add(time.Minute), fmt.Sprintf("m%d", i), nil); err != nil {
+		if err := put(s, fmt.Sprintf("m%d", i), 0); err != nil {
 			t.Fatalf("put after minute tick: %v", err)
 		}
 	}
@@ -134,11 +129,8 @@ func TestTickResetsBudgetsAndScalesWithStep(t *testing.T) {
 
 func TestUpdateShardCountPreservesRecords(t *testing.T) {
 	s := mustNew(t, 1, nil)
-	keys := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		keys[k] = true
-		if _, err := s.PutRecord(t0, k, []byte("d")); err != nil {
+		if err := put(s, fmt.Sprintf("key-%d", i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,18 +143,11 @@ func TestUpdateShardCountPreservesRecords(t *testing.T) {
 	if s.ReshardEvents() != 1 {
 		t.Fatalf("ReshardEvents = %d, want 1", s.ReshardEvents())
 	}
-	recs := s.DrainAll(1 << 20)
-	if len(recs) != 100 {
-		t.Fatalf("records after reshard = %d, want 100", len(recs))
+	if got := s.BacklogRecords(); got != 100 {
+		t.Fatalf("backlog after reshard = %d, want 100", got)
 	}
-	for _, r := range recs {
-		if !keys[r.PartitionKey] {
-			t.Fatalf("unexpected key %q after reshard", r.PartitionKey)
-		}
-		delete(keys, r.PartitionKey)
-	}
-	if len(keys) != 0 {
-		t.Fatalf("%d keys lost in reshard", len(keys))
+	if got := s.DrainCount(1 << 20); got != 100 {
+		t.Fatalf("records drained after reshard = %d, want 100", got)
 	}
 }
 
@@ -196,7 +181,7 @@ func TestMetricsPublishedOnTick(t *testing.T) {
 	ms := metricstore.NewStore()
 	s := mustNew(t, 2, ms)
 	for i := 0; i < 2500; i++ { // 2 shards * 1000/s: some throttling likely
-		s.PutRecord(t0, fmt.Sprintf("k%d", i), []byte("abcd"))
+		put(s, fmt.Sprintf("k%d", i), 4)
 	}
 	s.Tick(t0, time.Second)
 
@@ -236,8 +221,8 @@ func TestRoutingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sh := s.shardFor(key)
 		h := hashKey(key)
+		sh := s.shardFor(h)
 		return h >= sh.HashStart && h <= sh.HashEnd
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -256,14 +241,14 @@ func TestReshardConservationProperty(t *testing.T) {
 		}
 		put := 0
 		for _, k := range keysRaw {
-			if _, err := s.PutRecord(t0, fmt.Sprintf("k%d", k), nil); err == nil {
+			if err := s.PutRecord(uint64(k)<<48, 0); err == nil {
 				put++
 			}
 		}
 		if err := s.UpdateShardCount(to); err != nil {
 			return false
 		}
-		return len(s.DrainAll(1<<20)) == put
+		return s.BacklogRecords() == put && s.DrainCount(1<<20) == put && s.BacklogRecords() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -272,14 +257,13 @@ func TestReshardConservationProperty(t *testing.T) {
 
 func TestKeyDistributionIsBalanced(t *testing.T) {
 	s := mustNew(t, 4, nil)
-	counts := make(map[string]int)
+	counts := make(map[*Shard]int)
 	for i := 0; i < 40000; i++ {
-		sh := s.shardFor(fmt.Sprintf("user-%d", i))
-		counts[sh.ID]++
+		counts[s.shardFor(hashKey(fmt.Sprintf("user-%d", i)))]++
 	}
-	for id, c := range counts {
-		if c < 8000 || c > 12000 { // within ±20% of the 10000 ideal
-			t.Fatalf("shard %s received %d of 40000 keys; distribution too skewed", id, c)
+	for i, sh := range s.Shards() {
+		if c := counts[sh]; c < 8000 || c > 12000 { // within ±20% of the 10000 ideal
+			t.Fatalf("shard %d received %d of 40000 keys; distribution too skewed", i, c)
 		}
 	}
 }
@@ -289,7 +273,7 @@ func TestMaxShardUtilizationDetectsHotShard(t *testing.T) {
 	s := mustNew(t, 4, ms)
 	// Hammer one key: one shard takes all 500 records, the rest idle.
 	for i := 0; i < 500; i++ {
-		if _, err := s.PutRecord(t0, "hot-user", []byte("x")); err != nil {
+		if err := put(s, "hot-user", 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"repro/internal/metricstore"
@@ -22,31 +21,33 @@ const (
 	MetricRejected       = "RejectedRecords"
 )
 
-// ClickEvent is one synthetic click-stream record.
-type ClickEvent struct {
-	UserID    string
-	Page      string
-	Referrer  string
-	UserAgent string
-	At        time.Time
+// A click event's wire form is the CSV line
+// "user-<user>,/page/<page>,https://example.com,flower-loadgen/1.0,<unix>",
+// partitioned by its user key. Nothing downstream reads an event but that
+// key's hash and the line's length, so the generator computes both from the
+// event's draws and never builds the line. fixedEventBytes is the line's
+// length minus its three decimal numbers.
+const fixedEventBytes = len("user-,/page/,https://example.com,flower-loadgen/1.0,")
+
+// eventBytes returns the length of the wire form of user's click on page at
+// unix second unix.
+func eventBytes(user int, page uint64, unix int64) int {
+	n := fixedEventBytes + decimalLen(uint64(user)) + decimalLen(page)
+	u := uint64(unix)
+	if unix < 0 {
+		n++ // the sign
+		u = -u
+	}
+	return n + decimalLen(u)
 }
 
-// Encode renders the event as a compact wire representation (CSV-ish); the
-// simulated pipeline only cares about its size and partition key, so the
-// encoding avoids fmt and time formatting — experiments push tens of
-// millions of events through this path.
-func (e ClickEvent) Encode() []byte {
-	b := make([]byte, 0, len(e.UserID)+len(e.Page)+len(e.Referrer)+len(e.UserAgent)+16)
-	b = append(b, e.UserID...)
-	b = append(b, ',')
-	b = append(b, e.Page...)
-	b = append(b, ',')
-	b = append(b, e.Referrer...)
-	b = append(b, ',')
-	b = append(b, e.UserAgent...)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, e.At.Unix(), 10)
-	return b
+// decimalLen returns the number of decimal digits in v.
+func decimalLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // GeneratorConfig parameterises a Generator.
@@ -76,10 +77,10 @@ type GeneratorConfig struct {
 	Aggregate bool
 }
 
-// Generator produces click events each tick and offers them to a stream.
-// User IDs are uniform over the population (a website has many independent
-// visitors, so partition keys spread evenly over shards); pages follow a
-// Zipf distribution (a few pages get most of the traffic).
+// Generator offers each tick's click events to a stream and counts what the
+// stream accepts. User IDs are uniform over the population (a website has
+// many independent visitors, so partition keys spread evenly over shards);
+// pages follow a Zipf distribution (a few pages get most of the traffic).
 type Generator struct {
 	cfg      GeneratorConfig
 	rng      *rand.Rand
@@ -98,16 +99,17 @@ type Generator struct {
 	offered  int64
 	rejected int64
 
-	// Aggregate-path state: the user-key population and its per-shard
-	// weights, recomputed when the destination reshards.
+	// The user-key population: the per-record path reads user i's key
+	// hash from it, the aggregate path its per-shard weights, recomputed
+	// when the destination reshards.
 	pop        *stream.KeyPopulation
 	weights    []float64
 	weightsGen int // dest.ReshardEvents() the weights were computed at
-	eventBytes int // average encoded event size for byte accounting
+	eventBytes int // aggregate path: one event's size, for byte accounting
 }
 
-// NewGenerator builds a generator writing into dest (which may be nil; use
-// Events to pull events manually).
+// NewGenerator builds a generator writing into dest. dest may be nil: Tick
+// then draws and counts each tick's events without offering them.
 func NewGenerator(cfg GeneratorConfig, dest *stream.Stream, ms *metricstore.Store) (*Generator, error) {
 	if cfg.Pattern == nil {
 		return nil, fmt.Errorf("workload: pattern is required")
@@ -177,63 +179,52 @@ func poisson(rng *rand.Rand, mean float64) int {
 	}
 }
 
-// Event synthesises one click event at the given instant.
-func (g *Generator) Event(now time.Time) ClickEvent {
-	return ClickEvent{
-		UserID:    "user-" + strconv.Itoa(g.rng.Intn(g.cfg.Users)),
-		Page:      "/page/" + strconv.FormatUint(g.pageZipf.Uint64(), 10),
-		Referrer:  "https://example.com",
-		UserAgent: "flower-loadgen/1.0",
-		At:        now,
-	}
+// arrivals returns the number of events in the tick ending at now.
+func (g *Generator) arrivals(now time.Time, step time.Duration) int {
+	return g.count(g.cfg.Pattern.Rate(now.Sub(g.cfg.Start)) * step.Seconds())
 }
 
-// Events returns the batch of events for a tick ending at now with the
-// given step, without offering them anywhere.
-func (g *Generator) Events(now time.Time, step time.Duration) []ClickEvent {
-	elapsed := now.Sub(g.cfg.Start)
-	mean := g.cfg.Pattern.Rate(elapsed) * step.Seconds()
-	n := g.count(mean)
-	out := make([]ClickEvent, n)
-	for i := range out {
-		out[i] = g.Event(now)
-	}
-	return out
+// draw takes one event's user and page from the generator's randomness, in
+// that order, and returns the user and the size of the event at now.
+func (g *Generator) draw(now time.Time) (user, size int) {
+	user = g.rng.Intn(g.cfg.Users)
+	page := g.pageZipf.Uint64()
+	return user, eventBytes(user, page, now.Unix())
 }
 
 // Tick generates this step's events and offers them to the destination
 // stream, recording offered/rejected metrics. Events are partitioned by
 // user ID, as the reference click-stream architecture does. In Aggregate
 // mode the tick's count is offered through the stream's batch API with the
-// same shard distribution, without materialising events.
+// same shard distribution, drawing nothing per event.
 func (g *Generator) Tick(now time.Time, step time.Duration) {
 	if g.cfg.Aggregate && g.dest != nil {
 		g.tickAggregate(now, step)
 		return
 	}
-	events := g.Events(now, step)
+	if g.pop == nil {
+		g.pop = stream.UniformUserPopulation(g.cfg.Users)
+	}
+	n := g.arrivals(now, step)
 	rejected := 0
-	if g.dest != nil {
-		for _, e := range events {
-			if _, err := g.dest.PutRecord(now, e.UserID, e.Encode()); err != nil {
-				rejected++
-			}
+	for i := 0; i < n; i++ {
+		user, size := g.draw(now)
+		if g.dest != nil && g.dest.PutRecord(g.pop.Hash(user), size) != nil {
+			rejected++
 		}
 	}
-	g.offered += int64(len(events))
+	g.offered += int64(n)
 	g.rejected += int64(rejected)
-	g.publishTick(now, len(events), rejected)
+	g.publishTick(now, n, rejected)
 }
 
 // tickAggregate is the count-based fast path of Tick.
 func (g *Generator) tickAggregate(now time.Time, step time.Duration) {
-	elapsed := now.Sub(g.cfg.Start)
-	mean := g.cfg.Pattern.Rate(elapsed) * step.Seconds()
-	n := g.count(mean)
+	n := g.arrivals(now, step)
 
 	if g.pop == nil {
 		g.pop = stream.UniformUserPopulation(g.cfg.Users)
-		g.eventBytes = len(g.Event(now).Encode())
+		_, g.eventBytes = g.draw(now)
 	}
 	if gen := g.dest.ReshardEvents(); g.weights == nil || gen != g.weightsGen {
 		g.weights = g.pop.Weights(g.dest.Shards())

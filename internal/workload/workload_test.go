@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -117,18 +118,20 @@ func TestGeneratorDeterministicMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := g.Events(t0.Add(time.Second), time.Second)
-	if len(ev) != 100 {
-		t.Fatalf("deterministic mode produced %d events, want 100", len(ev))
-	}
-	for _, e := range ev {
-		if e.UserID == "" || e.Page == "" {
-			t.Fatalf("event missing fields: %+v", e)
-		}
-		if len(e.Encode()) == 0 {
-			t.Fatal("empty encoding")
+	for i := 1; i <= 3; i++ {
+		g.Tick(t0.Add(time.Duration(i)*time.Second), time.Second)
+		if got := g.Offered(); got != int64(100*i) {
+			t.Fatalf("deterministic mode offered %d events after %d ticks, want %d", got, i, 100*i)
 		}
 	}
+}
+
+// tickCount runs one 1 s tick ending i seconds after t0 and returns how
+// many events it offered.
+func tickCount(g *Generator, i int) int {
+	before := g.Offered()
+	g.Tick(t0.Add(time.Duration(i)*time.Second), time.Second)
+	return int(g.Offered() - before)
 }
 
 func TestGeneratorPoissonMeanConverges(t *testing.T) {
@@ -141,7 +144,7 @@ func TestGeneratorPoissonMeanConverges(t *testing.T) {
 	total := 0
 	ticks := 400
 	for i := 0; i < ticks; i++ {
-		total += len(g.Events(t0.Add(time.Duration(i)*time.Second), time.Second))
+		total += tickCount(g, i)
 	}
 	mean := float64(total) / float64(ticks)
 	if mean < 45 || mean > 55 {
@@ -158,7 +161,7 @@ func TestGeneratorLargeMeanNormalApprox(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < 50; i++ {
-		total += len(g.Events(t0.Add(time.Duration(i)*time.Second), time.Second))
+		total += tickCount(g, i)
 	}
 	mean := float64(total) / 50
 	if mean < 4800 || mean > 5200 {
@@ -171,7 +174,7 @@ func TestGeneratorSeedReproducibility(t *testing.T) {
 		g, _ := NewGenerator(GeneratorConfig{Pattern: Constant(80), Poisson: true, Start: t0, Seed: 99}, nil, nil)
 		var counts []int
 		for i := 0; i < 20; i++ {
-			counts = append(counts, len(g.Events(t0.Add(time.Duration(i)*time.Second), time.Second)))
+			counts = append(counts, tickCount(g, i))
 		}
 		return counts
 	}
@@ -235,9 +238,9 @@ func TestZipfSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make(map[string]int)
+	counts := make(map[uint64]int)
 	for i := 0; i < 5000; i++ {
-		counts[g.Event(t0).Page]++
+		counts[g.pageZipf.Uint64()]++
 	}
 	// Zipf: the single hottest page should dwarf the average page.
 	maxC := 0
@@ -333,4 +336,42 @@ func TestQueryGeneratorPoissonDeterministicPerSeed(t *testing.T) {
 	if a == 20*500 {
 		t.Error("Poisson counts exactly equal the deterministic mean; sampler suspect")
 	}
+}
+
+// encodeEvent builds an event's wire form the way the click-stream
+// generator once materialised it, as the oracle for eventBytes.
+func encodeEvent(user int, page uint64, unix int64) []byte {
+	b := []byte("user-" + strconv.Itoa(user))
+	b = append(b, ',')
+	b = append(b, "/page/"+strconv.FormatUint(page, 10)...)
+	b = append(b, ',')
+	b = append(b, "https://example.com"...)
+	b = append(b, ',')
+	b = append(b, "flower-loadgen/1.0"...)
+	b = append(b, ',')
+	return strconv.AppendInt(b, unix, 10)
+}
+
+// FuzzEventBytes checks the size the generator computes for an event
+// against the length of its encoded line, for any user, page and second.
+func FuzzEventBytes(f *testing.F) {
+	// Digit-count boundaries: 9/10, 99/100, … up to 10^19.
+	for k, p := 0, uint64(10); k < 19; k, p = k+1, p*10 {
+		for _, v := range []uint64{p - 1, p} {
+			n := int64(min(v, math.MaxInt64))
+			f.Add(n, v, n)
+		}
+	}
+	f.Add(int64(0), uint64(0), int64(0))
+	f.Add(int64(math.MaxInt64), uint64(math.MaxUint64), int64(1503878400))
+	f.Add(int64(1), uint64(2), int64(-1))
+	f.Add(int64(1), uint64(2), int64(math.MinInt64))
+	f.Fuzz(func(t *testing.T, user int64, page uint64, unix int64) {
+		if user < 0 || user > math.MaxInt {
+			t.Skip()
+		}
+		if got, want := eventBytes(int(user), page, unix), len(encodeEvent(int(user), page, unix)); got != want {
+			t.Fatalf("eventBytes(%d, %d, %d) = %d, encoded line has %d bytes", user, page, unix, got, want)
+		}
+	})
 }
