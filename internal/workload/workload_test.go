@@ -338,8 +338,8 @@ func TestQueryGeneratorPoissonDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// encodeEvent builds an event's wire form the way the click-stream
-// generator once materialised it, as the oracle for eventBytes.
+// encodeEvent builds an event's wire form, the CSV line eventBytes
+// measures without building; it is that function's oracle.
 func encodeEvent(user int, page uint64, unix int64) []byte {
 	b := []byte("user-" + strconv.Itoa(user))
 	b = append(b, ',')
