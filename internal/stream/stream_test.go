@@ -230,7 +230,7 @@ func TestRoutingProperty(t *testing.T) {
 	}
 }
 
-// Property: resharding never loses or duplicates buffered records.
+// Property: resharding never loses or duplicates backlogged records.
 func TestReshardConservationProperty(t *testing.T) {
 	f := func(keysRaw []uint16, fromRaw, toRaw uint8) bool {
 		from := int(fromRaw%8) + 1
