@@ -11,7 +11,7 @@
 //	        [-csv out.csv] [-window 30m]
 //	flowerd -http :8080 [-pace 60] [-spec a.json -spec b.json] [-flows 4]
 //	        [-sched-shards 8] [-data-dir dir] [-resume-experiments]
-//	        [-selfscrape 1s] [-pprof]
+//	        [-pprof]
 //
 // With -http, flowerd serves the multi-flow v1 control plane
 // (internal/httpapi): the /v1/flows collection, per-flow status, controller
@@ -94,7 +94,6 @@ func main() {
 	replicas := flag.Int("flows", 1, "with -http and no -spec: serve this many independently-seeded replicas of the built-in flow")
 	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler, one worker each: the whole server's execution capacity (0: GOMAXPROCS, max 64)")
 	pprofOn := flag.Bool("pprof", false, "with -http: expose net/http/pprof under /debug/pprof/ on the same listener")
-	selfScrape := flag.Duration("selfscrape", 0, "with -http: ingest flowerd's own telemetry into the reserved "+httpapi.SelfScrapeFlow+" flow every interval (0 = off)")
 	dataDir := flag.String("data-dir", "", "with -http: durable control-plane directory (write-ahead log + checkpoint); flows, pacers and experiments survive restarts")
 	resumeExperiments := flag.Bool("resume-experiments", false, "with -data-dir: resubmit experiments interrupted by a crash instead of leaving them marked \"interrupted\"")
 	flag.Parse()
@@ -115,8 +114,7 @@ func main() {
 		os.Exit(serveHTTP(*httpAddr, serveConfig{
 			specPaths: specPaths, loadSpec: loadSpec,
 			peak: *peak, step: *step, seed: *seed, pace: *pace,
-			replicas: *replicas, schedShards: *schedShards,
-			pprof: *pprofOn, selfScrape: *selfScrape,
+			replicas: *replicas, schedShards: *schedShards, pprof: *pprofOn,
 			dataDir: *dataDir, resumeExperiments: *resumeExperiments,
 		}))
 	}
@@ -192,7 +190,6 @@ type serveConfig struct {
 	replicas          int
 	schedShards       int
 	pprof             bool
-	selfScrape        time.Duration
 	dataDir           string
 	resumeExperiments bool
 }
@@ -323,9 +320,6 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	if cfg.pprof {
 		srvOpts = append(srvOpts, httpapi.WithPprof())
 	}
-	if cfg.selfScrape > 0 {
-		srvOpts = append(srvOpts, httpapi.WithSelfScrape(cfg.selfScrape))
-	}
 	srv := httpapi.NewServer(reg, srvOpts...)
 
 	fmt.Printf("flower: serving %d flows on %s (pace %.0f sim-s per wall-s)\n", reg.Len(), addr, cfg.pace)
@@ -336,9 +330,6 @@ func serveHTTP(addr string, cfg serveConfig) int {
 		addr, addr, addr, plane.Shards(), addr, addr)
 	if cfg.pprof {
 		fmt.Printf("  pprof:       http://%s/debug/pprof/\n", addr)
-	}
-	if cfg.selfScrape > 0 {
-		fmt.Printf("  self-scrape: every %v into flow %q\n", cfg.selfScrape, httpapi.SelfScrapeFlow)
 	}
 	if clog != nil {
 		fmt.Printf("  durability:  WAL + checkpoint in %s (seq %d)\n", cfg.dataDir, clog.Seq())
@@ -369,10 +360,6 @@ func serveHTTP(addr string, cfg serveConfig) int {
 		httpSrv.Close() // long-lived watch streams: cut them
 	}
 	fmt.Println("flower: http drained")
-	// The final self-scrape runs after the drain so its snapshot counts
-	// every served request, and before the registry closes so the reserved
-	// flow's store is still writable.
-	srv.Close()
 	// Checkpoint the final state while mutations are quiesced but pacers
 	// and experiments are still live: a graceful restart then replays
 	// paced flows as paced. The engine's finish records land in the WAL

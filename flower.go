@@ -178,12 +178,12 @@
 // scheduler fire → controller decision → metric append → event publish →
 // SSE delivery, with per-stage durations — at GET /v1/telemetry/trace.
 // Every response carries an X-Request-ID; SSE heartbeats carry bus-wide
-// publish/drop totals. flowerd's -pprof flag mounts net/http/pprof, and
-// -selfscrape feeds the daemon's own snapshots into its metric store as
-// the reserved flow "plane.self" (namespace Flower/Telemetry), so
-// forecasting and the batch query plane can watch the plane itself. The
-// SDK exposes client.Telemetry and client.TelemetryTrace; `flowctl top`
-// renders the live terminal view. See API.md ("Telemetry").
+// publish/drop totals. GET /v1/telemetry is the one read path for the
+// daemon's own metrics: no flow's metric store carries them, so no
+// reserved flow sits in the registry or its write-ahead log. flowerd's
+// -pprof flag mounts net/http/pprof. The SDK exposes client.Telemetry
+// and client.TelemetryTrace; `flowctl top` renders the live terminal
+// view. See API.md ("Telemetry").
 //
 // # Durability
 //

@@ -21,7 +21,7 @@ func SinceNanos(start time.Time) int64 {
 }
 
 // Ticker schedules on the wall clock — also the telemetry plane's
-// prerogative (self-scrape intervals are real seconds).
+// prerogative (its intervals are real seconds).
 func Ticker(d time.Duration) *time.Ticker {
 	return time.NewTicker(d)
 }

@@ -39,7 +39,6 @@ import (
 	apiv1 "repro/api/v1"
 	"repro/internal/lab"
 	"repro/internal/registry"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -55,9 +54,7 @@ type Server struct {
 
 	watchHeartbeat time.Duration // watch stream keep-alive interval (0: default)
 
-	pprof           bool          // expose net/http/pprof under /debug/pprof/
-	selfScrapeEvery time.Duration // WithSelfScrape interval (0: off)
-	selfScrape      *sched.Ticket // live self-scrape job, nil when off
+	pprof bool // expose net/http/pprof under /debug/pprof/
 }
 
 // Option configures a Server.
@@ -94,14 +91,6 @@ func WithPprof() Option {
 	return func(s *Server) { s.pprof = true }
 }
 
-// WithSelfScrape starts the self-scrape mode: every interval, the plane's
-// own telemetry snapshot is ingested into the reserved SelfScrapeFlow's
-// metric store (flowerd -selfscrape). Failure to start is logged, not
-// fatal — the plane runs without self-scrape rather than not at all.
-func WithSelfScrape(interval time.Duration) Option {
-	return func(s *Server) { s.selfScrapeEvery = interval }
-}
-
 // NewServer wraps a registry.
 func NewServer(reg *registry.Registry, opts ...Option) *Server {
 	s := &Server{reg: reg, mux: http.NewServeMux()}
@@ -116,20 +105,12 @@ func NewServer(reg *registry.Registry, opts ...Option) *Server {
 	}
 	s.routes()
 	s.h = s.withMiddleware(s.mux)
-	if s.selfScrapeEvery > 0 {
-		if err := s.StartSelfScrape(s.selfScrapeEvery); err != nil && s.logger != nil {
-			s.logger.Printf("self-scrape disabled: %v", err)
-		}
-	}
 	return s
 }
 
-// Close releases server-held resources that outlive individual requests:
-// the self-scrape job, if running. The server itself remains usable for
-// in-flight requests, so Close can run while the HTTP listener drains.
-func (s *Server) Close() {
-	s.StopSelfScrape()
-}
+// Close is a no-op: the server holds nothing that outlives a request.
+// It is kept because cmd/e2ebench still calls it.
+func (s *Server) Close() {}
 
 // Registry returns the registry the server fronts.
 func (s *Server) Registry() *registry.Registry { return s.reg }

@@ -1,19 +1,12 @@
 package httpapi
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	apiv1 "repro/api/v1"
-	"repro/internal/core"
-	"repro/internal/flow"
-	"repro/internal/metricstore"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -158,71 +151,4 @@ func (s *Server) handleTelemetryTrace(w http.ResponseWriter, r *http.Request) {
 		out.Traces = append(out.Traces, wt)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// --- self-scrape ---
-
-// SelfScrapeFlow is the reserved flow id the self-scrape mode publishes
-// flowerd's own telemetry into. The flow is created by the server, never
-// advanced or paced, and its metric store carries the plane's self-metrics
-// under metricstore.SelfScrapeNamespace — so the forecasting and
-// regression machinery can watch the control plane exactly the way it
-// watches any workload. Do not create or delete a flow with this id.
-const SelfScrapeFlow = "plane.self"
-
-// StartSelfScrape creates the reserved flow and registers the periodic
-// scrape job on the registry's scheduler — the self-scrape is itself a
-// citizen of the execution plane it observes. Idempotent: a second call
-// while a scrape is active is a no-op.
-func (s *Server) StartSelfScrape(interval time.Duration) error {
-	if s.selfScrape != nil {
-		return nil
-	}
-	if _, ok := s.reg.Get(SelfScrapeFlow); !ok {
-		spec, err := flow.DefaultClickstream(2000)
-		if err != nil {
-			return fmt.Errorf("self-scrape: build reserved flow spec: %v", err)
-		}
-		spec.Name = SelfScrapeFlow
-		if _, err := s.reg.Create(SelfScrapeFlow, spec, sim.Options{}); err != nil {
-			return fmt.Errorf("self-scrape: create reserved flow: %v", err)
-		}
-	}
-	ticket, err := s.reg.Scheduler().Periodic("telemetry/self-scrape", sched.ClassFlow, interval,
-		func(n int) error { s.scrapeOnce(); return nil }, nil)
-	if err != nil {
-		return fmt.Errorf("self-scrape: schedule: %v", err)
-	}
-	s.selfScrape = ticket
-	return nil
-}
-
-// scrapeOnce ingests one telemetry snapshot into the reserved flow's
-// metric store.
-func (s *Server) scrapeOnce() {
-	f, ok := s.reg.Get(SelfScrapeFlow)
-	if !ok {
-		return // reserved flow deleted out from under us; skip, don't crash
-	}
-	snap := telemetry.Default().Snapshot()
-	f.View(func(m *core.Manager) {
-		if err := metricstore.IngestSnapshot(m.Store(), snap); err != nil && s.logger != nil {
-			s.logger.Printf("self-scrape: %v", err)
-		}
-	})
-}
-
-// StopSelfScrape halts the periodic scrape and takes one final snapshot,
-// so the last ingested datapoints include everything counted up to the
-// moment of the call. Call it after the HTTP listener has drained and
-// before closing the registry: the final scrape then reflects the complete
-// request history. No-op when self-scrape was never started; idempotent.
-func (s *Server) StopSelfScrape() {
-	t := s.selfScrape
-	if t == nil {
-		return
-	}
-	s.selfScrape = nil
-	t.Stop()
-	s.scrapeOnce()
 }

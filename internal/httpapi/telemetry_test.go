@@ -11,8 +11,6 @@ import (
 	"time"
 
 	apiv1 "repro/api/v1"
-	"repro/internal/core"
-	"repro/internal/metricstore"
 	"repro/internal/telemetry"
 )
 
@@ -272,34 +270,6 @@ func counterValue(t *testing.T, name string) float64 {
 		total += m.Value
 	}
 	return total
-}
-
-func TestSelfScrape(t *testing.T) {
-	s, reg := newTestServer(t)
-	if err := s.StartSelfScrape(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	defer s.StopSelfScrape()
-
-	f, ok := reg.Get(SelfScrapeFlow)
-	if !ok {
-		t.Fatalf("reserved flow %q not created", SelfScrapeFlow)
-	}
-	// Generate traffic, then force the final scrape via Stop and check the
-	// self-metrics landed in the reserved flow's store.
-	do(t, s, "GET", "/v1/flows", "", nil)
-	s.StopSelfScrape()
-
-	var n int
-	f.View(func(m *core.Manager) {
-		n = len(m.Store().ListMetrics(metricstore.SelfScrapeNamespace))
-	})
-	if n == 0 {
-		t.Fatal("no self-scrape series in reserved flow store")
-	}
-
-	// Stop is idempotent.
-	s.StopSelfScrape()
 }
 
 func TestWatchHeartbeatCarriesBusTotals(t *testing.T) {

@@ -94,6 +94,16 @@ func parseCursor(s string) (map[byte]uint64, bool) {
 	return out, true
 }
 
+// appendCursor appends one bus's component to a cursor being rendered:
+// a '.' unless it is the first, the prefix letter, the sequence number.
+func appendCursor(cur []byte, prefix byte, seq uint64) []byte {
+	if len(cur) > 0 {
+		cur = append(cur, '.')
+	}
+	cur = append(cur, prefix)
+	return strconv.AppendUint(cur, seq, 10)
+}
+
 // typeFilter builds a match predicate from ?types= (nil: everything).
 func typeFilter(raw string) map[string]bool {
 	if raw == "" {
@@ -284,12 +294,8 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sources []
 	// position.
 	renderCursor := func() []byte {
 		cur = cur[:0]
-		for i, ls := range live {
-			if i > 0 {
-				cur = append(cur, '.')
-			}
-			cur = append(cur, ls.prefix)
-			cur = strconv.AppendUint(cur, ls.last, 10)
+		for _, ls := range live {
+			cur = appendCursor(cur, ls.prefix, ls.last)
 		}
 		return cur
 	}

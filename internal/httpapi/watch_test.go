@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -506,4 +508,36 @@ func TestWatchValidation(t *testing.T) {
 		rec := get(t, s, path, nil)
 		wantEnvelope(t, rec, status, wantCode)
 	}
+}
+
+// FuzzParseCursor holds the resume-cursor parser to three rules: it never
+// panics; an accepted cursor, re-rendered component by component the way
+// streamEvents renders one (flows first), parses back to the same map;
+// and a bare number sets both the flow and experiment components.
+func FuzzParseCursor(f *testing.F) {
+	for _, seed := range []string{"", "f12", "x4", "f12.x4", "12", "f", ".", "f1..x2", "f18446744073709551616"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := parseCursor(s)
+		if !ok {
+			return
+		}
+		var rendered []byte
+		for _, prefix := range []byte{cursorFlows, cursorExperiments} {
+			if seq, present := got[prefix]; present {
+				rendered = appendCursor(rendered, prefix, seq)
+			}
+		}
+		back, ok := parseCursor(string(rendered))
+		if !ok || !maps.Equal(back, got) {
+			t.Fatalf("parseCursor(%q) = %v, rendered %q, parsed back to %v (ok=%v)", s, got, rendered, back, ok)
+		}
+		if n, err := strconv.ParseUint(s, 10, 64); err == nil {
+			want := map[byte]uint64{cursorFlows: n, cursorExperiments: n}
+			if !maps.Equal(got, want) {
+				t.Fatalf("bare cursor %q parsed to %v, want %v", s, got, want)
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/billing"
@@ -208,6 +209,7 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 	if vmCap <= 0 {
 		vmCap = 1000
 	}
+	var sinkKeys []string // per-record sink keys "agg-i", grown on demand
 	cluster, err := compute.NewCluster(compute.Config{
 		Topology: compute.Topology{
 			Name: spec.Name,
@@ -237,8 +239,12 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 			}
 			for i := 0; i < n; i++ {
 				// Aggregated page counters keyed by item index; errors are
-				// throttles, which the table already counts.
-				_ = table.PutItem(fmt.Sprintf("agg-%d", i), avgBytes)
+				// throttles, which the table already counts. The keys
+				// repeat every tick, so each is built once.
+				if i == len(sinkKeys) {
+					sinkKeys = append(sinkKeys, "agg-"+strconv.Itoa(i))
+				}
+				_ = table.PutItem(sinkKeys[i], avgBytes)
 			}
 		}),
 		h.Store)

@@ -456,7 +456,7 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Find returns the family snapshot with the given name (nil when absent) —
-// a convenience for tests and the self-scrape bridge.
+// a convenience for tests.
 func (s Snapshot) Find(name string) *FamilySnapshot {
 	for i := range s.Families {
 		if s.Families[i].Name == name {
