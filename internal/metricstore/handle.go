@@ -52,8 +52,8 @@ func (s *Store) Lookup(namespace, name string, dims map[string]string) (*Handle,
 }
 
 // ID returns the metric's canonical identity. The dimension map is the
-// store's interned copy and must not be mutated.
-func (h *Handle) ID() MetricID { return h.e.id }
+// process-wide interned copy and must not be mutated.
+func (h *Handle) ID() MetricID { return h.e.ident.id }
 
 // Append records one observation; the timestamp must not precede the
 // metric's newest datapoint. Retention pruning runs under the metric's

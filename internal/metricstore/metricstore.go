@@ -19,21 +19,29 @@
 // hotpath analyzer in internal/analysis machine-checks that per-tick
 // packages resolve handles outside their loops.
 //
-// Memory follows use: interning a metric allocates its identity (key,
-// dimension copy, entry) but no column storage, and the columns then grow
-// by append as datapoints arrive, so a flow that has not ticked holds no
-// series data. Growth may move a series' columns, which is why every
-// zero-copy read (Each, Handle.ViewWindow) hands out its timeseries.View
-// under the metric's lock and only for the duration of the callback.
+// Memory follows use. A metric's identity (its canonical key and
+// dimension copy) is interned once per process and shared by every store
+// that holds the metric: Flower's sensors read the same per-platform
+// metric set for every flow, so a fleet of like flows keeps one copy of
+// each identity, not one per flow. An identity lives exactly as long as
+// some store uses it. A store entry holds only what is per-flow: the
+// shared identity, the metric's lock and its series, whose columns are
+// not allocated until datapoints arrive and then grow by append, so a
+// flow that has not ticked holds no series data. Growth may move a
+// series' columns, which is why every zero-copy read (Each,
+// Handle.ViewWindow) hands out its timeseries.View under the metric's
+// lock and only for the duration of the callback.
 package metricstore
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/telemetry"
 	"repro/internal/timeseries"
@@ -42,6 +50,11 @@ import (
 // MetricID identifies one metric stream: a namespace (one per simulated
 // platform, e.g. "Ingestion/Stream"), a metric name, and a dimension set
 // (e.g. StreamName=clicks).
+//
+// A MetricID a store returns (Handle.ID, Each, ListMetrics) carries the
+// interned identity's Dimensions map, which is shared process-wide by
+// every store holding that metric: it is read-only, and a caller that
+// needs a different dimension set builds a fresh map.
 type MetricID struct {
 	Namespace  string
 	Name       string
@@ -51,8 +64,10 @@ type MetricID struct {
 // Key returns the canonical map key for the metric: namespace, name, and
 // the dimension pairs sorted by dimension name.
 func (id MetricID) Key() string {
-	var sc keyScratch
-	return string(sc.appendKey(id.Namespace, id.Name, id.Dimensions))
+	sc := keyPool.Get().(*keyScratch)
+	key := string(sc.appendKey(id.Namespace, id.Name, id.Dimensions))
+	keyPool.Put(sc)
+	return key
 }
 
 // String renders the ID in a human-readable form for dashboards and errors.
@@ -68,6 +83,10 @@ type keyScratch struct {
 	buf  []byte
 	keys []string
 }
+
+// keyPool is the process's one pool of key scratch; a pool per store would
+// keep per-P arrays alive for each store's whole life.
+var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // appendKey renders the canonical key into the scratch buffer and returns
 // it; the result is only valid until the scratch is reused.
@@ -100,6 +119,54 @@ func (sc *keyScratch) appendKey(ns, name string, dims map[string]string) []byte 
 	return b
 }
 
+// ident is one metric's immutable identity: the MetricID every store
+// reports for it and its canonical key, which is also the key of each
+// store's series map.
+type ident struct {
+	id  MetricID
+	key string
+}
+
+// idents is the process-wide identity table, keyed by canonical key. Its
+// pointers are weak, so an identity lives exactly as long as some store's
+// entry holds it, and a cleanup drops the key once it is collected: the
+// table grows with the distinct metrics in use, not with every name a
+// deleted flow ever published. Only entry creation takes its lock.
+var idents = struct {
+	mu sync.Mutex
+	m  map[string]weak.Pointer[ident]
+}{m: make(map[string]weak.Pointer[ident])}
+
+// intern returns the live identity for the canonical key, creating it (and
+// a copy of dims, so callers can reuse their map) if none is live.
+func intern(key []byte, ns, name string, dims map[string]string) *ident {
+	idents.mu.Lock()
+	defer idents.mu.Unlock()
+	if id := idents.m[string(key)].Value(); id != nil {
+		return id
+	}
+	cp := make(map[string]string, len(dims))
+	for k, v := range dims {
+		cp[k] = v
+	}
+	id := &ident{id: MetricID{Namespace: ns, Name: name, Dimensions: cp}, key: string(key)}
+	idents.m[id.key] = weak.Make(id)
+	telIdentities.Set(int64(len(idents.m)))
+	runtime.AddCleanup(id, forget, id.key)
+	return id
+}
+
+// forget drops a collected identity's key, unless the key has been
+// interned again since and now maps to a live identity.
+func forget(key string) {
+	idents.mu.Lock()
+	defer idents.mu.Unlock()
+	if wp, ok := idents.m[key]; ok && wp.Value() == nil {
+		delete(idents.m, key)
+		telIdentities.Set(int64(len(idents.m)))
+	}
+}
+
 // Store is the metric repository. It is safe for concurrent use: entry
 // creation takes the store lock, while appends and queries synchronise on
 // the individual metric's lock, so writers of different metrics never
@@ -113,15 +180,19 @@ type Store struct {
 	// atomic so the per-append read does not touch the store lock.
 	retention atomic.Int64
 
-	keyPool sync.Pool // *keyScratch
+	// entries counts the store's series for the flower_store_entries
+	// gauge; a cleanup subtracts it once the store is collected, so it
+	// must not reference the store.
+	entries *atomic.Int64
 }
 
-// entry is one metric's series plus its lock and reusable query scratch.
+// entry is what a store keeps per metric: the shared identity, and the
+// metric's own lock, series and reusable query scratch.
 type entry struct {
-	id MetricID
+	ident *ident
 
 	mu      sync.Mutex
-	ts      *timeseries.Series
+	ts      timeseries.Series
 	scratch timeseries.AggScratch // percentile sort buffer, guarded by mu
 }
 
@@ -139,12 +210,17 @@ func (e *entry) published() bool {
 // NewStore returns an empty store that retains all datapoints.
 func NewStore() *Store {
 	s := &Store{
-		series: make(map[string]*entry),
-		alarms: make(map[string]*Alarm),
+		series:  make(map[string]*entry),
+		alarms:  make(map[string]*Alarm),
+		entries: new(atomic.Int64),
 	}
-	s.keyPool.New = func() any { return new(keyScratch) }
+	runtime.AddCleanup(s, dropEntries, s.entries)
 	return s
 }
+
+// dropEntries takes a collected store's series off the
+// flower_store_entries gauge.
+func dropEntries(n *atomic.Int64) { telEntries.Add(-n.Load()) }
 
 // SetRetention bounds how much history appends keep per metric; datapoints
 // older than d relative to the newest datapoint of the same metric are
@@ -156,43 +232,46 @@ func (s *Store) SetRetention(d time.Duration) {
 // lookup finds the entry for the metric without creating it, building the
 // key in pooled scratch so the steady state allocates nothing.
 func (s *Store) lookup(ns, name string, dims map[string]string) *entry {
-	sc := s.keyPool.Get().(*keyScratch)
-	key := sc.appendKey(ns, name, dims)
+	sc := keyPool.Get().(*keyScratch)
+	e := s.get(sc.appendKey(ns, name, dims))
+	keyPool.Put(sc)
+	return e
+}
+
+// get finds the entry under a canonical key.
+func (s *Store) get(key []byte) *entry {
 	s.mu.RLock()
 	e := s.series[string(key)]
 	s.mu.RUnlock()
-	s.keyPool.Put(sc)
 	return e
 }
 
 // entryFor finds or creates the entry for the metric. Only a first-time
-// creation allocates (the interned key string and a defensive copy of the
-// dimension map) or takes the store's write lock.
+// creation allocates (the entry, and the identity if no store in the
+// process holds it yet) or takes the store's write lock.
 func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error) {
 	if ns == "" || name == "" {
 		return nil, fmt.Errorf("metricstore: namespace and name are required")
 	}
-	if e := s.lookup(ns, name, dims); e != nil {
+	sc := keyPool.Get().(*keyScratch)
+	defer keyPool.Put(sc)
+	key := sc.appendKey(ns, name, dims)
+	if e := s.get(key); e != nil {
 		return e, nil
 	}
-	// Copy dims so callers can reuse their map.
-	cp := make(map[string]string, len(dims))
-	for k, v := range dims {
-		cp[k] = v
-	}
-	id := MetricID{Namespace: ns, Name: name, Dimensions: cp}
-	key := id.Key()
+	id := intern(key, ns, name, dims)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.series[key]; ok {
+	if e, ok := s.series[id.key]; ok {
 		return e, nil
 	}
-	// No capacity up front: handles are interned at flow build time, before
-	// (or without ever) publishing, and a fleet interns tens of thousands.
-	// Append growth is amortised O(1), so the columns cost what the metric
-	// has actually published.
-	e := &entry{id: id, ts: timeseries.New(0)}
-	s.series[key] = e
+	// The zero Series has no capacity: handles are interned at flow build
+	// time, before (or without ever) publishing, and a fleet interns tens
+	// of thousands. Append growth is amortised O(1), so the columns cost
+	// what the metric has actually published.
+	e := &entry{ident: id}
+	s.series[id.key] = e
+	s.entries.Add(1)
 	telEntries.Inc()
 	return e, nil
 }
@@ -210,7 +289,7 @@ func (s *Store) append(e *entry, t time.Time, v float64) error {
 	e.mu.Lock()
 	if err := e.ts.Append(t, v); err != nil {
 		e.mu.Unlock()
-		return fmt.Errorf("metricstore: put %s: %w", e.id, err)
+		return fmt.Errorf("metricstore: put %s: %w", e.ident.id, err)
 	}
 	if ret := s.retention.Load(); ret > 0 {
 		copiedBefore := e.ts.Copied()
@@ -261,7 +340,7 @@ func (s *Store) sortedEntries(ns string) []*entry {
 	s.mu.RLock()
 	keys := make([]string, 0, len(s.series))
 	for k, e := range s.series {
-		if ns == "" || e.id.Namespace == ns {
+		if ns == "" || e.ident.id.Namespace == ns {
 			keys = append(keys, k)
 		}
 	}
@@ -287,7 +366,7 @@ func (s *Store) sortedEntries(ns string) []*entry {
 func (s *Store) Each(fn func(id MetricID, v timeseries.View)) {
 	for _, e := range s.sortedEntries("") {
 		e.mu.Lock()
-		fn(e.id, e.ts.ViewAll())
+		fn(e.ident.id, e.ts.ViewAll())
 		e.mu.Unlock()
 	}
 }
@@ -298,7 +377,7 @@ func (s *Store) ListMetrics(ns string) []MetricID {
 	entries := s.sortedEntries(ns)
 	out := make([]MetricID, len(entries))
 	for i, e := range entries {
-		out[i] = e.id
+		out[i] = e.ident.id
 	}
 	return out
 }
@@ -308,7 +387,7 @@ func (s *Store) ListMetrics(ns string) []MetricID {
 func (s *Store) Namespaces() []string {
 	set := make(map[string]bool)
 	for _, e := range s.sortedEntries("") {
-		set[e.id.Namespace] = true
+		set[e.ident.id.Namespace] = true
 	}
 	out := make([]string, 0, len(set))
 	for ns := range set {

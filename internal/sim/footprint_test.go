@@ -14,9 +14,13 @@ import (
 // must cost what it uses, not what it might one day store. The control
 // plane materialises every flow it creates, recovers or runs a lab trial on
 // through New, and a paced flow's first tick follows within one wall tick.
-// The budgets leave 1.5–2× headroom over what is measured (43 KB / 377
-// allocs, 44 KB / 448 allocs); pre-sizing one metric's columns per flow or
-// building a key population per flow overshoots them tenfold.
+// The budgets leave 1.5–2× headroom over what is measured (27 KB / 140
+// allocs, 28 KB / 178 allocs); pre-sizing one metric's columns per flow or
+// building a key population per flow overshoots them tenfold, and giving
+// each flow's metric store private copies of the metric identities every
+// default flow shares (44 KB / 376 allocs) overshoots them too. The live
+// bytes a held flow keeps after a collection (about 26 KB) have their own
+// budget, since allocations a flow frees again cost a fleet nothing.
 
 var footprintSink *Harness
 
@@ -72,8 +76,8 @@ func TestFlowFootprint(t *testing.T) {
 		maxBytes  uint64
 		maxAllocs float64
 	}{
-		{"New", false, 64 << 10, 500},
-		{"New+first tick", true, 100 << 10, 1000},
+		{"New", false, 40 << 10, 240},
+		{"New+first tick", true, 44 << 10, 300},
 	} {
 		var err error
 		var before, after runtime.MemStats
@@ -96,6 +100,33 @@ func TestFlowFootprint(t *testing.T) {
 		if allocs > tc.maxAllocs {
 			t.Errorf("%s makes %.0f allocations per flow, budget %.0f", tc.name, allocs, tc.maxAllocs)
 		}
+	}
+}
+
+// liveBytesPerFlowBudget caps the live heap each held flow keeps after its
+// first tick and a full collection.
+const liveBytesPerFlowBudget = 30 << 10
+
+// TestFlowLiveFootprint holds flows the way a daemon's registry does and
+// measures the live heap they keep, per flow: what decides how many flows
+// one process holds.
+func TestFlowLiveFootprint(t *testing.T) {
+	spec := warmSpec(t)
+	const flows = 200
+	held := make([]*Harness, flows)
+	heap0 := liveHeap()
+	for i := range held {
+		if err := marginalFlow(spec, true); err != nil {
+			t.Fatal(err)
+		}
+		held[i] = footprintSink
+	}
+	heap1 := liveHeap()
+	runtime.KeepAlive(held)
+	perFlow := (float64(heap1) - float64(heap0)) / flows
+	t.Logf("%d flows held after one tick: %.0f B of live heap per flow", flows, perFlow)
+	if perFlow > liveBytesPerFlowBudget {
+		t.Errorf("a held flow keeps %.0f B of live heap, budget %d", perFlow, liveBytesPerFlowBudget)
 	}
 }
 
