@@ -125,10 +125,13 @@ func TestIdentConcurrentIntern(t *testing.T) {
 			}
 		}
 		idents.mu.Lock()
-		got := idents.m[want.key].Value()
+		got, refs := idents.m[want.key], want.refs
 		idents.mu.Unlock()
 		if got != want {
 			t.Fatalf("the identity table maps %s to another identity than the stores hold", name)
+		}
+		if refs != goroutines {
+			t.Fatalf("%s has %d references from %d stores", name, refs, goroutines)
 		}
 	}
 }

@@ -23,8 +23,10 @@
 // dimension copy) is interned once per process and shared by every store
 // that holds the metric: Flower's sensors read the same per-platform
 // metric set for every flow, so a fleet of like flows keeps one copy of
-// each identity, not one per flow. An identity lives exactly as long as
-// some store uses it. A store entry holds only what is per-flow: the
+// each identity, not one per flow. The table counts the stores holding
+// each identity and drops it once the last of them is collected, so it
+// grows with the metrics in use, not with every name a deleted flow ever
+// published. A store entry holds only what is per-flow: the
 // shared identity, the metric's lock and its series, whose columns are
 // not allocated until datapoints arrive and then grow by append, so a
 // flow that has not ticked holds no series data. Growth may move a
@@ -41,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"weak"
 
 	"repro/internal/telemetry"
 	"repro/internal/timeseries"
@@ -119,52 +120,67 @@ func (sc *keyScratch) appendKey(ns, name string, dims map[string]string) []byte 
 	return b
 }
 
-// ident is one metric's immutable identity: the MetricID every store
-// reports for it and its canonical key, which is also the key of each
-// store's series map.
+// ident is one metric's identity: the MetricID every store reports for it
+// and its canonical key, which is also the key of each store's series map.
+// Both are immutable; refs counts the stores holding the identity that
+// have not been collected.
 type ident struct {
-	id  MetricID
-	key string
+	id   MetricID
+	key  string
+	refs int // guarded by idents.mu
 }
 
-// idents is the process-wide identity table, keyed by canonical key. Its
-// pointers are weak, so an identity lives exactly as long as some store's
-// entry holds it, and a cleanup drops the key once it is collected: the
-// table grows with the distinct metrics in use, not with every name a
-// deleted flow ever published. Only entry creation takes its lock.
+// idents is the process-wide identity table, keyed by canonical key. A
+// store takes a reference when it creates an entry and gives its
+// references back once it is collected, and the table drops an identity no
+// store holds: it grows with the distinct metrics in use, not with every
+// name a deleted flow ever published. Only entry creation and a collected
+// store's release take its lock.
 var idents = struct {
 	mu sync.Mutex
-	m  map[string]weak.Pointer[ident]
-}{m: make(map[string]weak.Pointer[ident])}
+	m  map[string]*ident
+}{m: make(map[string]*ident)}
 
-// intern returns the live identity for the canonical key, creating it (and
-// a copy of dims, so callers can reuse their map) if none is live.
+// intern returns the identity for the canonical key with one more
+// reference, creating it (and a copy of dims, so callers can reuse their
+// map) if no store holds it.
 func intern(key []byte, ns, name string, dims map[string]string) *ident {
 	idents.mu.Lock()
 	defer idents.mu.Unlock()
-	if id := idents.m[string(key)].Value(); id != nil {
-		return id
+	id := idents.m[string(key)]
+	if id == nil {
+		cp := make(map[string]string, len(dims))
+		for k, v := range dims {
+			cp[k] = v
+		}
+		id = &ident{id: MetricID{Namespace: ns, Name: name, Dimensions: cp}, key: string(key)}
+		idents.m[id.key] = id
+		telIdentities.Set(int64(len(idents.m)))
 	}
-	cp := make(map[string]string, len(dims))
-	for k, v := range dims {
-		cp[k] = v
-	}
-	id := &ident{id: MetricID{Namespace: ns, Name: name, Dimensions: cp}, key: string(key)}
-	idents.m[id.key] = weak.Make(id)
-	telIdentities.Set(int64(len(idents.m)))
-	runtime.AddCleanup(id, forget, id.key)
+	id.refs++
 	return id
 }
 
-// forget drops a collected identity's key, unless the key has been
-// interned again since and now maps to a live identity.
-func forget(key string) {
+// heldIdents lists the identities a store holds a reference on. It is a
+// separate object that references no store, so a cleanup on the store can
+// give the references back once the store is collected. Handing the
+// cleanup the store's series map instead would keep a dropped flow's
+// series alive until the collection after the cleanup ran.
+type heldIdents struct{ idents []*ident }
+
+// release gives back a collected store's references, dropping the
+// identities no store holds any more, and takes the store's series off the
+// flower_store_entries gauge.
+func release(h *heldIdents) {
 	idents.mu.Lock()
 	defer idents.mu.Unlock()
-	if wp, ok := idents.m[key]; ok && wp.Value() == nil {
-		delete(idents.m, key)
-		telIdentities.Set(int64(len(idents.m)))
+	for _, id := range h.idents {
+		if id.refs--; id.refs == 0 {
+			delete(idents.m, id.key)
+		}
 	}
+	telIdentities.Set(int64(len(idents.m)))
+	telEntries.Add(-int64(len(h.idents)))
 }
 
 // Store is the metric repository. It is safe for concurrent use: entry
@@ -180,10 +196,7 @@ type Store struct {
 	// atomic so the per-append read does not touch the store lock.
 	retention atomic.Int64
 
-	// entries counts the store's series for the flower_store_entries
-	// gauge; a cleanup subtracts it once the store is collected, so it
-	// must not reference the store.
-	entries *atomic.Int64
+	held *heldIdents // guarded by mu
 }
 
 // entry is what a store keeps per metric: the shared identity, and the
@@ -210,17 +223,13 @@ func (e *entry) published() bool {
 // NewStore returns an empty store that retains all datapoints.
 func NewStore() *Store {
 	s := &Store{
-		series:  make(map[string]*entry),
-		alarms:  make(map[string]*Alarm),
-		entries: new(atomic.Int64),
+		series: make(map[string]*entry),
+		alarms: make(map[string]*Alarm),
+		held:   new(heldIdents),
 	}
-	runtime.AddCleanup(s, dropEntries, s.entries)
+	runtime.AddCleanup(s, release, s.held)
 	return s
 }
-
-// dropEntries takes a collected store's series off the
-// flower_store_entries gauge.
-func dropEntries(n *atomic.Int64) { telEntries.Add(-n.Load()) }
 
 // SetRetention bounds how much history appends keep per metric; datapoints
 // older than d relative to the newest datapoint of the same metric are
@@ -248,7 +257,8 @@ func (s *Store) get(key []byte) *entry {
 
 // entryFor finds or creates the entry for the metric. Only a first-time
 // creation allocates (the entry, and the identity if no store in the
-// process holds it yet) or takes the store's write lock.
+// process holds it yet) or takes the store's write lock and, under it, the
+// identity table's lock.
 func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error) {
 	if ns == "" || name == "" {
 		return nil, fmt.Errorf("metricstore: namespace and name are required")
@@ -259,19 +269,19 @@ func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error
 	if e := s.get(key); e != nil {
 		return e, nil
 	}
-	id := intern(key, ns, name, dims)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.series[id.key]; ok {
+	if e, ok := s.series[string(key)]; ok {
 		return e, nil
 	}
+	id := intern(key, ns, name, dims)
 	// The zero Series has no capacity: handles are interned at flow build
 	// time, before (or without ever) publishing, and a fleet interns tens
 	// of thousands. Append growth is amortised O(1), so the columns cost
 	// what the metric has actually published.
 	e := &entry{ident: id}
 	s.series[id.key] = e
-	s.entries.Add(1)
+	s.held.idents = append(s.held.idents, id)
 	telEntries.Inc()
 	return e, nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -14,13 +16,20 @@ import (
 // must cost what it uses, not what it might one day store. The control
 // plane materialises every flow it creates, recovers or runs a lab trial on
 // through New, and a paced flow's first tick follows within one wall tick.
-// The budgets leave 1.5–2× headroom over what is measured (27 KB / 140
-// allocs, 28 KB / 178 allocs); pre-sizing one metric's columns per flow or
-// building a key population per flow overshoots them tenfold, and giving
-// each flow's metric store private copies of the metric identities every
-// default flow shares (44 KB / 376 allocs) overshoots them too. The live
-// bytes a held flow keeps after a collection (about 26 KB) have their own
-// budget, since allocations a flow frees again cost a fleet nothing.
+// TestFlowFootprint's budgets leave 1.5–2× headroom over what is measured
+// (27 KB / 146 allocs for New, 28 KB / 184 with a first tick); pre-sizing
+// one metric's columns per flow or building a key population per flow
+// overshoots them tenfold, and giving each flow's metric store private
+// copies of the metric identities every default flow shares (44 KB / 376
+// allocs) overshoots them too. A flow whose name no other flow uses holds
+// the only copy of each identity that carries its name, and has budgets
+// of its own over what it measures (40 KB / 238 allocs, 41 KB / 276).
+//
+// The live bytes a held flow keeps after a collection have their own
+// budget, since allocations a flow frees again cost a fleet nothing. The
+// like-flow budget is deliberately tight, 30 KiB over 25.5 KB measured
+// (about 1.2×): the row reads the same bytes on every run, under -race
+// too, and per-flow private identities, which it must catch, read 38 KB.
 
 var footprintSink *Harness
 
@@ -50,6 +59,24 @@ func warmSpec(tb testing.TB) flow.Spec {
 	return spec
 }
 
+// renames counts the names flowSpecs has handed out.
+var renames int
+
+// flowSpecs returns the specs of n flows: spec each time, or with unique a
+// copy under a name no other flow uses, so that no two flows share a
+// metric whose dimensions carry the flow's name.
+func flowSpecs(spec flow.Spec, n int, unique bool) []flow.Spec {
+	specs := make([]flow.Spec, n)
+	for i := range specs {
+		specs[i] = spec
+		if unique {
+			renames++
+			specs[i].Name = fmt.Sprintf("%s-%d", spec.Name, renames)
+		}
+	}
+	return specs
+}
+
 func newFlow(b *testing.B, firstTick bool) {
 	spec := warmSpec(b)
 	b.ReportAllocs()
@@ -73,25 +100,31 @@ func TestFlowFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		firstTick bool
+		unique    bool
 		maxBytes  uint64
 		maxAllocs float64
 	}{
-		{"New", false, 40 << 10, 240},
-		{"New+first tick", true, 44 << 10, 300},
+		{"New", false, false, 40 << 10, 240},
+		{"New+first tick", true, false, 44 << 10, 300},
+		{"New, unique names", false, true, 60 << 10, 360},
+		{"New+first tick, unique names", true, true, 64 << 10, 420},
 	} {
+		// AllocsPerRun makes one warm-up call before its measured runs.
+		specs := flowSpecs(spec, runs+1, tc.unique)
 		var err error
 		var before, after runtime.MemStats
+		next := 0
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() {
-			if e := marginalFlow(spec, tc.firstTick); e != nil {
+			if e := marginalFlow(specs[next], tc.firstTick); e != nil {
 				err = e
 			}
+			next++
 		})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// AllocsPerRun makes one warm-up call before its measured runs.
 		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
 		t.Logf("%s: %d B, %.0f allocs per flow", tc.name, bytes, allocs)
 		if bytes > tc.maxBytes {
@@ -107,26 +140,40 @@ func TestFlowFootprint(t *testing.T) {
 // first tick and a full collection.
 const liveBytesPerFlowBudget = 30 << 10
 
+// liveBytesPerUniqueFlowBudget is the same cap for a flow whose name no
+// other flow uses; it measures 36–37 KB.
+const liveBytesPerUniqueFlowBudget = 48 << 10
+
 // TestFlowLiveFootprint holds flows the way a daemon's registry does and
 // measures the live heap they keep, per flow: what decides how many flows
 // one process holds.
 func TestFlowLiveFootprint(t *testing.T) {
 	spec := warmSpec(t)
 	const flows = 200
-	held := make([]*Harness, flows)
-	heap0 := liveHeap()
-	for i := range held {
-		if err := marginalFlow(spec, true); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		unique bool
+		budget float64
+	}{
+		{"like flows", false, liveBytesPerFlowBudget},
+		{"unique names", true, liveBytesPerUniqueFlowBudget},
+	} {
+		specs := flowSpecs(spec, flows, tc.unique)
+		held := make([]*Harness, flows)
+		heap0 := liveHeap()
+		for i := range held {
+			if err := marginalFlow(specs[i], true); err != nil {
+				t.Fatal(err)
+			}
+			held[i] = footprintSink
 		}
-		held[i] = footprintSink
-	}
-	heap1 := liveHeap()
-	runtime.KeepAlive(held)
-	perFlow := (float64(heap1) - float64(heap0)) / flows
-	t.Logf("%d flows held after one tick: %.0f B of live heap per flow", flows, perFlow)
-	if perFlow > liveBytesPerFlowBudget {
-		t.Errorf("a held flow keeps %.0f B of live heap, budget %d", perFlow, liveBytesPerFlowBudget)
+		heap1 := liveHeap()
+		runtime.KeepAlive(held)
+		perFlow := (float64(heap1) - float64(heap0)) / flows
+		t.Logf("%d %s held after one tick: %.0f B of live heap per flow", flows, tc.name, perFlow)
+		if perFlow > tc.budget {
+			t.Errorf("a held flow (%s) keeps %.0f B of live heap, budget %.0f", tc.name, perFlow, tc.budget)
+		}
 	}
 }
 
@@ -173,15 +220,26 @@ func TestFlowHistoryFootprint(t *testing.T) {
 	}
 }
 
-// liveHeap returns the bytes of live heap objects after a full collection.
-// The second collection frees what the first only moved to sync.Pool's
-// victim cache, which earlier tests can leave behind.
+// liveHeap returns the bytes of live heap objects once two collections in
+// a row free nothing, at most 20. Garbage earlier tests left can take more
+// than one: a second collection frees what the first only moved to
+// sync.Pool's victim cache, and the shared metric identities a collected
+// store held are freed only after its cleanup has run.
 func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
 	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	last, still := uint64(math.MaxUint64), 0
+	for i := 0; i < 20 && still < 2; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc >= last {
+			still++
+		} else {
+			still = 0
+		}
+		last = min(last, ms.HeapAlloc)
+		runtime.Gosched()
+	}
+	return last
 }
 
 // storedPoints counts the datapoints h's metric store holds.
